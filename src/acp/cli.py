@@ -184,6 +184,12 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def _format_cell(value) -> str:
+    # exact-type checks first: plain floats and ints are nearly every cell
+    kind = type(value)
+    if kind is float:
+        return f"{value:.6f}"
+    if kind is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -198,8 +204,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
 
 
 def _summary_path(out: str) -> str:
@@ -377,10 +382,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         options = resolve_options(args)
-    except OSError as exc:
-        print(f"{PROG}: config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2
     try:

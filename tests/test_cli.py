@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, CSV contracts, config files."""
 
+import numpy as np
 import pytest
 
 from acp.cli import main, write_csv
@@ -115,6 +116,31 @@ class TestCsvWriter:
         path = tmp_path / "fmt.csv"
         write_csv(str(path), ["x"], [[1.5], [2], [True], ["txt"]])
         assert path.read_bytes() == b"x\n1.500000\n2\ntrue\ntxt\n"
+
+    @pytest.mark.parametrize(
+        "value, cell",
+        [
+            (True, b"true"),
+            (False, b"false"),
+            (np.bool_(True), b"true"),
+            (np.bool_(False), b"false"),
+            (7, b"7"),
+            (-12, b"-12"),
+            (np.int64(-3), b"-3"),
+            (0.1, b"0.100000"),
+            (np.float64(2.5), b"2.500000"),
+            ("txt", b"txt"),
+            ("a,b", b'"a,b"'),
+            (float("nan"), b"nan"),
+            (float("inf"), b"inf"),
+            (float("-inf"), b"-inf"),
+            (-0.0, b"-0.000000"),
+        ],
+    )
+    def test_cell_bytes(self, tmp_path, value, cell):
+        path = tmp_path / "cell.csv"
+        write_csv(str(path), ["x"], [[value]])
+        assert path.read_bytes() == b"x\n" + cell + b"\n"
 
     def test_lf_newlines_only(self, tmp_path):
         path = tmp_path / "nl.csv"

@@ -4,19 +4,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import truncnorm
 
 from acp import (
     GainSequenceSpec,
     StepCapExceeded,
+    StoppingTrial,
     completion_fraction,
     cost_bounds,
     high_prob_steps,
     run_trials,
     simulate_stopping,
+    summarize_trials,
     validate_bounds,
 )
+from acp.stopping import TRIAL_BLOCK, _solve_trunc_loc
 
 DIMINISHING = tuple(max(2.0 * 0.9**i, 0.5) for i in range(14))
+
+SPECS = {
+    "deterministic": GainSequenceSpec.deterministic(mean_tail=1.0),
+    "exponential": GainSequenceSpec.exponential(mean_tail=1.0),
+    "uniform": GainSequenceSpec.uniform(mean_tail=1.0),
+    "truncated-gaussian": GainSequenceSpec.truncated_gaussian(
+        mean_prefix=DIMINISHING, mean_tail=0.5, support_bound=3.0, noise_scale=0.6
+    ),
+}
 
 
 def _se(values):
@@ -58,6 +73,23 @@ class TestSpecValidation:
         assert mean_gain == pytest.approx(0.5, abs=0.05)
 
 
+class TestDrawGains:
+    def test_matrix_matches_truncnorm_quantiles(self):
+        spec = SPECS["truncated-gaussian"]
+        scale, upper = spec.noise_scale, spec.support_bound
+        means = spec.means_for_steps(8, 12)
+        uniforms = np.random.default_rng(3).random((5, 12))
+        gains = spec.draw_gains(means[None, :], uniforms)
+        for c, m in enumerate(means):
+            loc = _solve_trunc_loc(m, scale, upper)
+            law = truncnorm(-loc / scale, (upper - loc) / scale, loc=loc, scale=scale)
+            np.testing.assert_allclose(gains[:, c], law.ppf(uniforms[:, c]), rtol=0, atol=1e-9)
+
+    def test_unknown_mean_rejected(self):
+        with pytest.raises(ValueError):
+            SPECS["truncated-gaussian"].draw_gains(np.array([0.75]), np.array([0.5]))
+
+
 class TestSimulateStopping:
     def test_deterministic_unit_gains(self):
         spec = GainSequenceSpec.deterministic(mean_tail=1.0)
@@ -95,6 +127,52 @@ class TestSimulateStopping:
         spec = GainSequenceSpec.deterministic(mean_tail=1.0)
         with pytest.raises(StepCapExceeded):
             simulate_stopping(spec, 100.0, seed=0, step_cap=5)
+
+    def test_pinned_values(self):
+        # one trial draws exactly the stream of the original per-trial simulator
+        uniform = GainSequenceSpec.uniform(mean_prefix=DIMINISHING, mean_tail=0.5)
+        assert simulate_stopping(uniform, 8.0, seed=123) == StoppingTrial(
+            7, 8.517353052595372, 0.5173530525953716
+        )
+        gaussian = GainSequenceSpec.truncated_gaussian(DIMINISHING, 0.5, 3.0, 0.6)
+        assert simulate_stopping(gaussian, 8.0, seed=5) == StoppingTrial(
+            6, 8.967433605188248, 0.9674336051882477
+        )
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("n_trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1])
+    def test_workers_do_not_change_trials(self, n_trials):
+        spec = SPECS["exponential"]
+        serial = run_trials(spec, 10.0, n_trials, master_seed=11, workers=1)
+        parallel = run_trials(spec, 10.0, n_trials, master_seed=11, workers=2)
+        assert len(serial) == n_trials
+        assert serial == parallel
+
+    def test_blocks_draw_distinct_streams(self):
+        trials = run_trials(SPECS["exponential"], 10.0, 2 * TRIAL_BLOCK, master_seed=11)
+        assert trials[:TRIAL_BLOCK] != trials[TRIAL_BLOCK:]
+
+    def test_deterministic_steps_in_every_row(self):
+        spec = GainSequenceSpec.deterministic(mean_tail=0.7)
+        trials = run_trials(spec, 10.0, TRIAL_BLOCK + 5, master_seed=0)
+        assert {t.n_steps for t in trials} == {math.ceil(10.0 / 0.7)}
+
+    def test_step_cap_raises_in_a_block(self):
+        with pytest.raises(StepCapExceeded):
+            run_trials(SPECS["deterministic"], 1e8, 3, master_seed=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SPECS)),
+        total_bits=st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+        n_trials=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_every_trial_reaches_target(self, name, total_bits, n_trials, seed):
+        trials = run_trials(SPECS[name], total_bits, n_trials, master_seed=seed)
+        assert len(trials) == n_trials
+        assert all(t.n_steps >= 1 and t.accumulated >= total_bits for t in trials)
 
 
 class TestCostBounds:
@@ -172,6 +250,18 @@ class TestValidateBounds:
         with pytest.raises(ValueError):
             validate_bounds(spec, 10.0, 1.0, 99, master_seed=0)
 
+    def test_sampling_slack_below_lower_bound(self):
+        spec = GainSequenceSpec.exponential(mean_tail=1.0)
+        # mean 9.5 against a lower bound of 10: about 1.1 standard errors below
+        near = [StoppingTrial(steps, float(steps), 0.0) for steps in [5] * 50 + [14] * 50]
+        report = summarize_trials(spec, 10.0, 1.0, near)
+        assert report.empirical_mean_cost < report.lower
+        assert report.lower - report.empirical_mean_cost < 3 * report.standard_error
+        assert report.within_bounds
+        # same mean, about 10 standard errors below
+        far = [StoppingTrial(steps, float(steps), 0.0) for steps in [9] * 50 + [10] * 50]
+        assert not summarize_trials(spec, 10.0, 1.0, far).within_bounds
+
     def test_parallel_equals_serial(self):
         spec = GainSequenceSpec.exponential(mean_tail=1.0)
         serial = validate_bounds(spec, 10.0, 1.0, 400, master_seed=6, workers=1)
@@ -182,18 +272,9 @@ class TestValidateBounds:
 class TestProcessProperties:
     """Statistical sanity over every supported family."""
 
-    SPECS = {
-        "deterministic": GainSequenceSpec.deterministic(mean_tail=1.0),
-        "exponential": GainSequenceSpec.exponential(mean_tail=1.0),
-        "uniform": GainSequenceSpec.uniform(mean_tail=1.0),
-        "truncated-gaussian": GainSequenceSpec.truncated_gaussian(
-            mean_prefix=DIMINISHING, mean_tail=0.5, support_bound=3.0, noise_scale=0.6
-        ),
-    }
-
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_lorden_overshoot_bound(self, name):
-        spec = self.SPECS[name]
+        spec = SPECS[name]
         trials = run_trials(spec, 10.0, 2_000, master_seed=7)
         overshoots = [t.overshoot for t in trials]
         limit = spec.second_moment_bound / spec.mean_tail
@@ -201,13 +282,13 @@ class TestProcessProperties:
 
     @pytest.mark.parametrize("name", ["exponential", "uniform"])
     def test_wald_identity_iid(self, name):
-        spec = self.SPECS[name]
+        spec = SPECS[name]
         trials = run_trials(spec, 10.0, 10_000, master_seed=8)
         diffs = [t.accumulated - spec.mean_tail * t.n_steps for t in trials]
         assert abs(np.mean(diffs)) <= 3 * _se(diffs)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_lower_bound_never_violated(self, name):
-        spec = self.SPECS[name]
+        spec = SPECS[name]
         report = validate_bounds(spec, 10.0, 1.0, 2_000, master_seed=9)
         assert report.empirical_mean_cost >= report.lower - 3 * report.standard_error
