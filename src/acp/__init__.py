@@ -10,11 +10,11 @@ coloring.
 
 from .info import (
     INFINITE_COST,
-    CostModel,
     DiscreteDistribution,
     binary_entropy,
     effective_cost,
     entropy,
+    entropy_bits,
     search_information,
     select_action,
     solvability_verdict,
@@ -42,7 +42,6 @@ from .gp import (
     estimate_total_information,
     gaussian_channel_gain,
     information_gain,
-    linear_response,
     monte_carlo_error,
     propagate_estimate_error,
     surrogate_error_bound,

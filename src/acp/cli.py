@@ -58,7 +58,6 @@ class _Opt:
 _SHARED = (
     _Opt("--seed", int, 0, "master seed; all per-trial seeds derive from it"),
     _Opt("--out", str, None, "output CSV path"),
-    _Opt("--format", str, "csv", "output format", choices=("csv",)),
     _Opt("--workers", int, 1, "worker processes (does not affect results)"),
 )
 
@@ -96,7 +95,6 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     + (
         _Opt("--trials", int, 64, "simulated outcomes per candidate action"),
         _Opt("--noise", float, 0.5, "observation noise sigma"),
-        _Opt("--lengthscale", float, 1.0, "surrogate kernel lengthscale"),
         _Opt("--signal-var", float, slope.DEFAULT_SIGNAL_VARIANCE, "surrogate kernel signal variance"),
         _Opt("--grid", int, 401, "hypothesis grid size"),
         _Opt("--resolution", float, 0.1, "identification resolution"),
@@ -104,7 +102,6 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     ),
     "approx": _SHARED
     + (
-        _Opt("--trials", int, 1, "accepted for flag uniformity; enumeration is exact"),
         _Opt("--items", int, 10, "knapsack item count (<= 20)"),
         _Opt("--eps", _float_list, (0.0, 0.05, 0.1, 0.2, 0.5), "relaxation levels, ascending"),
     ),
@@ -327,7 +324,7 @@ def run_coloring(o: dict) -> int:
 def run_estimate(o: dict) -> int:
     task = gp.EstimationTask(
         noise_variance=o["noise"] ** 2,
-        kernel=gp.RBFKernel(lengthscale=o["lengthscale"], signal_variance=o["signal_var"]),
+        kernel=gp.RBFKernel(lengthscale=1.0, signal_variance=o["signal_var"]),
         resolution=o["resolution"],
         theta_grid_size=o["grid"],
         n_outcome_samples=o["trials"],

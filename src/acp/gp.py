@@ -15,23 +15,19 @@ Both are folded into a first-order margin on the predicted cost, and the
 solvability verdict requires the budget to cover cost plus margin.
 
 Hypotheses are discretized to an explicit grid, so every entropy here is a
-discrete Shannon entropy in bits. GPPosterior objects are immutable; adding
-an observation returns a new posterior.
+discrete Shannon entropy in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .info import INFINITE_COST, effective_cost
+from .info import INFINITE_COST, effective_cost, entropy_bits
 
 _LOG2 = math.log(2.0)
-_JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
 #: Per-step gains below this are treated as "no progress": the task is
 #: reported unsolvable instead of dividing by a vanishing estimate.
@@ -40,7 +36,11 @@ MIN_STEP_BITS = 1e-6
 
 @dataclass(frozen=True)
 class RBFKernel:
-    """Squared-exponential covariance k(a, b) = s2 * exp(-(a-b)^2 / (2 l^2))."""
+    """Squared-exponential covariance k(a, b) = s2 * exp(-(a-b)^2 / (2 l^2)).
+
+    The prior predictive reads only the signal variance s2, the value of
+    k(x, x) at every input.
+    """
 
     lengthscale: float
     signal_variance: float
@@ -51,78 +51,28 @@ class RBFKernel:
         if not self.signal_variance > 0:
             raise ValueError("signal_variance must be positive")
 
-    def __call__(self, a, b) -> np.ndarray:
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        d = a[:, None] - b[None, :]
-        return self.signal_variance * np.exp(-0.5 * np.square(d / self.lengthscale))
-
 
 class GPPosterior:
-    """Gaussian-process state over a 1D input, conditioned on noisy points.
+    """Gaussian-process prior predictive over a 1D input.
 
-    The regularized Gram matrix K + noise_variance * I is factorized once at
-    construction and cached; if the factorization fails numerically, an
-    escalating diagonal jitter (1e-10 up to 1e-6) is tried before giving up.
-
-    Instances are immutable: ``with_observation`` returns a new posterior.
+    The latent function has mean 0 and the kernel's signal variance at every
+    input; a noisy observation adds ``noise_variance`` on top.
     """
 
-    def __init__(
-        self,
-        kernel: RBFKernel,
-        noise_variance: float,
-        observations: Sequence[tuple[float, float]] = (),
-    ) -> None:
+    def __init__(self, kernel: RBFKernel, noise_variance: float) -> None:
         if not noise_variance > 0:
             raise ValueError("noise_variance must be positive")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self.observations = tuple((float(x), float(y)) for x, y in observations)
-        self._x = np.array([x for x, _ in self.observations], dtype=float)
-        self._y = np.array([y for _, y in self.observations], dtype=float)
-        if self.observations:
-            gram = kernel(self._x, self._x)
-            gram[np.diag_indices_from(gram)] += self.noise_variance
-            self._factor = _factor_with_jitter(gram)
-            self._alpha = cho_solve(self._factor, self._y)
-        else:
-            self._factor = None
-            self._alpha = None
-
-    def with_observation(self, x: float, y: float) -> "GPPosterior":
-        """New posterior that additionally conditions on (x, y)."""
-        return GPPosterior(self.kernel, self.noise_variance, self.observations + ((x, y),))
 
     def predict(self, x: float) -> tuple[float, float]:
-        """Posterior mean and variance of the latent function at x.
-
-        With no observations this is the prior: mean 0, variance equal to
-        the kernel's signal variance. The variance is clipped to stay in
-        (0, signal_variance] against round-off.
-        """
-        sig = self.kernel.signal_variance
-        if not self.observations:
-            return 0.0, sig
-        k_star = self.kernel(np.array([x]), self._x)[0]
-        mean = float(k_star @ self._alpha)
-        var = sig - float(k_star @ cho_solve(self._factor, k_star))
-        return mean, float(min(max(var, 1e-12), sig))
+        """Mean and variance of the latent function at x: (0, signal_variance)."""
+        return 0.0, self.kernel.signal_variance
 
     def predictive_y(self, x: float) -> tuple[float, float]:
         """Mean and variance of a noisy observation at x (latent + noise)."""
         mean, var = self.predict(x)
         return mean, var + self.noise_variance
-
-
-def _factor_with_jitter(gram: np.ndarray):
-    for jitter in _JITTERS:
-        try:
-            g = gram if jitter == 0.0 else gram + jitter * np.eye(gram.shape[0])
-            return cho_factor(g, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("Gram matrix not positive definite even with jitter 1e-6")
 
 
 def gaussian_channel_gain(predictive_variance: float, noise_variance: float) -> float:
@@ -138,23 +88,16 @@ def gaussian_channel_gain(predictive_variance: float, noise_variance: float) -> 
     return 0.5 * math.log2(1.0 + predictive_variance / noise_variance)
 
 
-def linear_response(theta: np.ndarray, action: float) -> np.ndarray:
-    """Noiseless outcome theta * action of the linear task family."""
-    return theta * action
-
-
 @dataclass(frozen=True)
 class HypothesisGrid:
-    """Discrete hypothesis set: grid values, masses, and an outcome model.
+    """Discrete hypothesis set: grid values and their masses.
 
-    ``response(theta_values, action)`` gives the noiseless outcome of every
-    hypothesis under an action; observation noise is Gaussian with the
-    posterior's noise variance. The default response is the linear family.
+    Hypothesis theta answers action x with the noiseless outcome theta * x;
+    observation noise is Gaussian with the posterior's noise variance.
     """
 
     values: np.ndarray
     probabilities: np.ndarray
-    response: Callable[[np.ndarray, float], np.ndarray] = linear_response
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -169,18 +112,13 @@ class HypothesisGrid:
         object.__setattr__(self, "probabilities", probs)
 
     @classmethod
-    def uniform(cls, low: float, high: float, size: int, response=linear_response) -> "HypothesisGrid":
+    def uniform(cls, low: float, high: float, size: int) -> "HypothesisGrid":
         if size < 2 or not high > low:
             raise ValueError("need at least two grid points over a nonempty interval")
-        return cls(np.linspace(low, high, size), np.full(size, 1.0 / size), response)
+        return cls(np.linspace(low, high, size), np.full(size, 1.0 / size))
 
     def prior_entropy(self) -> float:
-        return _entropy_bits(self.probabilities)
-
-
-def _entropy_bits(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    return float(-(nz * np.log2(nz)).sum())
+        return float(entropy_bits(self.probabilities))
 
 
 def information_gain(
@@ -208,19 +146,20 @@ def information_gain(
     prior_bits = grid.prior_entropy()
     mean_y, var_y = posterior.predictive_y(action)
     draws = mean_y + math.sqrt(var_y) * rng.standard_normal(n_outcome_samples)
-    predicted = grid.response(grid.values, action)
+    predicted = grid.values * action
 
     # zero-prior cells must stay at zero mass no matter how extreme the draw
     with np.errstate(divide="ignore"):
         log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
-    loglik = -np.square(draws[:, None] - predicted[None, :]) / (2.0 * posterior.noise_variance)
-    logpost = loglik + log_prior[None, :]
+    # one outcome-by-cell buffer, updated in place from log-posterior to posterior
+    logpost = draws[:, None] - predicted[None, :]
+    np.square(logpost, out=logpost)
+    logpost /= -2.0 * posterior.noise_variance
+    logpost += log_prior
     logpost -= logpost.max(axis=1, keepdims=True)
-    post = np.exp(logpost)
+    post = np.exp(logpost, out=logpost)
     post /= post.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(post > 0, post * np.log2(np.maximum(post, 1e-300)), 0.0)
-    mean_posterior_bits = float(-contrib.sum(axis=1).mean())
+    mean_posterior_bits = float(entropy_bits(post, axis=1).mean())
     gain = prior_bits - mean_posterior_bits
     return float(min(max(gain, 0.0), prior_bits))
 
@@ -241,7 +180,7 @@ def estimate_total_information(grid_prior, resolution: float, domain_width: floa
         raise ValueError(f"prior has {n} cells, fewer than the {n_bins} requested bins")
     bin_index = (np.arange(n) * n_bins) // n
     masses = np.bincount(bin_index, weights=probs, minlength=n_bins)
-    return _entropy_bits(masses)
+    return float(entropy_bits(masses))
 
 
 def monte_carlo_error(gain_ceiling: float, n_samples: int, delta: float) -> float:
@@ -298,8 +237,8 @@ class EstimationTask:
     """Configuration of a 1D identification task for cost estimation.
 
     The hypothesis lives on [theta_low, theta_high], queries on
-    [action_low, action_high]; observations are response(theta, action)
-    plus Gaussian noise. ``resolution`` defines when the hypothesis counts
+    [action_low, action_high]; observations are theta * action plus
+    Gaussian noise. ``resolution`` defines when the hypothesis counts
     as identified. ``top_fraction`` controls how many of the best actions
     are averaged into the per-step gain.
     """
@@ -319,7 +258,6 @@ class EstimationTask:
     mc_delta: float = 0.05
     variance_deviation: float = 0.0
     variance_floor: float = 0.0
-    response: Callable[[np.ndarray, float], np.ndarray] = linear_response
 
     def __post_init__(self) -> None:
         if not self.theta_high > self.theta_low:
@@ -334,7 +272,7 @@ class EstimationTask:
             raise ValueError("top_fraction must lie in (0, 1]")
 
     def hypothesis_grid(self) -> HypothesisGrid:
-        return HypothesisGrid.uniform(self.theta_low, self.theta_high, self.theta_grid_size, self.response)
+        return HypothesisGrid.uniform(self.theta_low, self.theta_high, self.theta_grid_size)
 
     def action_grid(self) -> np.ndarray:
         return np.linspace(self.action_low, self.action_high, self.action_grid_size)
@@ -375,8 +313,7 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
     n_top = max(1, math.ceil(task.top_fraction * actions.size))
     step_bits = float(np.sort(gains)[-n_top:].mean())
 
-    sigma_max2 = max(posterior.predict(x)[1] for x in actions)
-    ceiling = gaussian_channel_gain(sigma_max2, task.noise_variance)
+    ceiling = gaussian_channel_gain(task.kernel.signal_variance, task.noise_variance)
     mc_err = monte_carlo_error(ceiling, task.n_outcome_samples, task.mc_delta)
 
     if step_bits < MIN_STEP_BITS:

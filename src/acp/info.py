@@ -23,20 +23,6 @@ _PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """Per-action cost and total budget, in abstract resource units."""
-
-    cost_per_action: float
-    budget: float
-
-    def __post_init__(self) -> None:
-        if not self.cost_per_action > 0:
-            raise ValueError("cost_per_action must be positive")
-        if not self.budget > 0:
-            raise ValueError("budget must be positive")
-
-
-@dataclass(frozen=True)
 class DiscreteDistribution:
     """Explicit probability vector over a finite outcome set."""
 
@@ -78,9 +64,19 @@ def entropy(dist: DiscreteDistribution) -> float:
 
     Bounded by log2(len(dist)), with equality iff uniform.
     """
-    p = dist.as_array()
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(entropy_bits(dist.as_array()))
+
+
+def entropy_bits(probs, axis: int = -1):
+    """Shannon entropy in bits of the probability vectors along ``axis``.
+
+    Cells of zero mass contribute nothing (0 * log 0 := 0). A 1D input gives
+    a scalar; a stack of vectors gives one entropy per vector.
+    """
+    p = np.asarray(probs, dtype=float)
+    terms = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    terms *= p
+    return -terms.sum(axis=axis)
 
 
 def search_information(p_goal: float) -> float:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .gp import EstimationTask, RBFKernel, a_priori_estimate, gaussian_channel_gain
-from .info import select_action
+from .info import entropy_bits, select_action
 from .seeding import map_indexed, subseed
 
 #: Default noise levels for the sweep.
@@ -94,11 +94,6 @@ def _credible_width(grid: np.ndarray, probs: np.ndarray, mass: float) -> float:
     return float(hi - lo)
 
 
-def _entropy_bits(probs: np.ndarray) -> float:
-    nz = probs[probs > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     """Run the Bayesian grid agent on one task. Deterministic given seed.
 
@@ -137,7 +132,7 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
         probs /= probs.sum()
 
         queries.append((x, float(y)))
-        entropy_trace.append(_entropy_bits(probs))
+        entropy_trace.append(float(entropy_bits(probs)))
         if _credible_width(grid, probs, task.credible_mass) <= task.success_resolution:
             completed = True
             break
@@ -183,14 +178,13 @@ def estimation_task_for(
     sigma: float,
     resolution: float = 0.1,
     signal_variance: float = DEFAULT_SIGNAL_VARIANCE,
-    lengthscale: float = 1.0,
 ) -> EstimationTask:
     """Estimation-pipeline configuration matching the slope task geometry."""
     if not sigma > 0:
         raise ValueError("sigma must be positive for prediction")
     return EstimationTask(
         noise_variance=sigma**2,
-        kernel=RBFKernel(lengthscale=lengthscale, signal_variance=signal_variance),
+        kernel=RBFKernel(lengthscale=1.0, signal_variance=signal_variance),
         resolution=resolution,
     )
 

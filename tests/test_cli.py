@@ -25,6 +25,17 @@ class TestExitCodes:
     def test_bad_family_value(self, capsys):
         assert _run("bounds", "--family", "cauchy") == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--format", "csv"),
+            ("approx", "--trials", "1"),
+            ("estimate", "--lengthscale", "2.0"),
+        ],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        assert _run(*argv) == 2
+
     def test_unwritable_output(self, tmp_path, capsys):
         missing_dir = tmp_path / "does" / "not" / "exist" / "x.csv"
         code = _run("bounds", "--trials", "100", "--out", str(missing_dir))
@@ -70,6 +81,24 @@ class TestDeterminism:
                         "--seed", "5", "--out", str(out)) == 0
         assert _read(a) == _read(b)
         assert _read(tmp_path / "a_summary.csv") == _read(tmp_path / "b_summary.csv")
+
+    def test_estimate_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert _run("estimate", "--seed", "11", "--out", str(out)) == 0
+        assert _read(out) == (
+            b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n"
+            b"5.321758,2.360037,2.254947,3,0.346949,0.331500,true\n"
+        )
+
+    def test_slope_summary_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert _run("slope", "--noise", "0.1,0.5", "--trials", "20", "--seed", "11",
+                    "--out", str(out)) == 0
+        assert _read(tmp_path / "s_summary.csv") == (
+            b"sigma,steps_predicted,steps_actual_mean,steps_actual_se,gap\n"
+            b"0.100000,2,2.000000,0.072548,0.000000\n"
+            b"0.500000,3,40.050000,1.219307,37.050000\n"
+        )
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acp import (
     INFINITE_COST,
-    CostModel,
     DiscreteDistribution,
     binary_entropy,
     effective_cost,
     entropy,
+    entropy_bits,
     search_information,
     select_action,
     solvability_verdict,
@@ -72,6 +74,39 @@ class TestEntropy:
             DiscreteDistribution([1.2, -0.2])
         with pytest.raises(ValueError):
             DiscreteDistribution([])
+
+
+def _probability_vectors(min_size: int = 1, max_size: int = 12):
+    """Small non-negative weight lists normalised to sum to 1."""
+    weights = st.lists(st.floats(0.0, 10.0), min_size=min_size, max_size=max_size)
+    return weights.filter(lambda w: sum(w) > 1e-6).map(lambda w: np.asarray(w) / np.sum(w))
+
+
+class TestEntropyBits:
+    @settings(max_examples=60, deadline=None)
+    @given(_probability_vectors())
+    def test_matches_distribution_entropy(self, p):
+        assert entropy_bits(p) == entropy(DiscreteDistribution(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_probability_vectors())
+    def test_bounded_by_log_size(self, p):
+        h = entropy_bits(p)
+        assert 0.0 <= h <= math.log2(p.size) + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_probability_vectors(), st.integers(1, 5), st.integers(0, 5))
+    def test_zero_cells_change_nothing(self, p, n_before, n_after):
+        padded = np.concatenate([np.zeros(n_before), p, np.zeros(n_after)])
+        assert entropy_bits(padded) == pytest.approx(entropy_bits(p), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 10), st.data())
+    def test_rows_of_a_stack(self, n_rows, n_cells, data):
+        rows = [data.draw(_probability_vectors(n_cells, n_cells)) for _ in range(n_rows)]
+        stack = np.stack(rows)
+        per_row = np.array([entropy_bits(row) for row in rows])
+        np.testing.assert_array_equal(entropy_bits(stack, axis=1), per_row)
 
 
 class TestSearchInformation:
@@ -155,15 +190,3 @@ class TestSolvability:
 
     def test_over_budget(self):
         assert solvability_verdict(21.0, 20.0) is False
-
-
-class TestCostModel:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            CostModel(cost_per_action=0.0, budget=1.0)
-        with pytest.raises(ValueError):
-            CostModel(cost_per_action=1.0, budget=-1.0)
-
-    def test_holds_values(self):
-        m = CostModel(cost_per_action=2.0, budget=30.0)
-        assert solvability_verdict(effective_cost(10.0, 1.0, m.cost_per_action), m.budget)
