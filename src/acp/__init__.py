@@ -10,10 +10,8 @@ coloring.
 
 from .info import (
     INFINITE_COST,
-    DiscreteDistribution,
     binary_entropy,
     effective_cost,
-    entropy,
     entropy_bits,
     search_information,
     select_action,
@@ -30,7 +28,6 @@ from .stopping import (
     run_trials,
     simulate_stopping,
     summarize_trials,
-    validate_bounds,
 )
 from .gp import (
     EstimationReport,
@@ -62,11 +59,9 @@ from .coloring import (
     Graph,
     SearchStats,
     count_proper_colorings,
-    feasible_space_bits,
     gen_erdos_renyi,
     is_k_colorable,
     predict_cost,
-    proper_coloring_probability,
     run_campaign,
     solve,
 )
@@ -78,7 +73,6 @@ from .approx import (
     default_knapsack,
     feasibility_at_accuracy,
     goal_set,
-    goal_set_additive,
     information_vs_epsilon,
 )
 

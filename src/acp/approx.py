@@ -79,29 +79,15 @@ class FeasibilityVerdict:
 def goal_set(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
     """Indices of candidates with value <= (1 + epsilon) * optimum.
 
-    The multiplicative criterion needs a non-negative optimum; use
-    ``goal_set_additive`` for objectives that can go negative.
+    The multiplicative criterion needs a non-negative optimum; a negative
+    one is an error. The set grows with epsilon and always holds the optimum.
     """
     if epsilon < 0:
         raise ValueError("epsilon cannot be negative")
     fstar = instance.optimum
     if fstar < 0:
-        raise ValueError(
-            "multiplicative criterion undefined for negative optimum; use goal_set_additive"
-        )
+        raise ValueError("multiplicative criterion undefined for negative optimum")
     return np.flatnonzero(instance.values <= (1.0 + epsilon) * fstar)
-
-
-def goal_set_additive(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
-    """Additive variant: value <= optimum + epsilon * |optimum|.
-
-    An extension for sign-indefinite objectives, not the standard
-    multiplicative relaxation.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon cannot be negative")
-    fstar = instance.optimum
-    return np.flatnonzero(instance.values <= fstar + epsilon * abs(fstar))
 
 
 def information_vs_epsilon(

@@ -233,6 +233,8 @@ def _build_gain_spec(o: dict) -> stopping.GainSequenceSpec:
 
 
 def run_bounds(o: dict) -> int:
+    if not 0.0 < o["delta"] < 1.0:
+        raise ValueError(f"--delta must lie strictly in (0, 1), got {o['delta']!r}")
     spec = _build_gain_spec(o)
     trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
     report = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)

@@ -211,22 +211,6 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
     return total
 
 
-def proper_coloring_probability(graph: Graph, k: int) -> float:
-    """Fraction of all k^n assignments that are proper colorings."""
-    return count_proper_colorings(graph, k) / k**graph.n
-
-
-def feasible_space_bits(graph: Graph, k: int) -> float:
-    """log2 of the proper-coloring count; -inf when there is none.
-
-    Provided for studying the alternative "entropy of the feasible space"
-    reading of the total requirement; the benchmark's prediction itself is
-    ``predict_cost``.
-    """
-    count = count_proper_colorings(graph, k)
-    return math.log2(count) if count else -math.inf
-
-
 def predict_cost(instance: ColoringInstance) -> float:
     """Predicted expansions: n * log2(k) bits at log2(k) bits per assignment.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import INFINITE_COST, effective_cost, entropy_bits
+from .info import INFINITE_COST, effective_cost, entropy_bits, solvability_verdict
 
 _LOG2 = math.log(2.0)
 
@@ -65,14 +65,9 @@ class GPPosterior:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
 
-    def predict(self, x: float) -> tuple[float, float]:
-        """Mean and variance of the latent function at x: (0, signal_variance)."""
-        return 0.0, self.kernel.signal_variance
-
     def predictive_y(self, x: float) -> tuple[float, float]:
-        """Mean and variance of a noisy observation at x (latent + noise)."""
-        mean, var = self.predict(x)
-        return mean, var + self.noise_variance
+        """Mean and variance of a noisy observation at x: (0, signal + noise variance)."""
+        return 0.0, self.kernel.signal_variance + self.noise_variance
 
 
 def gaussian_channel_gain(predictive_variance: float, noise_variance: float) -> float:
@@ -164,16 +159,17 @@ def information_gain(
     return float(min(max(gain, 0.0), prior_bits))
 
 
-def estimate_total_information(grid_prior, resolution: float, domain_width: float) -> float:
+def estimate_total_information(prior_probs, resolution: float, domain_width: float) -> float:
     """Bits needed to localize a hypothesis to ``resolution`` under the prior.
 
-    The prior is coarsened to bins of the requested width and the entropy of
-    the bin masses returned; a uniform prior gives log2(width / resolution).
-    Accepts a DiscreteDistribution or any probability sequence.
+    ``prior_probs`` holds the prior masses of equal-width cells spanning the
+    domain, in order. They are coarsened to bins of the requested width and
+    the entropy of the bin masses returned; a uniform prior gives
+    log2(width / resolution).
     """
     if not 0 < resolution < domain_width:
         raise ValueError("resolution must lie strictly between 0 and domain_width")
-    probs = np.asarray(getattr(grid_prior, "probabilities", grid_prior), dtype=float)
+    probs = np.asarray(prior_probs, dtype=float)
     n_bins = max(1, int(round(domain_width / resolution)))
     n = probs.size
     if n < n_bins:
@@ -339,5 +335,5 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
         predicted_steps=math.ceil(total_bits / step_bits),
         mc_error_bits=mc_err,
         cost_margin=margin,
-        solvable=budget >= cost + margin,
+        solvable=solvability_verdict(cost + margin, budget),
     )

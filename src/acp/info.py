@@ -11,39 +11,12 @@ call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 #: Sentinel cost of an unsolvable problem. Never solvable at any budget.
 INFINITE_COST = math.inf
-
-_PROB_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Explicit probability vector over a finite outcome set."""
-
-    probabilities: tuple[float, ...]
-
-    def __init__(self, probabilities: Sequence[float]) -> None:
-        probs = tuple(float(p) for p in probabilities)
-        if not probs:
-            raise ValueError("distribution needs at least one outcome")
-        if min(probs) < 0.0:
-            raise ValueError("probabilities must be non-negative")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "probabilities", probs)
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probabilities, dtype=float)
 
 
 def binary_entropy(p: float) -> float:
@@ -53,18 +26,10 @@ def binary_entropy(p: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    # entropy_bits gives -0.0 for a point mass; keep the endpoints at +0.0
     if p == 0.0 or p == 1.0:
         return 0.0
-    q = 1.0 - p
-    return -p * math.log2(p) - q * math.log2(q)
-
-
-def entropy(dist: DiscreteDistribution) -> float:
-    """Shannon entropy of a discrete distribution, in bits.
-
-    Bounded by log2(len(dist)), with equality iff uniform.
-    """
-    return float(entropy_bits(dist.as_array()))
+    return float(entropy_bits((p, 1.0 - p)))
 
 
 def entropy_bits(probs, axis: int = -1):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gp import EstimationTask, RBFKernel, a_priori_estimate, gaussian_channel_gain
 from .info import entropy_bits, select_action
-from .seeding import map_indexed, subseed
+from .seeding import map_indexed, rng_for
 
 #: Default noise levels for the sweep.
 DEFAULT_NOISE_LEVELS = (0.1, 0.3, 1.0, 3.0)
@@ -197,7 +197,7 @@ def _one_sweep_trial(
     resolution: float,
     step_cap: int,
 ) -> SweepTrialRow:
-    rng = np.random.default_rng(subseed(master_seed, level_index, trial))
+    rng = rng_for(master_seed, level_index, trial)
     true_slope = float(rng.uniform(-2.0, 2.0))
     task = SlopeTask(
         true_slope=true_slope,

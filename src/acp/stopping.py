@@ -109,9 +109,14 @@ class GainSequenceSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "mean_prefix", tuple(float(m) for m in self.mean_prefix))
+        means = list(self.mean_prefix) + [self.mean_tail]
+        if not all(math.isfinite(m) for m in means):
+            raise ValueError("all means must be finite")
+        scales = (self.second_moment_bound, self.support_bound, self.noise_scale)
+        if not all(math.isfinite(v) for v in scales if v is not None):
+            raise ValueError("second_moment_bound, support_bound and noise_scale must be finite")
         if not self.mean_tail > 0:
             raise ValueError("mean_tail must be positive")
-        means = list(self.mean_prefix) + [self.mean_tail]
         if any(m <= 0 for m in means):
             raise ValueError("all means must be positive")
         if any(means[i] < means[i + 1] - 1e-12 for i in range(len(means) - 1)):
@@ -267,8 +272,8 @@ def _simulate_block(
     within the round. Raises StepCapExceeded if a trial is still short of
     total_bits after ``step_cap`` steps.
     """
-    if not total_bits > 0:
-        raise ValueError("total_bits must be positive")
+    if not 0 < total_bits < math.inf:
+        raise ValueError("total_bits must be positive and finite")
     rng = np.random.default_rng(seed)
     width = int(min(4096, max(16, math.ceil(total_bits / spec.mean_tail) + 8)))
     n_steps = np.zeros(n, dtype=np.int64)
@@ -329,10 +334,10 @@ def cost_bounds(spec: GainSequenceSpec, total_bits: float, step_cost: float) -> 
     initial expected gain). Upper: step_cost * (total_bits / mu_tail +
     M2 / mu_tail^2), the worst-case mean plus the overshoot allowance.
     """
-    if not total_bits > 0:
-        raise ValueError("total_bits must be positive")
-    if not step_cost > 0:
-        raise ValueError("step_cost must be positive")
+    if not 0 < total_bits < math.inf:
+        raise ValueError("total_bits must be positive and finite")
+    if not 0 < step_cost < math.inf:
+        raise ValueError("step_cost must be positive and finite")
     lower = step_cost * total_bits / spec.mean_first
     tail = spec.mean_tail
     upper = step_cost * (total_bits / tail + spec.second_moment_bound / tail**2)
@@ -427,21 +432,6 @@ def summarize_trials(
         within_bounds=bool(lower - 3.0 * se <= mean_cost <= upper + 3.0 * se),
         mean_overshoot=float(overshoots.mean()),
     )
-
-
-def validate_bounds(
-    spec: GainSequenceSpec,
-    total_bits: float,
-    step_cost: float,
-    n_trials: int,
-    master_seed: int,
-    workers: int = 1,
-) -> BoundReport:
-    """Monte Carlo check that the empirical mean cost sits inside the bounds."""
-    if n_trials < 100:
-        raise ValueError("n_trials must be at least 100")
-    trials = run_trials(spec, total_bits, n_trials, master_seed, workers=workers)
-    return summarize_trials(spec, total_bits, step_cost, trials)
 
 
 def completion_fraction(

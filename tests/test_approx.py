@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acp import (
     INFINITE_COST,
@@ -12,7 +14,6 @@ from acp import (
     default_knapsack,
     feasibility_at_accuracy,
     goal_set,
-    goal_set_additive,
     information_vs_epsilon,
 )
 
@@ -64,14 +65,22 @@ class TestGoalSet:
         for smaller, larger in zip(sets, sets[1:]):
             assert smaller <= larger
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30),
+        st.lists(st.floats(0.0, 5.0), min_size=2, max_size=6, unique=True),
+    )
+    def test_nested_in_epsilon(self, values, epsilons):
+        inst = FiniteOptInstance(np.array(values))
+        sets = [set(goal_set(inst, e)) for e in sorted(epsilons)]
+        assert int(np.argmin(values)) in sets[0]
+        for smaller, larger in zip(sets, sets[1:]):
+            assert smaller <= larger
+
     def test_negative_optimum_rejected(self):
         inst = FiniteOptInstance(np.array([-1.0, 2.0]))
         with pytest.raises(ValueError):
             goal_set(inst, 0.1)
-
-    def test_additive_variant_handles_negative(self):
-        inst = FiniteOptInstance(np.array([-2.0, -1.9, 5.0]))
-        assert list(goal_set_additive(inst, 0.1)) == [0, 1]
 
     def test_negative_epsilon_rejected(self):
         inst = FiniteOptInstance(np.array([1.0]))

@@ -45,6 +45,24 @@ class TestExitCodes:
         out = tmp_path / "b.csv"
         assert _run("bounds", "--i-total", "-5", "--out", str(out)) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--mu", "2,nan"),
+            ("--i-total", "inf"),
+            ("--family", "uniform", "--m", "inf"),
+            ("--m2", "nan"),
+            ("--cs", "inf"),
+            ("--family", "uniform", "--delta", "1.5"),
+            ("--family", "exponential", "--delta", "1.5"),
+        ],
+    )
+    def test_bad_bounds_config_writes_nothing(self, tmp_path, capsys, flags):
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
+        code = _run("bounds", *flags, "--trials", "1", "--out", str(out), "--dump-trials", str(dump))
+        assert code == 2
+        assert not out.exists() and not dump.exists()
+
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert _run("bounds", "--trials", "200", "--out", str(out)) == 0

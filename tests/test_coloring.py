@@ -4,17 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acp import (
     AGENT_KINDS,
     ColoringInstance,
     Graph,
     count_proper_colorings,
-    feasible_space_bits,
     gen_erdos_renyi,
     is_k_colorable,
     predict_cost,
-    proper_coloring_probability,
     run_campaign,
     search_information,
     solve,
@@ -28,6 +28,15 @@ PATH3 = Graph(3, ((0, 1), (1, 2)))
 
 def _instance(graph, k=3, p=0.5, seed=0):
     return ColoringInstance(graph=graph, k=k, seed=seed, p=p)
+
+
+@st.composite
+def _graphs(draw, max_n=8):
+    """Any simple graph on at most max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(pair for pair, kept in zip(pairs, keep) if kept))
 
 
 class TestGraph:
@@ -101,17 +110,17 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_proper_colorings(Graph(21, ()), 3)
 
-    def test_probability_and_bits(self):
-        p = proper_coloring_probability(C5, 3)
-        assert p == count_proper_colorings(C5, 3) / 3**5
-        assert feasible_space_bits(C5, 3) == pytest.approx(math.log2(count_proper_colorings(C5, 3)))
+    @settings(max_examples=50, deadline=None)
+    @given(_graphs(), st.sampled_from([2, 3]))
+    def test_feasibility_oracle_agrees_with_count(self, g, k):
+        assert is_k_colorable(g, k) == (count_proper_colorings(g, k) > 0)
 
     def test_search_information_cross_check(self):
         # bits-to-find from the counted solution mass of a 6-vertex instance
         g = gen_erdos_renyi(6, 0.4, seed=17)
         count = count_proper_colorings(g, 3)
         assert count > 0
-        p = proper_coloring_probability(g, 3)
+        p = count / 3**6
         assert search_information(p) == pytest.approx(6 * math.log2(3) - math.log2(count))
 
 
@@ -146,6 +155,15 @@ class TestSolve:
                 colors = stats.assignment
                 assert all(colors[u] != colors[v] for u, v in g.edges)
                 assert stats.expansions >= g.n
+
+    @settings(max_examples=50, deadline=None)
+    @given(_graphs(), st.sampled_from([2, 3]), st.sampled_from(AGENT_KINDS), st.integers(0, 2**31))
+    def test_found_coloring_is_proper(self, g, k, agent, seed):
+        stats = solve(_instance(g, k=k), agent, seed=seed)
+        assert stats.found == is_k_colorable(g, k)
+        if stats.found:
+            assert all(stats.assignment[u] != stats.assignment[v] for u, v in g.edges)
+            assert stats.expansions >= g.n
 
     def test_infeasible_instance_reports_not_found(self):
         stats = solve(_instance(K4, k=3), "greedy", seed=0)

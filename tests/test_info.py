@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from acp import (
     INFINITE_COST,
-    DiscreteDistribution,
     binary_entropy,
     effective_cost,
-    entropy,
     entropy_bits,
     search_information,
     select_action,
@@ -46,34 +44,25 @@ class TestBinaryEntropy:
 
 class TestEntropy:
     def test_uniform_two_outcomes(self):
-        assert entropy(DiscreteDistribution([0.5, 0.5])) == pytest.approx(1.0)
+        assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0)
 
     def test_uniform_power_of_two(self):
         for k in (1, 3, 5):
             n = 2**k
-            dist = DiscreteDistribution([1.0 / n] * n)
-            assert entropy(dist) == pytest.approx(float(k), abs=1e-9)
+            assert entropy_bits([1.0 / n] * n) == pytest.approx(float(k), abs=1e-9)
 
     def test_dyadic(self):
-        assert entropy(DiscreteDistribution([0.5, 0.25, 0.25])) == pytest.approx(1.5)
+        assert entropy_bits([0.5, 0.25, 0.25]) == pytest.approx(1.5)
 
     def test_bounded_by_log_size_equality_iff_uniform(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(2, 40))
             p = rng.dirichlet(np.ones(n))
-            h = entropy(DiscreteDistribution(p))
+            h = entropy_bits(p)
             assert h <= math.log2(n) + 1e-9
-        assert entropy(DiscreteDistribution(np.full(16, 1 / 16))) == pytest.approx(4.0)
-        assert entropy(DiscreteDistribution([0.7, 0.3])) < 1.0
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution([0.5, 0.4])
-        with pytest.raises(ValueError):
-            DiscreteDistribution([1.2, -0.2])
-        with pytest.raises(ValueError):
-            DiscreteDistribution([])
+        assert entropy_bits(np.full(16, 1 / 16)) == pytest.approx(4.0)
+        assert entropy_bits([0.7, 0.3]) < 1.0
 
 
 def _probability_vectors(min_size: int = 1, max_size: int = 12):
@@ -86,7 +75,8 @@ class TestEntropyBits:
     @settings(max_examples=60, deadline=None)
     @given(_probability_vectors())
     def test_matches_distribution_entropy(self, p):
-        assert entropy_bits(p) == entropy(DiscreteDistribution(p))
+        direct = -math.fsum(x * math.log2(x) for x in p if x > 0)
+        assert entropy_bits(p) == pytest.approx(direct, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(_probability_vectors())
@@ -187,6 +177,16 @@ class TestSolvability:
 
     def test_sentinel_never_solvable(self):
         assert solvability_verdict(INFINITE_COST, 1e18) is False
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(min_value=1e-9, max_value=1e9),
+        st.floats(min_value=1e-9, max_value=1e9),
+        st.floats(min_value=1e-300, allow_infinity=True, allow_nan=False),
+    )
+    def test_sentinel_survives_cost_arithmetic(self, bits_per_step, step_cost, budget):
+        assert effective_cost(INFINITE_COST, bits_per_step, step_cost) == INFINITE_COST
+        assert solvability_verdict(INFINITE_COST, budget) is False
 
     def test_over_budget(self):
         assert solvability_verdict(21.0, 20.0) is False

@@ -18,7 +18,6 @@ from acp import (
     run_trials,
     simulate_stopping,
     summarize_trials,
-    validate_bounds,
 )
 from acp.stopping import TRIAL_BLOCK, _solve_trunc_loc
 
@@ -55,6 +54,21 @@ class TestSpecValidation:
     def test_uniform_needs_wide_enough_support(self):
         with pytest.raises(ValueError):
             GainSequenceSpec((), 1.0, "uniform", second_moment_bound=2.0, support_bound=1.5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(mean_prefix=(2.0, math.nan)),
+            dict(mean_tail=math.inf),
+            dict(second_moment_bound=math.nan),
+            dict(support_bound=math.inf),
+            dict(noise_scale=math.inf),
+        ],
+    )
+    def test_rejects_non_finite_fields(self, fields):
+        base = dict(mean_prefix=(), mean_tail=1.0, family="exponential", second_moment_bound=2.0)
+        with pytest.raises(ValueError, match="finite"):
+            GainSequenceSpec(**{**base, **fields})
 
     def test_factories_fill_exact_moments(self):
         assert GainSequenceSpec.deterministic(mean_tail=3.0).second_moment_bound == 9.0
@@ -190,6 +204,11 @@ class TestCostBounds:
         assert lower == pytest.approx(10.0)
         assert upper == pytest.approx(28.0)
 
+    @pytest.mark.parametrize("total_bits, step_cost", [(math.inf, 1.0), (math.nan, 1.0), (10.0, math.inf)])
+    def test_rejects_non_finite_inputs(self, total_bits, step_cost):
+        with pytest.raises(ValueError, match="finite"):
+            cost_bounds(SPECS["exponential"], total_bits, step_cost)
+
     def test_lower_below_upper(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -231,24 +250,19 @@ class TestHighProbSteps:
 class TestValidateBounds:
     def test_exponential_inside_bounds(self):
         spec = GainSequenceSpec.exponential(mean_tail=1.0)
-        report = validate_bounds(spec, 10.0, 1.0, 10_000, master_seed=2)
+        report = summarize_trials(spec, 10.0, 1.0, run_trials(spec, 10.0, 10_000, master_seed=2))
         assert report.within_bounds
         assert report.empirical_mean_cost == pytest.approx(11.0, abs=3 * report.standard_error)
 
     def test_deterministic_is_tight_at_lower(self):
         spec = GainSequenceSpec.deterministic(mean_tail=1.0)
-        report = validate_bounds(spec, 10.0, 1.0, 200, master_seed=0)
+        report = summarize_trials(spec, 10.0, 1.0, run_trials(spec, 10.0, 200, master_seed=0))
         assert report.empirical_mean_cost == report.lower == 10.0
 
     def test_diminishing_uniform_within_bounds(self):
         spec = GainSequenceSpec.uniform(mean_prefix=DIMINISHING, mean_tail=0.5)
-        report = validate_bounds(spec, 8.0, 1.0, 2_000, master_seed=5)
+        report = summarize_trials(spec, 8.0, 1.0, run_trials(spec, 8.0, 2_000, master_seed=5))
         assert report.within_bounds
-
-    def test_requires_minimum_trials(self):
-        spec = GainSequenceSpec.exponential(mean_tail=1.0)
-        with pytest.raises(ValueError):
-            validate_bounds(spec, 10.0, 1.0, 99, master_seed=0)
 
     def test_sampling_slack_below_lower_bound(self):
         spec = GainSequenceSpec.exponential(mean_tail=1.0)
@@ -264,8 +278,8 @@ class TestValidateBounds:
 
     def test_parallel_equals_serial(self):
         spec = GainSequenceSpec.exponential(mean_tail=1.0)
-        serial = validate_bounds(spec, 10.0, 1.0, 400, master_seed=6, workers=1)
-        parallel = validate_bounds(spec, 10.0, 1.0, 400, master_seed=6, workers=2)
+        serial = summarize_trials(spec, 10.0, 1.0, run_trials(spec, 10.0, 400, master_seed=6, workers=1))
+        parallel = summarize_trials(spec, 10.0, 1.0, run_trials(spec, 10.0, 400, master_seed=6, workers=2))
         assert serial == parallel
 
 
@@ -290,5 +304,5 @@ class TestProcessProperties:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_lower_bound_never_violated(self, name):
         spec = SPECS[name]
-        report = validate_bounds(spec, 10.0, 1.0, 2_000, master_seed=9)
+        report = summarize_trials(spec, 10.0, 1.0, run_trials(spec, 10.0, 2_000, master_seed=9))
         assert report.empirical_mean_cost >= report.lower - 3 * report.standard_error
