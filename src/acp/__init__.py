@@ -21,7 +21,6 @@ from .stopping import (
     BoundReport,
     GainSequenceSpec,
     StepCapExceeded,
-    StoppingTrial,
     completion_fraction,
     cost_bounds,
     high_prob_steps,

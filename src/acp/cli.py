@@ -248,7 +248,9 @@ def run_bounds(o: dict) -> int:
         write_csv(
             o["dump_trials"],
             ["trial_id", "n_steps", "s_n", "overshoot"],
-            [[i, t.n_steps, t.accumulated, t.overshoot] for i, t in enumerate(trials)],
+            # tolist() gives Python int/float cells, which _format_cell writes fastest
+            list(zip(range(len(trials)), trials.n_steps.tolist(), trials.accumulated.tolist(),
+                     trials.overshoot.tolist())),
         )
     print(f"{o['family']} gains, target {o['i_total']} bits, {report.n_trials} trials")
     print(f"  bounds      [{report.lower:.4f}, {report.upper:.4f}]")

@@ -17,7 +17,10 @@ the bounds, and provides a Monte Carlo harness that checks them.
 Gains are drawn by inverse-CDF transform from one uniform variate per step.
 Trials are simulated in blocks that share one generator, and ``run_trials``
 cuts them into blocks of a fixed size, so a run is a pure function of
-(spec, total_bits, n_trials, master_seed) whatever the worker count.
+(spec, total_bits, n_trials, master_seed) whatever the worker count. Trials
+are kept as one ``np.recarray`` with a row per trial and three columns:
+``n_steps`` (int64 stopping time), ``accumulated`` (float64 sum at the
+stop) and ``overshoot`` (float64, ``accumulated - total_bits``).
 """
 
 from __future__ import annotations
@@ -162,6 +165,9 @@ class GainSequenceSpec:
         support_bound: float = 4.0,
         noise_scale: float = 0.5,
     ) -> "GainSequenceSpec":
+        # checked here because _solve_trunc_loc runs before __post_init__
+        if not (0 < support_bound < math.inf and 0 < noise_scale < math.inf):
+            raise ValueError("truncated-gaussian needs a finite positive support_bound and noise_scale")
         means = {float(m) for m in mean_prefix} | {float(mean_tail)}
         m2 = max(
             _trunc_norm_stats(_solve_trunc_loc(m, noise_scale, support_bound), noise_scale, support_bound)[1]
@@ -225,21 +231,6 @@ class GainSequenceSpec:
 
 
 @dataclass(frozen=True)
-class StoppingTrial:
-    """Outcome of one simulated run: step count, final sum, and surplus."""
-
-    n_steps: int
-    accumulated: float
-    overshoot: float
-
-    def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.overshoot < -1e-9:
-            raise ValueError("overshoot cannot be negative")
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Theoretical cost bounds next to the Monte Carlo estimate they bracket."""
 
@@ -262,8 +253,8 @@ def _simulate_block(
     n: int,
     seed,
     step_cap: int = STEP_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n_steps, accumulated) of n trials that share one generator.
+) -> np.recarray:
+    """n trials that share one generator, as the record array run_trials returns.
 
     Trials advance together in rounds of a fixed column width (a function of
     spec and target only); each round draws a (rows, width) matrix of
@@ -305,11 +296,9 @@ def _simulate_block(
             still.append(rows[~crossed])
         active = np.concatenate(still)
         done += k
-    return n_steps, accumulated
-
-
-def _trials(total_bits: float, n_steps: np.ndarray, accumulated: np.ndarray) -> list[StoppingTrial]:
-    return [StoppingTrial(s, a, a - total_bits) for s, a in zip(n_steps.tolist(), accumulated.tolist())]
+    return np.rec.fromarrays(
+        (n_steps, accumulated, accumulated - total_bits), names="n_steps,accumulated,overshoot"
+    )
 
 
 def simulate_stopping(
@@ -317,14 +306,16 @@ def simulate_stopping(
     total_bits: float,
     seed,
     step_cap: int = STEP_CAP,
-) -> StoppingTrial:
+) -> np.record:
     """Run one trial: draw gains until their sum first reaches total_bits.
 
-    Deterministic given (spec, total_bits, seed); ``seed`` is anything
+    Returns one ``np.record``, a row like those of ``run_trials``, with
+    fields ``n_steps``, ``accumulated`` and ``overshoot``. Deterministic
+    given (spec, total_bits, seed); ``seed`` is anything
     ``numpy.random.default_rng`` accepts. Raises StepCapExceeded if the
     target is not reached within ``step_cap`` steps.
     """
-    return _trials(total_bits, *_simulate_block(spec, total_bits, 1, seed, step_cap))[0]
+    return _simulate_block(spec, total_bits, 1, seed, step_cap)[0]
 
 
 def cost_bounds(spec: GainSequenceSpec, total_bits: float, step_cost: float) -> tuple[float, float]:
@@ -378,7 +369,7 @@ def high_prob_steps(total_bits: float, min_mean_gain: float, support_bound: floa
 
 def _trial_block(
     block: int, spec: GainSequenceSpec, total_bits: float, n_trials: int, master_seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.recarray:
     n = min(TRIAL_BLOCK, n_trials - block * TRIAL_BLOCK)
     return _simulate_block(spec, total_bits, n, subseed(master_seed, block))
 
@@ -389,9 +380,11 @@ def run_trials(
     n_trials: int,
     master_seed: int,
     workers: int = 1,
-) -> list[StoppingTrial]:
+) -> np.recarray:
     """n_trials independent trials, simulated in blocks of TRIAL_BLOCK.
 
+    Returns one record array, a row per trial, with the columns ``n_steps``,
+    ``accumulated`` and ``overshoot`` that the module docstring describes.
     Block b holds trials b*TRIAL_BLOCK onwards and draws from one generator
     seeded by subseed(master_seed, b). The block size is fixed, so the
     result does not depend on ``workers``.
@@ -400,16 +393,19 @@ def run_trials(
         raise ValueError("n_trials must be positive")
     fn = partial(_trial_block, spec=spec, total_bits=total_bits, n_trials=n_trials, master_seed=master_seed)
     blocks = map_indexed(fn, -(-n_trials // TRIAL_BLOCK), workers=workers)
-    return _trials(total_bits, *(np.concatenate(parts) for parts in zip(*blocks)))
+    return np.concatenate(blocks).view(np.recarray)
 
 
 def summarize_trials(
     spec: GainSequenceSpec,
     total_bits: float,
     step_cost: float,
-    trials: Sequence[StoppingTrial],
+    trials: np.recarray,
 ) -> BoundReport:
     """Build a BoundReport from already-simulated trials.
+
+    ``trials`` is a record array from ``run_trials``; the report reads its
+    ``n_steps`` and ``overshoot`` columns.
 
     The report's flag allows 3 standard errors of slack on each side: both
     bounds hold for the expected cost, so a sample mean may stray past
@@ -418,11 +414,10 @@ def summarize_trials(
     n_trials = len(trials)
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    costs = step_cost * np.array([t.n_steps for t in trials], dtype=float)
+    costs = step_cost * trials.n_steps
     mean_cost = float(costs.mean())
     se = float(costs.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     lower, upper = cost_bounds(spec, total_bits, step_cost)
-    overshoots = np.array([t.overshoot for t in trials])
     return BoundReport(
         lower=lower,
         upper=upper,
@@ -430,7 +425,7 @@ def summarize_trials(
         n_trials=n_trials,
         standard_error=se,
         within_bounds=bool(lower - 3.0 * se <= mean_cost <= upper + 3.0 * se),
-        mean_overshoot=float(overshoots.mean()),
+        mean_overshoot=float(trials.overshoot.mean()),
     )
 
 
@@ -444,4 +439,4 @@ def completion_fraction(
 ) -> float:
     """Fraction of trials whose stopping time is at most max_steps."""
     trials = run_trials(spec, total_bits, n_trials, master_seed, workers=workers)
-    return sum(t.n_steps <= max_steps for t in trials) / n_trials
+    return int(np.count_nonzero(trials.n_steps <= max_steps)) / n_trials

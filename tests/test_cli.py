@@ -1,9 +1,13 @@
 """Command-line behaviour: exit codes, CSV contracts, config files."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acp.cli import main, write_csv
+from acp.cli import _format_cell, main, write_csv
 
 
 def _run(*argv) -> int:
@@ -55,6 +59,8 @@ class TestExitCodes:
             ("--cs", "inf"),
             ("--family", "uniform", "--delta", "1.5"),
             ("--family", "exponential", "--delta", "1.5"),
+            ("--family", "truncated-gaussian", "--scale", "inf"),
+            ("--family", "truncated-gaussian", "--scale", "nan"),
         ],
     )
     def test_bad_bounds_config_writes_nothing(self, tmp_path, capsys, flags):
@@ -116,6 +122,18 @@ class TestDeterminism:
             b"sigma,steps_predicted,steps_actual_mean,steps_actual_se,gap\n"
             b"0.100000,2,2.000000,0.072548,0.000000\n"
             b"0.500000,3,40.050000,1.219307,37.050000\n"
+        )
+
+    def test_bounds_bytes_are_pinned(self, tmp_path, capsys):
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
+        assert _run("bounds", "--trials", "2000", "--seed", "11", "--out", str(out),
+                    "--dump-trials", str(dump)) == 0
+        assert _read(out) == (
+            b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n"
+            b"10.000000,12.000000,10.997500,2000,0.069833,true\n"
+        )
+        assert hashlib.sha256(_read(dump)).hexdigest() == (
+            "b9aef3378a6b16a6c5b186e04eedd0f8caadc06359425c6295e5b6f7dfa024c9"
         )
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
@@ -188,6 +206,16 @@ class TestCsvWriter:
         path = tmp_path / "cell.csv"
         write_csv(str(path), ["x"], [[value]])
         assert path.read_bytes() == b"x\n" + cell + b"\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float64_cell_matches_float(self, x):
+        assert _format_cell(x) == _format_cell(np.float64(x))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
+    def test_int64_cell_matches_int(self, n):
+        assert _format_cell(n) == _format_cell(np.int64(n))
 
     def test_lf_newlines_only(self, tmp_path):
         path = tmp_path / "nl.csv"

@@ -11,7 +11,6 @@ from scipy.stats import truncnorm
 from acp import (
     GainSequenceSpec,
     StepCapExceeded,
-    StoppingTrial,
     completion_fraction,
     cost_bounds,
     high_prob_steps,
@@ -31,6 +30,14 @@ SPECS = {
         mean_prefix=DIMINISHING, mean_tail=0.5, support_bound=3.0, noise_scale=0.6
     ),
 }
+
+
+def _records(steps):
+    """Trials with the given stopping times, each summing exactly to its step count."""
+    steps = np.array(steps, dtype=np.int64)
+    return np.rec.fromarrays(
+        (steps, steps.astype(float), np.zeros(steps.size)), names="n_steps,accumulated,overshoot"
+    )
 
 
 def _se(values):
@@ -69,6 +76,14 @@ class TestSpecValidation:
         base = dict(mean_prefix=(), mean_tail=1.0, family="exponential", second_moment_bound=2.0)
         with pytest.raises(ValueError, match="finite"):
             GainSequenceSpec(**{**base, **fields})
+
+    @pytest.mark.parametrize(
+        "support_bound, noise_scale",
+        [(4.0, math.inf), (4.0, math.nan), (4.0, 0.0), (math.inf, 0.5), (math.nan, 0.5), (-1.0, 0.5)],
+    )
+    def test_truncated_gaussian_factory_checks_scales(self, support_bound, noise_scale):
+        with pytest.raises(ValueError, match="finite positive support_bound and noise_scale"):
+            GainSequenceSpec.truncated_gaussian((), 1.0, support_bound, noise_scale)
 
     def test_factories_fill_exact_moments(self):
         assert GainSequenceSpec.deterministic(mean_tail=3.0).second_moment_bound == 9.0
@@ -145,11 +160,11 @@ class TestSimulateStopping:
     def test_pinned_values(self):
         # one trial draws exactly the stream of the original per-trial simulator
         uniform = GainSequenceSpec.uniform(mean_prefix=DIMINISHING, mean_tail=0.5)
-        assert simulate_stopping(uniform, 8.0, seed=123) == StoppingTrial(
+        assert simulate_stopping(uniform, 8.0, seed=123).tolist() == (
             7, 8.517353052595372, 0.5173530525953716
         )
         gaussian = GainSequenceSpec.truncated_gaussian(DIMINISHING, 0.5, 3.0, 0.6)
-        assert simulate_stopping(gaussian, 8.0, seed=5) == StoppingTrial(
+        assert simulate_stopping(gaussian, 8.0, seed=5).tolist() == (
             6, 8.967433605188248, 0.9674336051882477
         )
 
@@ -161,11 +176,11 @@ class TestTrialBlocks:
         serial = run_trials(spec, 10.0, n_trials, master_seed=11, workers=1)
         parallel = run_trials(spec, 10.0, n_trials, master_seed=11, workers=2)
         assert len(serial) == n_trials
-        assert serial == parallel
+        assert np.array_equal(serial, parallel)
 
     def test_blocks_draw_distinct_streams(self):
         trials = run_trials(SPECS["exponential"], 10.0, 2 * TRIAL_BLOCK, master_seed=11)
-        assert trials[:TRIAL_BLOCK] != trials[TRIAL_BLOCK:]
+        assert not np.array_equal(trials[:TRIAL_BLOCK], trials[TRIAL_BLOCK:])
 
     def test_deterministic_steps_in_every_row(self):
         spec = GainSequenceSpec.deterministic(mean_tail=0.7)
@@ -186,7 +201,11 @@ class TestTrialBlocks:
     def test_every_trial_reaches_target(self, name, total_bits, n_trials, seed):
         trials = run_trials(SPECS[name], total_bits, n_trials, master_seed=seed)
         assert len(trials) == n_trials
-        assert all(t.n_steps >= 1 and t.accumulated >= total_bits for t in trials)
+        assert trials.dtype.names == ("n_steps", "accumulated", "overshoot")
+        assert trials.n_steps.dtype == np.int64
+        assert np.all(trials.n_steps >= 1) and np.all(trials.accumulated >= total_bits)
+        assert np.array_equal(trials.overshoot, trials.accumulated - total_bits)
+        assert np.all(trials.overshoot >= 0)
 
 
 class TestCostBounds:
@@ -209,16 +228,22 @@ class TestCostBounds:
         with pytest.raises(ValueError, match="finite"):
             cost_bounds(SPECS["exponential"], total_bits, step_cost)
 
-    def test_lower_below_upper(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            tail = float(rng.uniform(0.2, 2.0))
-            first = tail * float(rng.uniform(1.0, 3.0))
-            spec = GainSequenceSpec(
-                (first,), tail, "exponential", second_moment_bound=2.0 * first**2
-            )
-            lower, upper = cost_bounds(spec, float(rng.uniform(1, 30)), float(rng.uniform(0.1, 5)))
-            assert lower <= upper
+    @settings(max_examples=50, deadline=None)
+    @given(
+        family=st.sampled_from(["deterministic", "exponential", "uniform", "truncated_gaussian"]),
+        tail=st.floats(min_value=0.2, max_value=2.0),
+        ratios=st.lists(st.floats(min_value=1.0, max_value=3.0), max_size=3),
+        total_bits=st.floats(min_value=1e-3, max_value=1e3),
+        step_cost=st.floats(min_value=1e-3, max_value=1e2),
+    )
+    def test_lower_below_upper(self, family, tail, ratios, total_bits, step_cost):
+        prefix = sorted((tail * r for r in ratios), reverse=True)
+        # the CLI's default support for truncated-gaussian: four times mu_1
+        first = max(prefix, default=tail)
+        extra = {"support_bound": 4.0 * first} if family == "truncated_gaussian" else {}
+        spec = getattr(GainSequenceSpec, family)(prefix, tail, **extra)
+        lower, upper = cost_bounds(spec, total_bits, step_cost)
+        assert lower <= upper
 
 
 class TestHighProbSteps:
@@ -267,13 +292,13 @@ class TestValidateBounds:
     def test_sampling_slack_below_lower_bound(self):
         spec = GainSequenceSpec.exponential(mean_tail=1.0)
         # mean 9.5 against a lower bound of 10: about 1.1 standard errors below
-        near = [StoppingTrial(steps, float(steps), 0.0) for steps in [5] * 50 + [14] * 50]
+        near = _records([5] * 50 + [14] * 50)
         report = summarize_trials(spec, 10.0, 1.0, near)
         assert report.empirical_mean_cost < report.lower
         assert report.lower - report.empirical_mean_cost < 3 * report.standard_error
         assert report.within_bounds
         # same mean, about 10 standard errors below
-        far = [StoppingTrial(steps, float(steps), 0.0) for steps in [9] * 50 + [10] * 50]
+        far = _records([9] * 50 + [10] * 50)
         assert not summarize_trials(spec, 10.0, 1.0, far).within_bounds
 
     def test_parallel_equals_serial(self):
