@@ -40,13 +40,11 @@ from .gp import (
     information_gain,
     monte_carlo_error,
     propagate_estimate_error,
-    surrogate_error_bound,
 )
 from .slope import (
     AgentTrace,
     SlopeTask,
     SweepReport,
-    estimation_task_for,
     run_noise_sweep,
     run_slope_agent,
 )

@@ -27,7 +27,7 @@ class FiniteOptInstance:
     """Explicit minimization problem: one finite objective value per candidate."""
 
     values: np.ndarray
-    labels: tuple | None = None
+    labels: Sequence[int] | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -170,14 +170,18 @@ class KnapsackSpec:
         worse than every feasible one.
         """
         n = len(self.weights)
-        masks = np.arange(1 << n, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
-        w = bits @ np.asarray(self.weights, dtype=np.int64)
-        q = bits @ np.asarray(self.profits, dtype=np.int64)
+        # subset mask m has bit i set iff item i is in it; the masks with top
+        # bit i are those below 1 << i plus item i
+        w = np.zeros(1 << n, dtype=np.int64)
+        q = np.zeros(1 << n, dtype=np.int64)
+        for i, (weight, profit) in enumerate(zip(self.weights, self.profits)):
+            half = 1 << i
+            np.add(w[:half], weight, out=w[half : 2 * half])
+            np.add(q[:half], profit, out=q[half : 2 * half])
         total = int(sum(self.profits))
         penalty = total + 1
         values = (total - q) + penalty * np.maximum(w - self.capacity, 0)
-        return FiniteOptInstance(values=values.astype(float), labels=tuple(int(m) for m in masks))
+        return FiniteOptInstance(values=values.astype(float), labels=range(1 << n))
 
 
 def default_knapsack(n_items: int = 10, seed: int = 0) -> KnapsackSpec:

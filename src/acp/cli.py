@@ -95,7 +95,6 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     + (
         _Opt("--trials", int, 64, "simulated outcomes per candidate action"),
         _Opt("--noise", float, 0.5, "observation noise sigma"),
-        _Opt("--signal-var", float, slope.DEFAULT_SIGNAL_VARIANCE, "surrogate kernel signal variance"),
         _Opt("--grid", int, 401, "hypothesis grid size"),
         _Opt("--resolution", float, 0.1, "identification resolution"),
         _Opt("--budget", float, 100.0, "resource budget to test against"),
@@ -328,7 +327,6 @@ def run_coloring(o: dict) -> int:
 def run_estimate(o: dict) -> int:
     task = gp.EstimationTask(
         noise_variance=o["noise"] ** 2,
-        kernel=gp.RBFKernel(lengthscale=1.0, signal_variance=o["signal_var"]),
         resolution=o["resolution"],
         theta_grid_size=o["grid"],
         n_outcome_samples=o["trials"],

@@ -2,17 +2,21 @@
 
 The estimation pipeline sizes up a task before any real query is spent:
 
-  1. model the unknown response with a GP prior,
-  2. price the initial uncertainty over the hypothesis grid in bits,
-  3. estimate the information yield of each candidate action by simulating
-     outcomes from the GP predictive and re-scoring the grid posterior,
-  4. divide total bits by per-step bits and multiply by the cost per action.
+  1. price the initial uncertainty in bits, over bins of the requested
+     resolution on the hypothesis grid,
+  2. estimate the information yield of each candidate action by drawing
+     (hypothesis, outcome) pairs from the grid's own predictive, re-scoring
+     the grid posterior and coarsening it to the same bins,
+  3. divide total bits by per-step bits and multiply by the cost per action.
 
-Two error sources are tracked explicitly: Monte Carlo noise in the gain
-estimates (a Hoeffding deviation bound) and surrogate mis-calibration
-(a Lipschitz-in-variance bound taking the variance deviation as input).
-Both are folded into a first-order margin on the predicted cost, and the
-solvability verdict requires the budget to cover cost plus margin.
+One error source is tracked explicitly: Monte Carlo noise in the gain
+estimates, as a Hoeffding deviation bound. It is folded into a first-order
+margin on the predicted cost, and the solvability verdict requires the
+budget to cover cost plus margin.
+
+``GPPosterior`` and ``information_gain`` keep a GP prior-predictive
+surrogate for gain-oracle checks against the closed-form linear gain; the
+estimator itself does not use them.
 
 Hypotheses are discretized to an explicit grid, so every entropy here is a
 discrete Shannon entropy in bits.
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import INFINITE_COST, effective_cost, entropy_bits, solvability_verdict
-
-_LOG2 = math.log(2.0)
 
 #: Per-step gains below this are treated as "no progress": the task is
 #: reported unsolvable instead of dividing by a vanishing estimate.
@@ -116,6 +118,28 @@ class HypothesisGrid:
         return float(entropy_bits(self.probabilities))
 
 
+def _grid_posteriors(
+    grid: HypothesisGrid, predicted: np.ndarray, outcomes: np.ndarray, noise_variance: float
+) -> np.ndarray:
+    """Grid posterior after each outcome, one row per outcome.
+
+    ``predicted`` holds each cell's noiseless outcome; the observation noise
+    is Gaussian with ``noise_variance``.
+    """
+    # zero-prior cells must stay at zero mass no matter how extreme the outcome
+    with np.errstate(divide="ignore"):
+        log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
+    # one outcome-by-cell buffer, updated in place from log-posterior to posterior
+    post = outcomes[:, None] - predicted[None, :]
+    np.square(post, out=post)
+    post /= -2.0 * noise_variance
+    post += log_prior
+    post -= post.max(axis=1, keepdims=True)
+    np.exp(post, out=post)
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
 def information_gain(
     posterior: GPPosterior,
     action: float,
@@ -141,22 +165,24 @@ def information_gain(
     prior_bits = grid.prior_entropy()
     mean_y, var_y = posterior.predictive_y(action)
     draws = mean_y + math.sqrt(var_y) * rng.standard_normal(n_outcome_samples)
-    predicted = grid.values * action
-
-    # zero-prior cells must stay at zero mass no matter how extreme the draw
-    with np.errstate(divide="ignore"):
-        log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
-    # one outcome-by-cell buffer, updated in place from log-posterior to posterior
-    logpost = draws[:, None] - predicted[None, :]
-    np.square(logpost, out=logpost)
-    logpost /= -2.0 * posterior.noise_variance
-    logpost += log_prior
-    logpost -= logpost.max(axis=1, keepdims=True)
-    post = np.exp(logpost, out=logpost)
-    post /= post.sum(axis=1, keepdims=True)
+    post = _grid_posteriors(grid, grid.values * action, draws, posterior.noise_variance)
     mean_posterior_bits = float(entropy_bits(post, axis=1).mean())
     gain = prior_bits - mean_posterior_bits
     return float(min(max(gain, 0.0), prior_bits))
+
+
+def _bin_masses(probs: np.ndarray, resolution: float, domain_width: float) -> np.ndarray:
+    """Sum equal-width cells (last axis, in order) into bins of width ``resolution``."""
+    if not 0 < resolution < domain_width:
+        raise ValueError("resolution must lie strictly between 0 and domain_width")
+    n_bins = max(1, int(round(domain_width / resolution)))
+    n = probs.shape[-1]
+    if n < n_bins:
+        raise ValueError(f"prior has {n} cells, fewer than the {n_bins} requested bins")
+    # with at least one cell per bin, every bin starts at some cell
+    bin_index = (np.arange(n) * n_bins) // n
+    starts = np.flatnonzero(np.diff(bin_index, prepend=-1))
+    return np.add.reduceat(probs, starts, axis=-1)
 
 
 def estimate_total_information(prior_probs, resolution: float, domain_width: float) -> float:
@@ -167,16 +193,7 @@ def estimate_total_information(prior_probs, resolution: float, domain_width: flo
     the entropy of the bin masses returned; a uniform prior gives
     log2(width / resolution).
     """
-    if not 0 < resolution < domain_width:
-        raise ValueError("resolution must lie strictly between 0 and domain_width")
-    probs = np.asarray(prior_probs, dtype=float)
-    n_bins = max(1, int(round(domain_width / resolution)))
-    n = probs.size
-    if n < n_bins:
-        raise ValueError(f"prior has {n} cells, fewer than the {n_bins} requested bins")
-    bin_index = (np.arange(n) * n_bins) // n
-    masses = np.bincount(bin_index, weights=probs, minlength=n_bins)
-    return float(entropy_bits(masses))
+    return float(entropy_bits(_bin_masses(np.asarray(prior_probs, dtype=float), resolution, domain_width)))
 
 
 def monte_carlo_error(gain_ceiling: float, n_samples: int, delta: float) -> float:
@@ -193,21 +210,6 @@ def monte_carlo_error(gain_ceiling: float, n_samples: int, delta: float) -> floa
     if gain_ceiling < 0:
         raise ValueError("gain_ceiling must be non-negative")
     return gain_ceiling * math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
-
-
-def surrogate_error_bound(noise_variance: float, variance_floor: float, variance_deviation: float) -> float:
-    """Bits of gain error caused by a predictive-variance error.
-
-    The channel gain is Lipschitz in the predictive variance with constant
-    1 / (2 (noise_variance + variance_floor)) in nats; the bound converts
-    to bits. ``variance_deviation`` is the caller's bound on |true - model|
-    predictive variance.
-    """
-    if not noise_variance > 0:
-        raise ValueError("noise_variance must be positive")
-    if variance_floor < 0 or variance_deviation < 0:
-        raise ValueError("variance_floor and variance_deviation must be non-negative")
-    return variance_deviation / (2.0 * (noise_variance + variance_floor)) / _LOG2
 
 
 def propagate_estimate_error(
@@ -244,7 +246,6 @@ class EstimationTask:
     action_low: float = -3.0
     action_high: float = 3.0
     noise_variance: float = 0.25
-    kernel: RBFKernel = RBFKernel(lengthscale=1.0, signal_variance=4.0)
     resolution: float = 0.1
     cost_per_action: float = 1.0
     theta_grid_size: int = 401
@@ -252,8 +253,6 @@ class EstimationTask:
     top_fraction: float = 0.25
     n_outcome_samples: int = 64
     mc_delta: float = 0.05
-    variance_deviation: float = 0.0
-    variance_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.theta_high > self.theta_low:
@@ -290,27 +289,39 @@ class EstimationReport:
 def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> EstimationReport:
     """Predict whether the task fits the budget, before any real query.
 
-    Per-step information is the mean estimated gain over the top
-    ``task.top_fraction`` of the action grid. If that estimate is below
-    MIN_STEP_BITS the task is reported unsolvable with sentinel cost
-    (predicted_steps 0 marks "not applicable"). Deterministic given seed.
+    The gain of an action is the expected drop in entropy over the
+    resolution bins that ``total_bits`` counts. It is estimated from
+    ``task.n_outcome_samples`` pairs drawn from the grid's own predictive:
+    theta from the grid prior and y = theta * x + noise. The same draws
+    serve every action (common random numbers). Per-step information is the
+    mean gain over the top ``task.top_fraction`` of the action grid, and
+    ``mc_error_bits`` is the Hoeffding bound for gains in [0, total_bits].
+
+    If the per-step estimate is below MIN_STEP_BITS the task is reported
+    unsolvable with sentinel cost (predicted_steps 0 marks "not
+    applicable"). Deterministic given seed.
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
+    if task.n_outcome_samples < 16:
+        raise ValueError("n_outcome_samples must be at least 16")
     grid = task.hypothesis_grid()
     width = task.theta_high - task.theta_low
     total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
 
-    posterior = GPPosterior(task.kernel, task.noise_variance)
+    rng = np.random.default_rng(seed)
+    thetas = rng.choice(grid.values, size=task.n_outcome_samples, p=grid.probabilities)
+    noise = math.sqrt(task.noise_variance) * rng.standard_normal(task.n_outcome_samples)
     actions = task.action_grid()
-    gains = np.array(
-        [information_gain(posterior, x, grid, task.n_outcome_samples, seed) for x in actions]
-    )
+    gains = np.empty(actions.size)
+    for i, x in enumerate(actions):
+        post = _grid_posteriors(grid, grid.values * x, thetas * x + noise, task.noise_variance)
+        binned = _bin_masses(post, task.resolution, width)
+        gains[i] = total_bits - entropy_bits(binned, axis=1).mean()
     n_top = max(1, math.ceil(task.top_fraction * actions.size))
     step_bits = float(np.sort(gains)[-n_top:].mean())
 
-    ceiling = gaussian_channel_gain(task.kernel.signal_variance, task.noise_variance)
-    mc_err = monte_carlo_error(ceiling, task.n_outcome_samples, task.mc_delta)
+    mc_err = monte_carlo_error(total_bits, task.n_outcome_samples, task.mc_delta)
 
     if step_bits < MIN_STEP_BITS:
         return EstimationReport(
@@ -324,10 +335,7 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
         )
 
     cost = effective_cost(total_bits, step_bits, task.cost_per_action)
-    step_bits_error = mc_err + surrogate_error_bound(
-        task.noise_variance, task.variance_floor, task.variance_deviation
-    )
-    margin = propagate_estimate_error(0.0, step_bits_error, total_bits, step_bits, task.cost_per_action)
+    margin = propagate_estimate_error(0.0, mc_err, total_bits, step_bits, task.cost_per_action)
     return EstimationReport(
         total_bits=total_bits,
         step_bits=step_bits,

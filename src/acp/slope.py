@@ -22,17 +22,12 @@ from functools import partial
 
 import numpy as np
 
-from .gp import EstimationTask, RBFKernel, a_priori_estimate, gaussian_channel_gain
+from .gp import EstimationTask, a_priori_estimate, gaussian_channel_gain
 from .info import entropy_bits, select_action
 from .seeding import map_indexed, rng_for
 
 #: Default noise levels for the sweep.
 DEFAULT_NOISE_LEVELS = (0.1, 0.3, 1.0, 3.0)
-
-#: GP amplitude used by the predictor for this task family. The responses
-#: a * x span roughly [-6, 6], so a prior standard deviation of 2 is a
-#: reasonable fixed surrogate scale.
-DEFAULT_SIGNAL_VARIANCE = 4.0
 
 _MIN_SIGMA = 1e-9
 
@@ -174,21 +169,6 @@ class SweepReport:
     trials: tuple[SweepTrialRow, ...]
 
 
-def estimation_task_for(
-    sigma: float,
-    resolution: float = 0.1,
-    signal_variance: float = DEFAULT_SIGNAL_VARIANCE,
-) -> EstimationTask:
-    """Estimation-pipeline configuration matching the slope task geometry."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive for prediction")
-    return EstimationTask(
-        noise_variance=sigma**2,
-        kernel=RBFKernel(lengthscale=1.0, signal_variance=signal_variance),
-        resolution=resolution,
-    )
-
-
 def _one_sweep_trial(
     trial: int,
     sigma: float,
@@ -240,7 +220,9 @@ def run_noise_sweep(
     level_rows: list[SweepLevelRow] = []
     trial_rows: list[SweepTrialRow] = []
     for li, sigma in enumerate(levels):
-        report = a_priori_estimate(estimation_task_for(sigma, resolution), budget=math.inf, seed=master_seed)
+        # EstimationTask's default domains are the slope task's
+        task = EstimationTask(noise_variance=sigma**2, resolution=resolution)
+        report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
         fn = partial(
             _one_sweep_trial,
             sigma=sigma,

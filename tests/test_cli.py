@@ -1,13 +1,17 @@
 """Command-line behaviour: exit codes, CSV contracts, config files."""
 
 import hashlib
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acp.cli import _format_cell, main, write_csv
+from acp.cli import _format_cell, build_parser, main, resolve_options, write_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(*argv) -> int:
@@ -35,6 +39,7 @@ class TestExitCodes:
             ("bounds", "--format", "csv"),
             ("approx", "--trials", "1"),
             ("estimate", "--lengthscale", "2.0"),
+            ("estimate", "--signal-var", "4"),
         ],
     )
     def test_removed_flags_are_rejected(self, argv, capsys):
@@ -97,6 +102,16 @@ class TestBoundsOutput:
         assert len(lines) == 151
 
 
+class TestEstimateOutput:
+    def test_near_noiseless_step_stays_within_total(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert _run("estimate", "--noise", "1e-6", "--out", str(out)) == 0
+        header, row = out.read_text().strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["i_s_bits"]) <= float(cells["i_total_bits"])
+        assert cells["predicted_steps"] == "1"
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -111,7 +126,7 @@ class TestDeterminism:
         assert _run("estimate", "--seed", "11", "--out", str(out)) == 0
         assert _read(out) == (
             b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n"
-            b"5.321758,2.360037,2.254947,3,0.346949,0.331500,true\n"
+            b"5.321758,2.477488,2.148046,3,0.903436,0.783303,true\n"
         )
 
     def test_slope_summary_bytes_are_pinned(self, tmp_path, capsys):
@@ -166,6 +181,13 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
         assert _run("bounds", "--config", str(cfg)) == 2
+
+    def test_removed_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("signal_var=4\n")
+        out = tmp_path / "e.csv"
+        assert _run("estimate", "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert _run("bounds", "--config", str(tmp_path / "nope.cfg")) == 2
@@ -230,3 +252,27 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "default:" in text
         assert "--seed" in text
+
+
+def _readme_commands() -> list[str]:
+    """Every `acp ...` line inside README's fenced sh blocks."""
+    lines, in_sh = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("acp "):
+            lines.append(line)
+    return lines
+
+
+class TestReadme:
+    def test_lists_every_subcommand(self):
+        assert sorted(shlex.split(c)[1] for c in _readme_commands()) == sorted(
+            ["bounds", "slope", "coloring", "estimate", "approx"]
+        )
+
+    @pytest.mark.parametrize("command", _readme_commands())
+    def test_command_parses(self, command):
+        # parse and resolve only; nothing runs
+        args = build_parser().parse_args(shlex.split(command)[1:])
+        assert resolve_options(args)["out"]

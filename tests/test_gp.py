@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acp import (
     INFINITE_COST,
@@ -17,9 +19,7 @@ from acp import (
     information_gain,
     monte_carlo_error,
     propagate_estimate_error,
-    surrogate_error_bound,
 )
-from acp.slope import estimation_task_for
 
 SLOPE_PRIOR_VAR = 4.0 / 3.0  # variance of a uniform slope on [-2, 2]
 
@@ -33,6 +33,43 @@ def calibrated_posterior(x: float, sigma: float) -> GPPosterior:
     """GP whose outcome predictive at x matches the linear task exactly."""
     signal = max(x * x * SLOPE_PRIOR_VAR, 1e-9)
     return GPPosterior(RBFKernel(lengthscale=1.0, signal_variance=signal), noise_variance=sigma**2)
+
+
+def slope_task(sigma: float, **kwargs) -> EstimationTask:
+    """Estimation task with the slope experiment's geometry at noise sigma."""
+    return EstimationTask(noise_variance=sigma**2, **kwargs)
+
+
+def quadrature_step_bits(task: EstimationTask) -> float:
+    """Per-step bits by quadrature over y, nodes sigma/4 apart over +-9 sigma.
+
+    For each action the outcome density is the grid marginal
+    sum_j p_j N(theta_j x, sigma^2); each node's posterior is summed into the
+    resolution bins before its entropy is taken. Written independently of
+    the package's sampler and binning.
+    """
+    grid = task.hypothesis_grid()
+    theta, prior = grid.values, grid.probabilities
+    sigma = math.sqrt(task.noise_variance)
+    n_bins = round((task.theta_high - task.theta_low) / task.resolution)
+    onehot = np.zeros((theta.size, n_bins))
+    onehot[np.arange(theta.size), (np.arange(theta.size) * n_bins) // theta.size] = 1.0
+
+    def bits(masses):
+        logs = np.log2(masses, out=np.zeros_like(masses), where=masses > 0)
+        return -(masses * logs).sum(axis=-1)
+
+    total = bits(prior @ onehot)
+    gains = []
+    for x in task.action_grid():
+        mean = theta * x
+        y = np.arange(mean.min() - 9 * sigma, mean.max() + 9 * sigma, sigma / 4)
+        joint = np.exp(-((y[:, None] - mean[None, :]) ** 2) / (2 * sigma**2)) * prior
+        marginal = joint.sum(axis=1)
+        weights = marginal / marginal.sum()
+        gains.append(total - weights @ bits((joint / marginal[:, None]) @ onehot))
+    n_top = math.ceil(task.top_fraction * len(gains))
+    return float(np.mean(sorted(gains)[-n_top:]))
 
 
 class TestGPPosterior:
@@ -143,17 +180,6 @@ class TestErrorBounds:
         with pytest.raises(ValueError):
             monte_carlo_error(1.0, 200, 1.0)
 
-    def test_surrogate_bound_exact_model(self):
-        assert surrogate_error_bound(1.0, 0.0, 0.0) == 0.0
-
-    def test_surrogate_bound_value(self):
-        assert surrogate_error_bound(1.0, 0.0, 1.0) == pytest.approx(0.7213475204444817, rel=1e-9)
-
-    def test_surrogate_bound_halves_when_denominator_doubles(self):
-        one = surrogate_error_bound(1.0, 1.0, 1.0)
-        two = surrogate_error_bound(2.0, 2.0, 1.0)
-        assert two == pytest.approx(one / 2.0)
-
     def test_propagation_zero_errors(self):
         assert propagate_estimate_error(0.0, 0.0, 10.0, 2.0, 1.0) == 0.0
 
@@ -167,7 +193,7 @@ class TestErrorBounds:
 
 class TestAPrioriEstimate:
     def test_formula_chain(self):
-        task = estimation_task_for(0.5)
+        task = slope_task(0.5)
         report = a_priori_estimate(task, budget=100.0, seed=0)
         assert report.cost_predicted == pytest.approx(
             report.total_bits / report.step_bits * task.cost_per_action
@@ -176,23 +202,23 @@ class TestAPrioriEstimate:
         assert report.total_bits == pytest.approx(math.log2(40.0), abs=1e-3)
 
     def test_budget_below_cost_is_unsolvable(self):
-        report = a_priori_estimate(estimation_task_for(1.0), budget=1.0, seed=0)
+        report = a_priori_estimate(slope_task(1.0), budget=1.0, seed=0)
         assert report.solvable is False
 
     def test_generous_budget_is_solvable(self):
-        report = a_priori_estimate(estimation_task_for(1.0), budget=1000.0, seed=0)
+        report = a_priori_estimate(slope_task(1.0), budget=1000.0, seed=0)
         assert report.solvable is True
 
     def test_steps_monotone_in_noise(self):
         steps = [
-            a_priori_estimate(estimation_task_for(s), budget=math.inf, seed=0).predicted_steps
+            a_priori_estimate(slope_task(s), budget=math.inf, seed=0).predicted_steps
             for s in (0.1, 0.5, 1.0)
         ]
         assert steps == sorted(steps)
 
     def test_deterministic_given_seed(self):
-        a = a_priori_estimate(estimation_task_for(0.5), budget=10.0, seed=3)
-        b = a_priori_estimate(estimation_task_for(0.5), budget=10.0, seed=3)
+        a = a_priori_estimate(slope_task(0.5), budget=10.0, seed=3)
+        b = a_priori_estimate(slope_task(0.5), budget=10.0, seed=3)
         assert a == b
 
     def test_vanishing_gain_yields_sentinel(self):
@@ -201,9 +227,27 @@ class TestAPrioriEstimate:
             action_low=-1e-9,
             action_high=1e-9,
             noise_variance=1.0,
-            kernel=RBFKernel(1.0, 4.0),
             resolution=0.1,
         )
         report = a_priori_estimate(task, budget=1e12, seed=0)
         assert report.solvable is False
         assert report.cost_predicted == INFINITE_COST
+
+    @pytest.mark.parametrize("sigma", [0.3, 3.0])
+    def test_matches_quadrature_reference(self, sigma):
+        task = slope_task(sigma, n_outcome_samples=2048)
+        report = a_priori_estimate(task, budget=math.inf, seed=0)
+        assert report.step_bits == pytest.approx(quadrature_step_bits(task), abs=0.02)
+
+    def test_mc_error_is_hoeffding_at_total_bits(self):
+        task = slope_task(0.5)
+        report = a_priori_estimate(task, budget=math.inf, seed=0)
+        assert report.mc_error_bits == monte_carlo_error(
+            report.total_bits, task.n_outcome_samples, task.mc_delta
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=0.05, max_value=5.0), st.integers(min_value=0, max_value=2**63))
+    def test_step_bits_within_total(self, sigma, seed):
+        report = a_priori_estimate(slope_task(sigma), budget=math.inf, seed=seed)
+        assert 0.0 <= report.step_bits <= report.total_bits + 1e-9

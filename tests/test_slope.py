@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from acp import SlopeTask, run_noise_sweep, run_slope_agent
-from acp.slope import estimation_task_for
+from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
 
 
 class TestTaskValidation:
@@ -116,10 +115,13 @@ class TestNoiseSweep:
 class TestPredictionTask:
     def test_requires_positive_noise(self):
         with pytest.raises(ValueError):
-            estimation_task_for(0.0)
+            EstimationTask(noise_variance=0.0)
 
     def test_matches_slope_geometry(self):
-        task = estimation_task_for(0.5)
-        assert (task.theta_low, task.theta_high) == (-2.0, 2.0)
-        assert (task.action_low, task.action_high) == (-3.0, 3.0)
+        # run_noise_sweep predicts with EstimationTask's default domains
+        slope = SlopeTask(true_slope=0.0, noise_sigma=0.5)
+        task = EstimationTask(noise_variance=0.5**2)
+        assert (task.theta_low, task.theta_high) == (slope.slope_low, slope.slope_high) == (-2.0, 2.0)
+        assert (task.action_low, task.action_high) == (slope.query_low, slope.query_high) == (-3.0, 3.0)
+        assert (task.theta_grid_size, task.action_grid_size) == (slope.slope_grid_size, slope.query_grid_size)
         assert task.noise_variance == pytest.approx(0.25)
