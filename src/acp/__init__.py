@@ -36,10 +36,8 @@ from .gp import (
     RBFKernel,
     a_priori_estimate,
     estimate_total_information,
-    gaussian_channel_gain,
     information_gain,
     monte_carlo_error,
-    propagate_estimate_error,
 )
 from .slope import (
     AgentTrace,

@@ -12,6 +12,7 @@ infinite-cost sentinel: no budget makes them solvable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,8 +83,8 @@ def goal_set(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
     The multiplicative criterion needs a non-negative optimum; a negative
     one is an error. The set grows with epsilon and always holds the optimum.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon cannot be negative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     fstar = instance.optimum
     if fstar < 0:
         raise ValueError("multiplicative criterion undefined for negative optimum")

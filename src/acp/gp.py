@@ -72,19 +72,6 @@ class GPPosterior:
         return 0.0, self.kernel.signal_variance + self.noise_variance
 
 
-def gaussian_channel_gain(predictive_variance: float, noise_variance: float) -> float:
-    """Bits observable through a Gaussian channel: 0.5 * log2(1 + v / noise).
-
-    Strictly increasing in the predictive variance and decreasing in the
-    noise floor; 0.5 bits exactly when they match.
-    """
-    if not predictive_variance > 0:
-        raise ValueError("predictive_variance must be positive")
-    if not noise_variance > 0:
-        raise ValueError("noise_variance must be positive")
-    return 0.5 * math.log2(1.0 + predictive_variance / noise_variance)
-
-
 @dataclass(frozen=True)
 class HypothesisGrid:
     """Discrete hypothesis set: grid values and their masses.
@@ -212,24 +199,6 @@ def monte_carlo_error(gain_ceiling: float, n_samples: int, delta: float) -> floa
     return gain_ceiling * math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 
 
-def propagate_estimate_error(
-    total_bits_error: float,
-    step_bits_error: float,
-    total_bits: float,
-    step_bits: float,
-    step_cost: float,
-) -> float:
-    """First-order margin on the predicted cost given input-estimate errors.
-
-    step_cost * (total_bits_error / step_bits
-                 + total_bits * step_bits_error / step_bits^2);
-    second-order terms are dropped.
-    """
-    if not step_bits > 0:
-        raise ValueError("step_bits must be positive")
-    return step_cost * (total_bits_error / step_bits + total_bits * step_bits_error / step_bits**2)
-
-
 @dataclass(frozen=True)
 class EstimationTask:
     """Configuration of a 1D identification task for cost estimation.
@@ -259,8 +228,8 @@ class EstimationTask:
             raise ValueError("theta domain is empty")
         if not self.action_high > self.action_low:
             raise ValueError("action domain is empty")
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
         if not 0 < self.resolution < (self.theta_high - self.theta_low):
             raise ValueError("resolution must be inside the theta domain width")
         if not 0 < self.top_fraction <= 1:
@@ -335,7 +304,8 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
         )
 
     cost = effective_cost(total_bits, step_bits, task.cost_per_action)
-    margin = propagate_estimate_error(0.0, mc_err, total_bits, step_bits, task.cost_per_action)
+    # first-order margin from the step-bits error alone; total_bits is exact
+    margin = task.cost_per_action * (total_bits * mc_err / step_bits**2)
     return EstimationReport(
         total_bits=total_bits,
         step_bits=step_bits,

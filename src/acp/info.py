@@ -55,6 +55,9 @@ def search_information(p_goal: float) -> float:
         raise ValueError(f"p_goal must lie in [0, 1], got {p_goal!r}")
     if p_goal == 0.0:
         return INFINITE_COST
+    # -log2(1) is -0.0; keep a certain goal at +0.0, as binary_entropy does
+    if p_goal == 1.0:
+        return 0.0
     return -math.log2(p_goal)
 
 

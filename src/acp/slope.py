@@ -2,10 +2,14 @@
 
 The task: an unknown slope a in [-2, 2] generates observations
 y = a * x + Normal(0, sigma^2) at query points x in [-3, 3]. The agent keeps
-a discrete posterior over a slope grid, queries the point with the best
-estimated information per unit cost (costs are uniform, so pure gain), and
-stops once its central 95% credible interval is narrower than the success
-resolution.
+a discrete posterior over a slope grid and stops once its central 95%
+credible interval is narrower than the success resolution.
+
+The query is the same at every step. Every query costs the same, so the
+best information per unit cost is the best gain, and the Gaussian-channel
+gain 0.5 * log2(1 + x^2 * v / sigma^2) grows with |x| while the posterior
+variance v is positive. The agent therefore always queries the end of the
+query domain with the largest |x|, -3 by default.
 
 ``run_noise_sweep`` pairs the agent's empirical step counts with the
 a-priori predictions from the estimation pipeline, per noise level. The
@@ -22,8 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .gp import EstimationTask, a_priori_estimate, gaussian_channel_gain
-from .info import entropy_bits, select_action
+from .gp import EstimationTask, a_priori_estimate
 from .seeding import map_indexed, rng_for
 
 #: Default noise levels for the sweep.
@@ -49,15 +52,14 @@ class SlopeTask:
     query_high: float = 3.0
     success_resolution: float = 0.1
     slope_grid_size: int = 401
-    query_grid_size: int = 61
     step_cap: int = 200
     credible_mass: float = 0.95
 
     def __post_init__(self) -> None:
         if not self.slope_low <= self.true_slope <= self.slope_high:
             raise ValueError("true_slope must lie inside the slope domain")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma cannot be negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
         if not 0 < self.success_resolution < (self.slope_high - self.slope_low):
             raise ValueError("success_resolution must be inside the slope domain width")
         if self.step_cap < 1:
@@ -73,7 +75,6 @@ class AgentTrace:
     queries: tuple[tuple[float, float], ...]
     steps: int
     final_estimate: float
-    posterior_entropy_trace: tuple[float, ...]
     completed: bool
 
     def __post_init__(self) -> None:
@@ -92,34 +93,23 @@ def _credible_width(grid: np.ndarray, probs: np.ndarray, mass: float) -> float:
 def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     """Run the Bayesian grid agent on one task. Deterministic given seed.
 
-    Query choice maximizes the estimated gain per unit cost over the query
-    grid, using the Gaussian-channel estimate 0.5 * log2(1 + x^2 * v / s^2)
-    with v the current posterior variance of the slope. For this task
-    family the estimate is monotone in the exact expected gain, so the
-    selected query is the same one exact scoring would pick; ties resolve
-    to the smallest grid index.
+    Every step queries the end of the query domain with the largest |x|,
+    ``query_low`` on a tie: with uniform costs that query has the largest
+    Gaussian-channel gain 0.5 * log2(1 + x^2 * v / s^2), v being the
+    posterior variance of the slope.
     """
     rng = np.random.default_rng(seed)
     grid = np.linspace(task.slope_low, task.slope_high, task.slope_grid_size)
-    queries_x = np.linspace(task.query_low, task.query_high, task.query_grid_size)
     sigma_eff = max(task.noise_sigma, _MIN_SIGMA)
+    # the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
+    x = float(max(task.query_low, task.query_high, key=abs))
 
     log_post = np.zeros(task.slope_grid_size)
     probs = np.full(task.slope_grid_size, 1.0 / task.slope_grid_size)
     queries: list[tuple[float, float]] = []
-    entropy_trace: list[float] = []
     completed = False
 
     for _ in range(task.step_cap):
-        mean = float(probs @ grid)
-        var = float(probs @ np.square(grid) - mean**2)
-        var = max(var, 0.0)
-        gains = [
-            gaussian_channel_gain(x * x * var, sigma_eff**2) if x != 0.0 and var > 0.0 else 0.0
-            for x in queries_x
-        ]
-        x = float(queries_x[select_action([(g, 1.0) for g in gains])])
-
         y = task.true_slope * x + task.noise_sigma * rng.standard_normal()
         log_post -= np.square(y - grid * x) / (2.0 * sigma_eff**2)
         log_post -= log_post.max()
@@ -127,7 +117,6 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
         probs /= probs.sum()
 
         queries.append((x, float(y)))
-        entropy_trace.append(float(entropy_bits(probs)))
         if _credible_width(grid, probs, task.credible_mass) <= task.success_resolution:
             completed = True
             break
@@ -136,7 +125,6 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
         queries=tuple(queries),
         steps=len(queries),
         final_estimate=float(probs @ grid),
-        posterior_entropy_trace=tuple(entropy_trace),
         completed=completed,
     )
 
@@ -212,8 +200,8 @@ def run_noise_sweep(
     levels = [float(s) for s in noise_levels]
     if len(levels) < 2:
         raise ValueError("need at least two noise levels")
-    if any(s <= 0 for s in levels):
-        raise ValueError("noise levels must be positive")
+    if not all(0 < s < math.inf for s in levels):
+        raise ValueError("noise levels must be positive and finite")
     if trials_per_level < 20:
         raise ValueError("trials_per_level must be at least 20")
 

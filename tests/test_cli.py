@@ -74,6 +74,28 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists() and not dump.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--noise", "inf"),
+            ("estimate", "--noise", "nan"),
+            ("slope", "--noise", "1,inf", "--trials", "20"),
+            ("slope", "--noise", "1,nan", "--trials", "20"),
+        ],
+    )
+    def test_non_finite_noise_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert _run(*argv, "--out", str(out)) == 2
+        assert not out.exists() and not (tmp_path / "o_summary.csv").exists()
+        assert "noise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "0,inf"])
+    def test_non_finite_epsilon_writes_nothing(self, tmp_path, capsys, eps):
+        out = tmp_path / "a.csv"
+        assert _run("approx", "--eps", eps, "--out", str(out)) == 2
+        assert not out.exists()
+        assert "epsilon" in capsys.readouterr().err
+
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert _run("bounds", "--trials", "200", "--out", str(out)) == 0
@@ -112,6 +134,14 @@ class TestEstimateOutput:
         assert cells["predicted_steps"] == "1"
 
 
+class TestApproxOutput:
+    def test_certain_goal_has_positive_zero_search_bits(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert _run("approx", "--eps", "0,1000", "--out", str(out)) == 0
+        last = out.read_text().strip().split("\n")[-1]
+        assert last == "1000.000000,1024,1.000000,0.000000,0.000000"
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -137,6 +167,18 @@ class TestDeterminism:
             b"sigma,steps_predicted,steps_actual_mean,steps_actual_se,gap\n"
             b"0.100000,2,2.000000,0.072548,0.000000\n"
             b"0.500000,3,40.050000,1.219307,37.050000\n"
+        )
+
+    def test_slope_bytes_are_pinned(self, tmp_path, capsys):
+        # every sigma = 3 trial runs to the 200-step cap
+        out = tmp_path / "s.csv"
+        assert _run("slope", "--noise", "0.3,3", "--trials", "20", "--seed", "5",
+                    "--out", str(out)) == 0
+        assert hashlib.sha256(_read(out)).hexdigest() == (
+            "cc561a6209d58f9ac3c1623f09d0dbfe0c0685301faace47e6d06c0996dd6794"
+        )
+        assert hashlib.sha256(_read(tmp_path / "s_summary.csv")).hexdigest() == (
+            "81fff5308767e000d625a5d236b3741fdf2a359e42adb2c87cf54c7f607d36d8"
         )
 
     def test_bounds_bytes_are_pinned(self, tmp_path, capsys):

@@ -15,10 +15,8 @@ from acp import (
     RBFKernel,
     a_priori_estimate,
     estimate_total_information,
-    gaussian_channel_gain,
     information_gain,
     monte_carlo_error,
-    propagate_estimate_error,
 )
 
 SLOPE_PRIOR_VAR = 4.0 / 3.0  # variance of a uniform slope on [-2, 2]
@@ -80,25 +78,6 @@ class TestGPPosterior:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError):
             GPPosterior(RBFKernel(1.0, 1.0), 0.0)
-
-
-class TestChannelGain:
-    def test_half_bit_at_equal_variances(self):
-        assert gaussian_channel_gain(0.5, 0.5) == pytest.approx(0.5)
-
-    def test_one_bit_at_three_to_one(self):
-        assert gaussian_channel_gain(1.5, 0.5) == pytest.approx(1.0)
-
-    def test_vanishes_with_signal(self):
-        assert gaussian_channel_gain(1e-12, 1.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_monotone(self):
-        vs = np.linspace(0.1, 5, 40)
-        gains = [gaussian_channel_gain(v, 1.0) for v in vs]
-        assert all(b > a for a, b in zip(gains, gains[1:]))
-        noises = np.linspace(0.1, 5, 40)
-        gains_n = [gaussian_channel_gain(1.0, n) for n in noises]
-        assert all(b < a for a, b in zip(gains_n, gains_n[1:]))
 
 
 class TestInformationGain:
@@ -179,16 +158,6 @@ class TestErrorBounds:
             monte_carlo_error(1.0, 200, 0.0)
         with pytest.raises(ValueError):
             monte_carlo_error(1.0, 200, 1.0)
-
-    def test_propagation_zero_errors(self):
-        assert propagate_estimate_error(0.0, 0.0, 10.0, 2.0, 1.0) == 0.0
-
-    def test_propagation_value(self):
-        assert propagate_estimate_error(0.5, 0.1, 10.0, 2.0, 1.0) == pytest.approx(0.5)
-
-    def test_propagation_linear_in_cost(self):
-        base = propagate_estimate_error(0.3, 0.2, 8.0, 1.5, 1.0)
-        assert propagate_estimate_error(0.3, 0.2, 8.0, 1.5, 7.0) == pytest.approx(7.0 * base)
 
 
 class TestAPrioriEstimate:

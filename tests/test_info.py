@@ -102,6 +102,7 @@ class TestEntropyBits:
 class TestSearchInformation:
     def test_goal_everywhere(self):
         assert search_information(1.0) == 0.0
+        assert math.copysign(1.0, search_information(1.0)) == 1.0
 
     def test_power_of_two(self):
         assert search_information(0.125) == pytest.approx(3.0)
