@@ -21,6 +21,13 @@ cuts them into blocks of a fixed size, so a run is a pure function of
 are kept as one ``np.recarray`` with a row per trial and three columns:
 ``n_steps`` (int64 stopping time), ``accumulated`` (float64 sum at the
 stop) and ``overshoot`` (float64, ``accumulated - total_bits``).
+
+The truncated-gaussian family's moments are closed-form (``math.erfc``,
+``math.exp`` and ``math.expm1``), and its location parameters are found by
+a bounded bisection on the truncated mean. Its draws invert the normal CDF
+with ``scipy.special.ndtri``, the module's only scipy use, imported where it
+is called so that importing ``acp`` loads numpy and the standard library
+only.
 """
 
 from __future__ import annotations
@@ -31,9 +38,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
-from scipy.stats import truncnorm
 
 from .seeding import map_indexed, subseed
 
@@ -53,32 +57,65 @@ class StepCapExceeded(RuntimeError):
     """A trial failed to reach its target within the step cap."""
 
 
+_TOO_EXTREME = (
+    "truncated-gaussian family too extreme to sample reliably; "
+    "increase noise_scale or move means away from the support edges"
+)
+
+#: Bisection halvings for loc; 2**1100 exceeds any finite bracket width over 1e-12.
+_BISECT_STEPS = 1100
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _trunc_norm_stats(loc: float, scale: float, upper: float) -> tuple[float, float]:
     """(mean, second moment) of a Normal(loc, scale^2) truncated to [0, upper]."""
-    a = (0.0 - loc) / scale
-    b = (upper - loc) / scale
-    mean, var = truncnorm.stats(a, b, loc=loc, scale=scale, moments="mv")
-    return float(mean), float(var) + float(mean) ** 2
+    # the density and tail mass past +-40 underflow to 0, so clipping there
+    # changes no value and keeps the standardized edges finite
+    a = min(max((0.0 - loc) / scale, -40.0), 40.0)
+    b = min(max((upper - loc) / scale, -40.0), 40.0)
+    # the window mass from the nearer tail, where the difference does not cancel
+    mass = _ndtr(b) - _ndtr(a) if a <= 0.0 else _ndtr(-a) - _ndtr(-b)
+    if not mass > 0.0:
+        raise ValueError(_TOO_EXTREME)
+    root = math.sqrt(2.0 * math.pi)
+    pdf_a, pdf_b = math.exp(-0.5 * a * a) / root, math.exp(-0.5 * b * b) / root
+    # pdf_a - pdf_b through the larger density, so that it does not cancel when a ~ -b
+    half_sq_gap = 0.5 * (b - a) * (a + b)  # (b^2 - a^2) / 2
+    if abs(a) <= abs(b):
+        shift = -pdf_a * math.expm1(-half_sq_gap) / mass
+    else:
+        shift = pdf_b * math.expm1(half_sq_gap) / mass
+    mean = loc + scale * shift
+    var = scale**2 * (1.0 + (a * pdf_a - b * pdf_b) / mass - shift * shift)
+    return mean, var + mean * mean
 
 
 def _solve_trunc_loc(target_mean: float, scale: float, upper: float) -> float:
-    """Location parameter whose [0, upper]-truncated mean equals target_mean."""
+    """Location parameter whose [0, upper]-truncated mean equals target_mean.
+
+    The truncated mean increases with loc, so loc is bisected within
+    [-7 scale, upper + 7 scale]. A loc outside it leaves the window under
+    Phi(-7) ~ 1e-12 of the mass, which _solve_tg_table rejects anyway, so a
+    target the bracket cannot reach is rejected here.
+    """
     if not 0.0 < target_mean < upper:
         raise ValueError(f"target mean {target_mean!r} must lie strictly inside (0, {upper!r})")
-
-    def gap(loc: float) -> float:
-        return _trunc_norm_stats(loc, scale, upper)[0] - target_mean
-
-    lo, hi = target_mean - scale, target_mean + scale
-    step = scale
-    while gap(lo) > 0:
-        step *= 2.0
-        lo -= step
-    step = scale
-    while gap(hi) < 0:
-        step *= 2.0
-        hi += step
-    return brentq(gap, lo, hi, xtol=1e-12)
+    lo, hi = -7.0 * scale, upper + 7.0 * scale
+    if not _trunc_norm_stats(lo, scale, upper)[0] <= target_mean <= _trunc_norm_stats(hi, scale, upper)[0]:
+        raise ValueError(_TOO_EXTREME)
+    for _ in range(_BISECT_STEPS):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if _trunc_norm_stats(mid, scale, upper)[0] < target_mean:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -199,12 +236,9 @@ class GainSequenceSpec:
             loc = _solve_trunc_loc(float(m), self.noise_scale, self.support_bound)
             a = (0.0 - loc) / self.noise_scale
             b = (self.support_bound - loc) / self.noise_scale
-            cdf_lo, cdf_hi = float(ndtr(a)), float(ndtr(b))
+            cdf_lo, cdf_hi = _ndtr(a), _ndtr(b)
             if cdf_hi - cdf_lo < 1e-10:
-                raise ValueError(
-                    "truncated-gaussian family too extreme to sample reliably; "
-                    "increase noise_scale or move means away from the support edges"
-                )
+                raise ValueError(_TOO_EXTREME)
             rows.append((loc, cdf_lo, cdf_hi))
         return keys, np.array(rows)
 
@@ -220,6 +254,8 @@ class GainSequenceSpec:
             return -means * np.log1p(-uniforms)
         if self.family == "uniform":
             return 2.0 * means * uniforms
+        from scipy.special import ndtri  # scipy is slow to import and only this family needs it
+
         keys, table = getattr(self, "_tg_table")
         idx = np.minimum(np.searchsorted(keys, means), keys.size - 1)
         if not np.array_equal(keys[idx], means):

@@ -75,6 +75,20 @@ class TestExitCodes:
         assert not out.exists() and not dump.exists()
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--m", "0.5", "--mu-inf", "0.005", "--scale", "5"),
+            ("--m", "1", "--mu-inf", "0.95", "--scale", "1"),
+        ],
+    )
+    def test_extreme_truncated_gaussian_writes_nothing(self, tmp_path, capsys, flags):
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
+        argv = ("bounds", "--family", "truncated-gaussian", *flags, "--trials", "1")
+        assert _run(*argv, "--out", str(out), "--dump-trials", str(dump)) == 2
+        assert not out.exists() and not dump.exists()
+        assert "too extreme to sample reliably" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("estimate", "--noise", "inf"),

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import truncnorm
 
 from acp import (
@@ -18,7 +20,7 @@ from acp import (
     simulate_stopping,
     summarize_trials,
 )
-from acp.stopping import TRIAL_BLOCK, _solve_trunc_loc
+from acp.stopping import TRIAL_BLOCK, _solve_trunc_loc, _trunc_norm_stats
 
 DIMINISHING = tuple(max(2.0 * 0.9**i, 0.5) for i in range(14))
 
@@ -102,6 +104,77 @@ class TestSpecValidation:
         assert mean_gain == pytest.approx(0.5, abs=0.05)
 
 
+def _scipy_trunc_spec(mean, scale, upper):
+    """(loc, M2) of a one-mean truncated-gaussian spec built with scipy, or None if rejected.
+
+    The reference build: bracket doubling and ``brentq`` on ``truncnorm``'s
+    mean, M2 from ``truncnorm.stats``, then the spec's M2 and window-mass checks.
+    """
+
+    def stats(loc):
+        mean_, var = truncnorm.stats(-loc / scale, (upper - loc) / scale, loc=loc, scale=scale, moments="mv")
+        return float(mean_), float(var) + float(mean_) ** 2
+
+    def gap(loc):
+        return stats(loc)[0] - mean
+
+    with np.errstate(all="ignore"):  # truncnorm.stats warns in the far tails
+        lo, hi, step = mean - scale, mean + scale, scale
+        while gap(lo) > 0:
+            step *= 2.0
+            lo -= step
+        step = scale
+        while gap(hi) < 0:
+            step *= 2.0
+            hi += step
+        loc = brentq(gap, lo, hi, xtol=1e-12)
+        m2 = stats(loc)[1]
+        mass = ndtr((upper - loc) / scale) - ndtr(-loc / scale)
+    if not (math.isfinite(m2) and m2 >= mean**2 - 1e-12 and mass >= 1e-10):
+        return None
+    return loc, m2
+
+
+class TestTruncatedGaussianMoments:
+    # upper / scale >= 0.25 keeps loc well conditioned: where the window is
+    # much narrower than scale the law is near-uniform, its mean moves with
+    # loc at slope ~ (upper / scale)^2 / 12, and brentq on truncnorm's mean
+    # lands up to 1e-5 relative off the exact loc (test_symmetric_target)
+    @pytest.mark.parametrize("scale", [0.05, 0.2, 0.6, 2.0])
+    @pytest.mark.parametrize("upper", [0.5, 1.0, 3.0, 10.0])
+    def test_matches_scipy_build(self, scale, upper):
+        for frac in (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+            mean = frac * upper
+            ref = _scipy_trunc_spec(mean, scale, upper)
+            if ref is None:
+                with pytest.raises(ValueError, match="too extreme"):
+                    GainSequenceSpec.truncated_gaussian((), mean, upper, scale)
+                continue
+            spec = GainSequenceSpec.truncated_gaussian((), mean, upper, scale)
+            loc = getattr(spec, "_tg_table")[1][0, 0]
+            assert loc == pytest.approx(ref[0], rel=1e-9, abs=1e-12)
+            assert spec.second_moment_bound == pytest.approx(ref[1], rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [2.0, 20.0, 100.0])
+    def test_symmetric_target(self, scale):
+        # the law is symmetric about upper / 2 exactly when loc is
+        assert _solve_trunc_loc(0.05, scale, 0.1) == pytest.approx(0.05, rel=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scale=st.floats(0.01, 20.0),
+        upper=st.floats(0.01, 100.0),
+        frac=st.floats(1e-4, 1.0 - 1e-4),
+    )
+    def test_solved_mean_hits_target(self, scale, upper, frac):
+        mean = frac * upper
+        try:
+            loc = _solve_trunc_loc(mean, scale, upper)
+        except ValueError:
+            assume(False)
+        assert _trunc_norm_stats(loc, scale, upper)[0] == pytest.approx(mean, rel=0, abs=1e-9 * upper)
+
+
 class TestDrawGains:
     def test_matrix_matches_truncnorm_quantiles(self):
         spec = SPECS["truncated-gaussian"]
@@ -165,7 +238,7 @@ class TestSimulateStopping:
         )
         gaussian = GainSequenceSpec.truncated_gaussian(DIMINISHING, 0.5, 3.0, 0.6)
         assert simulate_stopping(gaussian, 8.0, seed=5).tolist() == (
-            6, 8.967433605188248, 0.9674336051882477
+            6, 8.967433605188797, 0.9674336051887966
         )
 
 
