@@ -235,6 +235,9 @@ def run_bounds(o: dict) -> int:
     if not 0.0 < o["delta"] < 1.0:
         raise ValueError(f"--delta must lie strictly in (0, 1), got {o['delta']!r}")
     spec = _build_gain_spec(o)
+    n_delta = None
+    if spec.support_bound is not None:
+        n_delta = stopping.high_prob_steps(o["i_total"], spec.mean_tail, spec.support_bound, o["delta"])
     trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
     report = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
     write_csv(
@@ -256,8 +259,7 @@ def run_bounds(o: dict) -> int:
     print(f"  mean cost   {report.empirical_mean_cost:.4f} +/- {report.standard_error:.4f} (se)")
     print(f"  overshoot   {report.mean_overshoot:.4f} mean")
     print(f"  within      {report.within_bounds}")
-    if spec.support_bound is not None:
-        n_delta = stopping.high_prob_steps(o["i_total"], spec.mean_tail, spec.support_bound, o["delta"])
+    if n_delta is not None:
         print(f"  steps for completion w.p. {1 - o['delta']:.2%}: {n_delta}")
     print(f"wrote {o['out']}")
     return 0

@@ -1,9 +1,14 @@
 """Random-graph k-coloring benchmark with expansion accounting.
 
 Instances are Erdos-Renyi graphs; infeasible ones are filtered out by an
-exact backtracking oracle. Three agents solve each feasible instance with
-backtracking search plus forward checking, differing only in how they order
-vertices and colors:
+exact oracle, a complete backtracking search over vertex bitmasks. It
+refutes a node as soon as some vertex has no color left, colors forced
+vertices before it branches, and tries only one unused color per vertex,
+since unused colors are interchangeable. None of these loses a coloring,
+so the oracle answers exactly.
+
+Three agents solve each feasible instance with backtracking search plus
+forward checking, differing only in how they order vertices and colors:
 
   random  uniformly random uncolored vertex, random order over live colors
   greedy  highest-degree uncolored vertex, colors that constrain the fewest
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import compress
 
 import numpy as np
 
@@ -109,55 +115,80 @@ class SearchStats:
             raise ValueError("found solutions must carry an assignment")
 
 
+@lru_cache(maxsize=8)
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The n(n-1)/2 pairs u < v in row-major order, built once per n."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
     """G(n, p): each of the n(n-1)/2 edges appears independently with prob p."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = rng.random(len(pairs)) < p
-    return Graph(n, tuple(pair for pair, keep in zip(pairs, mask) if keep))
+    pairs = _vertex_pairs(n)
+    mask = np.random.default_rng(seed).random(len(pairs)) < p
+    return Graph(n, tuple(compress(pairs, mask.tolist())))
 
 
 def is_k_colorable(graph: Graph, k: int) -> bool:
-    """Exact feasibility via complete backtracking with forward checking.
+    """Exact feasibility by complete backtracking over vertex bitmasks.
 
-    Vertices are taken in index order and colors in value order; no
-    ordering heuristics or cutoffs, so the search provably exhausts the
-    space before answering False.
+    Each color keeps the mask of uncolored vertices that may still take it,
+    so one pass over the k masks finds every vertex with no color left
+    (the node is refuted) or exactly one (it is colored next, before any
+    branching). Otherwise the search branches on the lowest uncolored
+    vertex. Forward checking only prunes colors a neighbor already holds,
+    and a forced vertex has no other choice, so neither loses a coloring.
+    Colors not yet used by any vertex are interchangeable, so a vertex
+    tries the used colors plus only the next unused one; any coloring maps
+    to one of these by renaming colors in order of first use. The search
+    is therefore complete, and False means no proper k-coloring exists.
     """
     if k < 1:
         raise ValueError("k must be positive")
     n = graph.n
-    neighbors = graph.neighbors()
-    full = (1 << k) - 1
-    domains = [full] * n
+    if k >= n:  # one color per vertex
+        return True
+    nbr = [0] * n
+    for u, v in graph.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
 
-    def assign(v: int) -> bool:
-        if v == n:
+    def search(avail: list[int], uncolored: int, used: int) -> bool:
+        while uncolored:
+            once = twice = 0
+            for mask in avail:
+                twice |= once & mask
+                once |= mask
+            if uncolored & ~once:
+                return False
+            forced = once & ~twice
+            if not forced:
+                break
+            # no vertex is forced while two colors are unused, so a forced color
+            # is a used one or the last one, which branching tries at used = k - 1
+            bit = forced & -forced
+            keep = ~bit
+            c = next(c for c, mask in enumerate(avail) if mask & bit)
+            avail = [mask & keep for mask in avail]
+            avail[c] &= ~nbr[bit.bit_length() - 1]
+            uncolored ^= bit
+        else:
             return True
-        live = domains[v]
-        while live:
-            bit = live & -live
-            live ^= bit
-            pruned = []
-            dead = False
-            for u in neighbors[v]:
-                if u > v and domains[u] & bit:
-                    domains[u] ^= bit
-                    pruned.append(u)
-                    if domains[u] == 0:
-                        dead = True
-                        break
-            if not dead and assign(v + 1):
-                return True
-            for u in pruned:
-                domains[u] |= bit
+        bit = uncolored & -uncolored
+        keep, drop = ~bit, ~nbr[bit.bit_length() - 1]
+        for c in range(min(used + 1, k)):
+            if avail[c] & bit:
+                child = [mask & keep for mask in avail]
+                child[c] &= drop
+                if search(child, uncolored ^ bit, max(used, c + 1)):
+                    return True
         return False
 
-    return assign(0)
+    everyone = (1 << n) - 1
+    return search([everyone] * k, everyone, 0)
 
 
 def count_proper_colorings(graph: Graph, k: int) -> int:

@@ -383,7 +383,8 @@ def high_prob_steps(total_bits: float, min_mean_gain: float, support_bound: floa
     with T = total_bits, mu = min_mean_gain, M = support_bound. The ln is
     natural while information is in bits; this is consistent because the
     log factor multiplies dimensionless ratios, so the unit of T cancels
-    against mu and M.
+    against mu and M. Raises ValueError when the count is not a finite
+    float.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie strictly in (0, 1), got {delta!r}")
@@ -395,11 +396,19 @@ def high_prob_steps(total_bits: float, min_mean_gain: float, support_bound: floa
         raise ValueError("support_bound must be at least min_mean_gain")
     log_term = math.log(1.0 / delta)
     mu, m = min_mean_gain, support_bound
-    n = (
-        total_bits / mu
-        + m**2 / (2.0 * mu**2) * log_term
-        + math.sqrt(total_bits * m**2 * log_term / (2.0 * mu**3))
-    )
+    try:
+        n = (
+            total_bits / mu
+            + m**2 / (2.0 * mu**2) * log_term
+            + math.sqrt(total_bits * m**2 * log_term / (2.0 * mu**3))
+        )
+    except ArithmeticError:  # a power overflowed, or a power of mu underflowed to 0
+        n = math.inf
+    if not math.isfinite(n):
+        raise ValueError(
+            f"high-probability step count overflows for total_bits={total_bits!r}, "
+            f"min_mean_gain={mu!r}, support_bound={m!r}"
+        )
     return math.ceil(n)
 
 

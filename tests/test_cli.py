@@ -89,6 +89,19 @@ class TestExitCodes:
         assert "too extreme to sample reliably" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "uniform", "--m", "1e300", "--mu-inf", "1"),
+            ("--family", "truncated-gaussian", "--m", "1e300", "--scale", "1"),
+        ],
+    )
+    def test_overflowing_step_budget_writes_nothing(self, tmp_path, capsys, flags):
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
+        assert _run("bounds", *flags, "--trials", "10", "--out", str(out), "--dump-trials", str(dump)) == 2
+        assert not out.exists() and not dump.exists()
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("estimate", "--noise", "inf"),

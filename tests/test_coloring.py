@@ -30,6 +30,45 @@ def _instance(graph, k=3, p=0.5, seed=0):
     return ColoringInstance(graph=graph, k=k, seed=seed, p=p)
 
 
+def _reference_is_k_colorable(graph, k):
+    """Plain backtracking in vertex-index order with forward checking."""
+    n = graph.n
+    neighbors = graph.neighbors()
+    domains = [(1 << k) - 1] * n
+
+    def assign(v):
+        if v == n:
+            return True
+        live = domains[v]
+        while live:
+            bit = live & -live
+            live ^= bit
+            pruned = []
+            dead = False
+            for u in neighbors[v]:
+                if u > v and domains[u] & bit:
+                    domains[u] ^= bit
+                    pruned.append(u)
+                    if domains[u] == 0:
+                        dead = True
+                        break
+            if not dead and assign(v + 1):
+                return True
+            for u in pruned:
+                domains[u] |= bit
+        return False
+
+    return assign(0)
+
+
+def _reference_edges(n, p, seed):
+    """G(n, p) edges drawn pair by pair in row-major order."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = rng.random(len(pairs)) < p
+    return tuple(pair for pair, keep in zip(pairs, mask) if keep)
+
+
 @st.composite
 def _graphs(draw, max_n=8):
     """Any simple graph on at most max_n vertices."""
@@ -69,6 +108,12 @@ class TestGenerator:
     def test_deterministic_given_seed(self):
         assert gen_erdos_renyi(12, 0.3, seed=9) == gen_erdos_renyi(12, 0.3, seed=9)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 15])
+    @pytest.mark.parametrize("p", [0.0, 0.41, 1.0])
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3])
+    def test_edges_match_row_major_draw(self, n, p, seed):
+        assert gen_erdos_renyi(n, p, seed).edges == _reference_edges(n, p, seed)
+
     def test_binomial_edge_count(self):
         # 105 candidate pairs at p = 0.35: mean edges 36.75
         counts = [len(gen_erdos_renyi(15, 0.35, seed=s).edges) for s in range(10_000)]
@@ -85,6 +130,26 @@ class TestFeasibilityOracle:
 
     def test_odd_cycle_three_colorable(self):
         assert is_k_colorable(C5, 3) is True
+
+    @pytest.mark.parametrize(
+        "graph,k,expected",
+        [
+            (Graph(1, ()), 1, True),
+            (Graph(6, ()), 1, True),
+            (PATH3, 1, False),
+            (K4, 3, False),
+            (K4, 4, True),
+            (TRIANGLE, 5, True),
+            (C5, 7, True),
+        ],
+    )
+    def test_small_cases(self, graph, k, expected):
+        assert is_k_colorable(graph, k) is expected
+        assert _reference_is_k_colorable(graph, k) is expected
+
+    def test_rejects_nonpositive_k(self):
+        with pytest.raises(ValueError):
+            is_k_colorable(TRIANGLE, 0)
 
     def test_agrees_with_counting(self):
         rng = np.random.default_rng(42)
@@ -110,10 +175,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_proper_colorings(Graph(21, ()), 3)
 
-    @settings(max_examples=50, deadline=None)
-    @given(_graphs(), st.sampled_from([2, 3]))
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs(max_n=12), st.sampled_from([1, 2, 3, 4]))
     def test_feasibility_oracle_agrees_with_count(self, g, k):
-        assert is_k_colorable(g, k) == (count_proper_colorings(g, k) > 0)
+        expected = count_proper_colorings(g, k) > 0
+        assert is_k_colorable(g, k) == expected
+        assert _reference_is_k_colorable(g, k) == expected
 
     def test_search_information_cross_check(self):
         # bits-to-find from the counted solution mass of a 6-vertex instance
@@ -203,6 +270,11 @@ class TestCampaign:
     def test_every_instance_solved_by_all_agents(self, single_config):
         assert len(single_config.records) == 50 * 3
         assert all(r.found for r in single_config.records)
+
+    def test_default_campaign_discards(self):
+        # infeasible graphs drawn per default config before 50 were kept
+        report = run_campaign(master_seed=0)
+        assert [s.discarded for s in report.summaries] == [0, 9, 55, 446, 3055]
 
     def test_requires_fifty_instances(self):
         with pytest.raises(ValueError):

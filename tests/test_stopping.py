@@ -338,6 +338,13 @@ class TestHighProbSteps:
         with pytest.raises(ValueError):
             high_prob_steps(10.0, 1.0, 0.5, 0.1)
 
+    @pytest.mark.parametrize(
+        "total_bits,mean,support", [(10.0, 1.0, 1e300), (10.0, 1e-200, 1.0), (1e308, 1e-10, 1.0)]
+    )
+    def test_overflow_is_a_domain_error(self, total_bits, mean, support):
+        with pytest.raises(ValueError, match="overflows"):
+            high_prob_steps(total_bits, mean, support, 0.1)
+
     def test_monte_carlo_coverage(self):
         spec = GainSequenceSpec.uniform(mean_tail=1.0)
         n = high_prob_steps(10.0, spec.mean_tail, spec.support_bound, 0.05)
