@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -195,12 +196,26 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+#: %-formats that give _format_cell's text for cells of exactly these types
+_NUMBER_FORMATS = {float: "%.6f", int: "%d"}
+
+
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Deterministic CSV: LF newlines, '.' decimal point, 6-decimal reals."""
+    """Deterministic CSV: LF newlines, '.' decimal point, 6-decimal reals.
+
+    A run of rows whose cells are all plain floats and ints, in the same
+    type order, is written with one %-template; their text never needs
+    quoting. Every other row goes through csv.writer and _format_cell.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+        for kinds, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+            if all(kind in _NUMBER_FORMATS for kind in kinds):
+                template = ",".join(_NUMBER_FORMATS[kind] for kind in kinds) + "\n"
+                fh.writelines(template % tuple(row) for row in run)
+            else:
+                writer.writerows([_format_cell(cell) for cell in row] for row in run)
 
 
 def _summary_path(out: str) -> str:
@@ -250,7 +265,7 @@ def run_bounds(o: dict) -> int:
         write_csv(
             o["dump_trials"],
             ["trial_id", "n_steps", "s_n", "overshoot"],
-            # tolist() gives Python int/float cells, which _format_cell writes fastest
+            # tolist() gives Python int/float cells, which write_csv formats with one template
             list(zip(range(len(trials)), trials.n_steps.tolist(), trials.accumulated.tolist(),
                      trials.overshoot.tolist())),
         )

@@ -11,6 +11,14 @@ gain 0.5 * log2(1 + x^2 * v / sigma^2) grows with |x| while the posterior
 variance v is positive. The agent therefore always queries the end of the
 query domain with the largest |x|, -3 by default.
 
+One engine runs the agent: ``_lockstep`` advances a batch of tasks that
+differ only in their hidden slope together, one row of a (trials, grid)
+log-posterior per task, and drops each row when its task finishes. Every
+row does the arithmetic of a one-trial loop and every task draws its noise
+from its own generator, so a task's trace and its generator's final state
+do not depend on which tasks share its batch. ``run_slope_agent`` is a
+batch of one.
+
 ``run_noise_sweep`` pairs the agent's empirical step counts with the
 a-priori predictions from the estimation pipeline, per noise level. The
 point of the experiment is the lower-bound behaviour: predictions should
@@ -21,8 +29,9 @@ the task harder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -82,12 +91,99 @@ class AgentTrace:
             raise ValueError("steps must equal the number of queries")
 
 
-def _credible_width(grid: np.ndarray, probs: np.ndarray, mass: float) -> float:
-    cdf = np.cumsum(probs)
-    tail = (1.0 - mass) / 2.0
-    lo = grid[int(np.searchsorted(cdf, tail, side="left"))]
-    hi = grid[int(np.searchsorted(cdf, 1.0 - tail, side="left"))]
-    return float(hi - lo)
+#: Normals each running trial draws per round of the lockstep engine.
+NORMAL_ROUND = 64
+#: Trials per block of the noise sweep; a constant, so --workers never changes a block.
+SWEEP_BLOCK = 25
+
+
+def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator], record_queries: bool):
+    """Run the grid agent on tasks that differ only in true_slope, in lockstep.
+
+    Row r of a (trials, grid) log-posterior is task r's posterior; all rows
+    take each step together and a row is dropped once its credible width
+    reaches the resolution. Each row's arithmetic is the per-trial loop's:
+    subtract the scaled squared residual, subtract the row max, exponentiate,
+    normalise, then read the credible interval off the row's cumsum.
+
+    Task r's noise comes from ``rngs[r]`` alone, drawn NORMAL_ROUND normals
+    at a time (fewer in the round that reaches the cap). The generator's
+    state is saved before each round and, when the task stops inside one,
+    restored and advanced by exactly the normals it used, so every generator
+    ends where one standard_normal() call per step would leave it.
+
+    Returns (steps, completed, final_estimate, queries): three arrays indexed
+    by task, and per task the list of its (x, y) queries if ``record_queries``
+    (else None).
+    """
+    first = tasks[0]
+    if any(replace(t, true_slope=first.true_slope) != first for t in tasks):
+        raise ValueError("tasks in one batch may differ only in true_slope")
+    n = len(tasks)
+    grid = np.linspace(first.slope_low, first.slope_high, first.slope_grid_size)
+    # the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
+    x = float(max(first.query_low, first.query_high, key=abs))
+    grid_x = grid * x
+    two_var = 2.0 * max(first.noise_sigma, _MIN_SIGMA) ** 2
+    tail = (1.0 - first.credible_mass) / 2.0
+    slopes = np.array([t.true_slope for t in tasks])
+
+    steps = np.full(n, first.step_cap)  # a row that never stops hits the cap
+    completed = np.zeros(n, dtype=bool)
+    estimate = np.empty(n)
+    queries = [[] for _ in range(n)] if record_queries else None
+
+    active = np.arange(n)  # task index of each log_post row
+    log_post = np.zeros((n, first.slope_grid_size))
+    done = 0
+    while active.size and done < first.step_cap:
+        k = min(NORMAL_ROUND, first.step_cap - done)
+        states = [rngs[i].bit_generator.state for i in active]
+        noise = np.empty((active.size, k))
+        for row, i in enumerate(active):
+            rngs[i].standard_normal(out=noise[row])
+        ys = slopes[active, None] * x + first.noise_sigma * noise
+        used = np.full(active.size, k)
+        live = np.arange(active.size)  # round row of each log_post row
+        for j in range(k):
+            log_post -= np.square(ys[live, j, None] - grid_x) / two_var
+            log_post -= log_post.max(axis=1, keepdims=True)
+            probs = np.exp(log_post)
+            probs /= probs.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(probs, axis=1)
+            # np.searchsorted(cdf_row, tail, side="left") for every row at once
+            lo = (cdf < tail).sum(axis=1)
+            hi = (cdf < 1.0 - tail).sum(axis=1)
+            stop = grid[hi] - grid[lo] <= first.success_resolution
+            if stop.any():
+                ids = active[live[stop]]
+                steps[ids] = done + j + 1
+                completed[ids] = True
+                estimate[ids] = [probs[r] @ grid for r in np.flatnonzero(stop)]
+                used[live[stop]] = j + 1
+                keep = ~stop
+                live, log_post, probs = live[keep], log_post[keep], probs[keep]
+                if not live.size:
+                    break
+        for row, i in enumerate(active):
+            if used[row] < k:
+                rngs[i].bit_generator.state = states[row]
+                rngs[i].standard_normal(used[row])
+            if record_queries:
+                queries[i].extend((x, y) for y in ys[row, : used[row]].tolist())
+        active = active[live]
+        done += k
+    estimate[active] = [probs[r] @ grid for r in range(active.size)]
+    return steps, completed, estimate, queries
+
+
+def _agent_traces(tasks, rngs) -> list[AgentTrace]:
+    """One AgentTrace per task, from one lockstep run."""
+    steps, completed, estimate, queries = _lockstep(tasks, rngs, record_queries=True)
+    return [
+        AgentTrace(queries=tuple(q), steps=int(s), final_estimate=float(e), completed=bool(c))
+        for s, c, e, q in zip(steps, completed, estimate, queries)
+    ]
 
 
 def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
@@ -97,36 +193,13 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     ``query_low`` on a tie: with uniform costs that query has the largest
     Gaussian-channel gain 0.5 * log2(1 + x^2 * v / s^2), v being the
     posterior variance of the slope.
+
+    This is a batch of one on the lockstep engine. Step t's noise is the
+    t-th standard normal of ``np.random.default_rng(seed)``; a Generator
+    passed as ``seed`` is used in place and is left exactly one normal per
+    step further on.
     """
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(task.slope_low, task.slope_high, task.slope_grid_size)
-    sigma_eff = max(task.noise_sigma, _MIN_SIGMA)
-    # the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
-    x = float(max(task.query_low, task.query_high, key=abs))
-
-    log_post = np.zeros(task.slope_grid_size)
-    probs = np.full(task.slope_grid_size, 1.0 / task.slope_grid_size)
-    queries: list[tuple[float, float]] = []
-    completed = False
-
-    for _ in range(task.step_cap):
-        y = task.true_slope * x + task.noise_sigma * rng.standard_normal()
-        log_post -= np.square(y - grid * x) / (2.0 * sigma_eff**2)
-        log_post -= log_post.max()
-        probs = np.exp(log_post)
-        probs /= probs.sum()
-
-        queries.append((x, float(y)))
-        if _credible_width(grid, probs, task.credible_mass) <= task.success_resolution:
-            completed = True
-            break
-
-    return AgentTrace(
-        queries=tuple(queries),
-        steps=len(queries),
-        final_estimate=float(probs @ grid),
-        completed=completed,
-    )
+    return _agent_traces([task], [np.random.default_rng(seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -157,30 +230,31 @@ class SweepReport:
     trials: tuple[SweepTrialRow, ...]
 
 
-def _one_sweep_trial(
-    trial: int,
+def _sweep_block(
+    block: int,
     sigma: float,
     level_index: int,
     master_seed: int,
     resolution: float,
     step_cap: int,
-) -> SweepTrialRow:
-    rng = rng_for(master_seed, level_index, trial)
-    true_slope = float(rng.uniform(-2.0, 2.0))
-    task = SlopeTask(
-        true_slope=true_slope,
-        noise_sigma=sigma,
-        success_resolution=resolution,
-        step_cap=step_cap,
-    )
-    trace = run_slope_agent(task, rng)
-    return SweepTrialRow(
-        sigma=sigma,
-        trial=trial,
-        steps_actual=trace.steps,
-        completed=trace.completed,
-        final_error=abs(trace.final_estimate - true_slope),
-    )
+    trials: int,
+) -> list[SweepTrialRow]:
+    ids = range(block * SWEEP_BLOCK, min(trials, (block + 1) * SWEEP_BLOCK))
+    rngs = [rng_for(master_seed, level_index, t) for t in ids]
+    tasks = [
+        SlopeTask(
+            true_slope=float(rng.uniform(-2.0, 2.0)),
+            noise_sigma=sigma,
+            success_resolution=resolution,
+            step_cap=step_cap,
+        )
+        for rng in rngs
+    ]
+    steps, completed, estimate, _ = _lockstep(tasks, rngs, record_queries=False)
+    return [
+        SweepTrialRow(sigma=sigma, trial=t, steps_actual=s, completed=c, final_error=abs(e - task.true_slope))
+        for t, task, s, c, e in zip(ids, tasks, steps.tolist(), completed.tolist(), estimate.tolist())
+    ]
 
 
 def run_noise_sweep(
@@ -193,9 +267,13 @@ def run_noise_sweep(
 ) -> SweepReport:
     """Predicted vs. measured step counts across noise levels.
 
-    Each trial draws its own hidden slope uniformly from the slope domain.
-    Capped (incomplete) runs contribute their step count at the cap, which
-    only raises the measured mean and never hides a lower-bound violation.
+    Each trial draws its own hidden slope uniformly from the slope domain,
+    then its noise, from ``rng_for(master_seed, level, trial)``. A level's
+    trials run in lockstep blocks of SWEEP_BLOCK, which ``workers`` may
+    spread over processes; no per-step query is kept, so memory does not
+    grow with ``step_cap``. Capped (incomplete) runs contribute their step
+    count at the cap, which only raises the measured mean and never hides a
+    lower-bound violation.
     """
     levels = [float(s) for s in noise_levels]
     if len(levels) < 2:
@@ -212,14 +290,16 @@ def run_noise_sweep(
         task = EstimationTask(noise_variance=sigma**2, resolution=resolution)
         report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
         fn = partial(
-            _one_sweep_trial,
+            _sweep_block,
             sigma=sigma,
             level_index=li,
             master_seed=master_seed,
             resolution=resolution,
             step_cap=step_cap,
+            trials=trials_per_level,
         )
-        rows = map_indexed(fn, trials_per_level, workers=workers)
+        n_blocks = -(-trials_per_level // SWEEP_BLOCK)
+        rows = [row for block in map_indexed(fn, n_blocks, workers=workers) for row in block]
         steps = np.array([r.steps_actual for r in rows], dtype=float)
         mean = float(steps.mean())
         se = float(steps.std(ddof=1) / math.sqrt(trials_per_level))

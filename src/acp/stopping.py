@@ -24,17 +24,17 @@ stop) and ``overshoot`` (float64, ``accumulated - total_bits``).
 
 The truncated-gaussian family's moments are closed-form (``math.erfc``,
 ``math.exp`` and ``math.expm1``), and its location parameters are found by
-a bounded bisection on the truncated mean. Its draws invert the normal CDF
-with ``scipy.special.ndtri``, the module's only scipy use, imported where it
-is called so that importing ``acp`` loads numpy and the standard library
-only.
+a bounded bisection on the truncated mean, once per distinct mean. Its
+draws invert the normal CDF with ``scipy.special.ndtri``, the module's only
+scipy use, imported where it is called so that importing ``acp`` loads
+numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -118,6 +118,26 @@ def _solve_trunc_loc(target_mean: float, scale: float, upper: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=16)
+def _solve_tg_table(keys: tuple[float, ...], scale: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct means, rows of (loc, cdf_at_0, cdf_at_support)), read-only.
+
+    Cached so that a factory-built spec solves each loc once: the factory
+    reads its second moment off this table and __post_init__ keeps it.
+    """
+    rows = []
+    for m in keys:
+        loc = _solve_trunc_loc(m, scale, upper)
+        cdf_lo, cdf_hi = _ndtr((0.0 - loc) / scale), _ndtr((upper - loc) / scale)
+        if cdf_hi - cdf_lo < 1e-10:
+            raise ValueError(_TOO_EXTREME)
+        rows.append((loc, cdf_lo, cdf_hi))
+    table = (np.array(keys), np.array(rows))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class GainSequenceSpec:
     """Distributional description of the per-step gains.
@@ -173,7 +193,8 @@ class GainSequenceSpec:
                 raise ValueError("truncated-gaussian family needs a positive noise_scale")
             if any(m >= self.support_bound for m in means):
                 raise ValueError("means must lie strictly below support_bound")
-            object.__setattr__(self, "_tg_table", self._solve_tg_table())
+            keys = tuple(sorted(set(self.mean_prefix) | {float(self.mean_tail)}))
+            object.__setattr__(self, "_tg_table", _solve_tg_table(keys, self.noise_scale, self.support_bound))
         if self.support_bound is not None and any(m > self.support_bound + 1e-12 for m in means):
             raise ValueError("means cannot exceed support_bound")
 
@@ -205,11 +226,10 @@ class GainSequenceSpec:
         # checked here because _solve_trunc_loc runs before __post_init__
         if not (0 < support_bound < math.inf and 0 < noise_scale < math.inf):
             raise ValueError("truncated-gaussian needs a finite positive support_bound and noise_scale")
-        means = {float(m) for m in mean_prefix} | {float(mean_tail)}
-        m2 = max(
-            _trunc_norm_stats(_solve_trunc_loc(m, noise_scale, support_bound), noise_scale, support_bound)[1]
-            for m in means
-        )
+        keys = tuple(sorted({float(m) for m in mean_prefix} | {float(mean_tail)}))
+        # __post_init__ asks for the same table and gets this solve back from the cache
+        _, table = _solve_tg_table(keys, noise_scale, support_bound)
+        m2 = max(_trunc_norm_stats(loc, noise_scale, support_bound)[1] for loc in table[:, 0].tolist())
         return cls(tuple(mean_prefix), mean_tail, "truncated-gaussian", m2, support_bound, noise_scale)
 
     # -- structure -------------------------------------------------------
@@ -227,20 +247,6 @@ class GainSequenceSpec:
             take = min(count, n_pre - start)
             out[:take] = self.mean_prefix[start : start + take]
         return out
-
-    def _solve_tg_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted distinct means, rows of (loc, cdf_at_0, cdf_at_support))."""
-        keys = np.array(sorted(set(self.mean_prefix) | {self.mean_tail}))
-        rows = []
-        for m in keys:
-            loc = _solve_trunc_loc(float(m), self.noise_scale, self.support_bound)
-            a = (0.0 - loc) / self.noise_scale
-            b = (self.support_bound - loc) / self.noise_scale
-            cdf_lo, cdf_hi = _ndtr(a), _ndtr(b)
-            if cdf_hi - cdf_lo < 1e-10:
-                raise ValueError(_TOO_EXTREME)
-            rows.append((loc, cdf_lo, cdf_hi))
-        return keys, np.array(rows)
 
     def draw_gains(self, means: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
         """Transform one uniform variate per step into a gain at the given mean.

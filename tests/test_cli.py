@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, CSV contracts, config files."""
 
+import csv
 import hashlib
+import io
 import shlex
 from pathlib import Path
 
@@ -307,6 +309,39 @@ class TestCsvWriter:
     @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
     def test_int64_cell_matches_int(self, n):
         assert _format_cell(n) == _format_cell(np.int64(n))
+
+    CELLS = st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.floats().map(np.float64),
+        st.floats(),
+        st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+        st.integers(-(10**40), 10**40),
+        st.text(alphabet=st.sampled_from('a1.,"\n\r \'-'), max_size=6),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.one_of(CELLS, st.floats(), st.integers()), max_size=4),
+                st.integers(1, 3),
+                st.booleans(),
+            ),
+            max_size=8,
+        )
+    )
+    def test_bytes_match_csv_writer(self, tmp_path_factory, runs):
+        # repeated rows form runs of one cell-type order; some rows are tuples
+        rows = [tuple(row) if as_tuple else row for row, times, as_tuple in runs for _ in range(times)]
+        path = tmp_path_factory.mktemp("csv") / "mixed.csv"
+        write_csv(str(path), ["h1", "h,2"], rows)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["h1", "h,2"])
+        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_lf_newlines_only(self, tmp_path):
         path = tmp_path / "nl.csv"

@@ -4,10 +4,44 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
+from acp.slope import NORMAL_ROUND, AgentTrace, _agent_traces
+
+
+def _reference_run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
+    """The agent one step at a time: the reference the lockstep engine must equal."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(task.slope_low, task.slope_high, task.slope_grid_size)
+    sigma_eff = max(task.noise_sigma, 1e-9)
+    x = float(max(task.query_low, task.query_high, key=abs))
+    tail = (1.0 - task.credible_mass) / 2.0
+
+    log_post = np.zeros(task.slope_grid_size)
+    probs = np.full(task.slope_grid_size, 1.0 / task.slope_grid_size)
+    queries = []
+    completed = False
+    for _ in range(task.step_cap):
+        y = task.true_slope * x + task.noise_sigma * rng.standard_normal()
+        log_post -= np.square(y - grid * x) / (2.0 * sigma_eff**2)
+        log_post -= log_post.max()
+        probs = np.exp(log_post)
+        probs /= probs.sum()
+        queries.append((x, float(y)))
+        cdf = np.cumsum(probs)
+        lo = grid[int(np.searchsorted(cdf, tail, side="left"))]
+        hi = grid[int(np.searchsorted(cdf, 1.0 - tail, side="left"))]
+        if float(hi - lo) <= task.success_resolution:
+            completed = True
+            break
+    return AgentTrace(
+        queries=tuple(queries),
+        steps=len(queries),
+        final_estimate=float(probs @ grid),
+        completed=completed,
+    )
 
 
 class TestTaskValidation:
@@ -93,6 +127,70 @@ class TestAgent:
                 ok += abs(trace.final_estimate - task.true_slope) <= task.success_resolution
         assert total > 0
         assert ok / total >= 0.90
+
+
+class TestLockstepEngine:
+    """The batched engine against the per-step reference, field for field."""
+
+    @staticmethod
+    def _check(slopes, sigma, resolution, step_cap, seeds):
+        tasks = [
+            SlopeTask(true_slope=a, noise_sigma=sigma, success_resolution=resolution, step_cap=step_cap)
+            for a in slopes
+        ]
+        engine_rngs = [np.random.default_rng(s) for s in seeds]
+        reference_rngs = [np.random.default_rng(s) for s in seeds]
+        traces = _agent_traces(tasks, engine_rngs)
+        assert traces == [_reference_run_slope_agent(t, r) for t, r in zip(tasks, reference_rngs)]
+        for a, b in zip(engine_rngs, reference_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+        return traces
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slopes=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+        sigma=st.one_of(st.sampled_from([0.0, 1e-3, 0.1, 0.3, 1.0, 3.0, 10.0]), st.floats(0.0, 10.0)),
+        resolution=st.floats(0.02, 1.0),
+        step_cap=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(slopes=[0.5, -0.5], sigma=1.0, resolution=0.1, step_cap=1, seed=1)
+    @example(slopes=[1.5, 0.0, -2.0, 0.7], sigma=3.0, resolution=0.1, step_cap=130, seed=2)
+    def test_matches_reference(self, slopes, sigma, resolution, step_cap, seed):
+        self._check(slopes, sigma, resolution, step_cap, [seed + i for i in range(len(slopes))])
+
+    def test_noise_free_batch_finishes_at_step_one(self):
+        traces = self._check([-0.7, 0.0, 1.9], 0.0, 0.1, 200, [4, 5, 6])
+        assert [t.steps for t in traces] == [1, 1, 1]
+        assert all(t.completed for t in traces)
+
+    def test_batch_all_capped(self):
+        traces = self._check([0.5, -1.5, 1.0], 3.0, 0.1, 70, [7, 8, 9])
+        assert all(t.steps == 70 and not t.completed for t in traces)
+
+    def test_mixed_batch_finishes_across_rounds(self):
+        # at sigma = 1 the 20 trials stop at different steps, some after the first round of normals
+        traces = self._check([0.2 * i - 2.0 for i in range(20)], 1.0, 0.1, 200, range(20))
+        assert len({t.steps for t in traces}) > 5
+        assert max(t.steps for t in traces) > NORMAL_ROUND
+
+    def test_stops_around_round_end(self):
+        # picked so that the trials stop one step before, at and after the end of the first round
+        assert NORMAL_ROUND == 64
+        traces = self._check([-1.34, -1.8, -1.94], 0.6, 0.1, 200, [33, 10, 3])
+        assert [t.steps for t in traces] == [63, 64, 65]
+
+    def test_rejects_mixed_batch(self):
+        tasks = [SlopeTask(true_slope=0.0, noise_sigma=1.0), SlopeTask(true_slope=0.0, noise_sigma=2.0)]
+        with pytest.raises(ValueError, match="true_slope"):
+            _agent_traces(tasks, [np.random.default_rng(0), np.random.default_rng(1)])
+
+    def test_caller_generator_advanced_in_place(self):
+        task = SlopeTask(true_slope=0.4, noise_sigma=0.5)
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        trace = run_slope_agent(task, rng)
+        ref.standard_normal(trace.steps)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ from acp import (
     simulate_stopping,
     summarize_trials,
 )
+from acp import stopping
 from acp.stopping import TRIAL_BLOCK, _solve_trunc_loc, _trunc_norm_stats
 
 DIMINISHING = tuple(max(2.0 * 0.9**i, 0.5) for i in range(14))
@@ -173,6 +174,21 @@ class TestTruncatedGaussianMoments:
         except ValueError:
             assume(False)
         assert _trunc_norm_stats(loc, scale, upper)[0] == pytest.approx(mean, rel=0, abs=1e-9 * upper)
+
+    def test_factory_solves_each_loc_once(self, monkeypatch):
+        solved = []
+
+        def counting(mean, scale, upper):
+            solved.append(mean)
+            return _solve_trunc_loc(mean, scale, upper)
+
+        monkeypatch.setattr(stopping, "_solve_trunc_loc", counting)
+        stopping._solve_tg_table.cache_clear()
+        spec = GainSequenceSpec.truncated_gaussian((2.0, 1.5, 1.5), 0.7, 4.0, 0.45)
+        assert sorted(solved) == [0.7, 1.5, 2.0]
+        # the second moment is read off the same table the sampler uses
+        locs = getattr(spec, "_tg_table")[1][:, 0]
+        assert spec.second_moment_bound == max(_trunc_norm_stats(loc, 0.45, 4.0)[1] for loc in locs)
 
 
 class TestDrawGains:
