@@ -62,11 +62,9 @@ from .coloring import (
 )
 from .approx import (
     EpsilonGoalReport,
-    FeasibilityVerdict,
     FiniteOptInstance,
     KnapsackSpec,
     default_knapsack,
-    feasibility_at_accuracy,
     goal_set,
     information_vs_epsilon,
 )

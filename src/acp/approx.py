@@ -5,9 +5,6 @@ A goal set at relaxation eps collects every candidate within a factor
 which drives the information needed to land in it down; the reports expose
 both readings of that requirement (the -log2(p) search information, which
 is monotone, and the indicator entropy, which peaks at p = 1/2).
-
-Accuracy targets below a declared inapproximability ratio map to the
-infinite-cost sentinel: no budget makes them solvable.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .info import INFINITE_COST, binary_entropy, effective_cost, search_information, solvability_verdict
+from .info import binary_entropy, search_information
 
 _MAX_CANDIDATES = 1 << 20
 
@@ -67,16 +64,6 @@ class EpsilonGoalReport:
             raise ValueError("goal_count must be at least 1 (the optimum always qualifies)")
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Budget verdict for solving an instance to a given accuracy."""
-
-    epsilon: float
-    p_goal: float
-    c_eff: float
-    solvable: bool
-
-
 def goal_set(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
     """Indices of candidates with value <= (1 + epsilon) * optimum.
 
@@ -114,34 +101,6 @@ def information_vs_epsilon(
             )
         )
     return reports
-
-
-def feasibility_at_accuracy(
-    instance: FiniteOptInstance,
-    epsilon: float,
-    step_bits: float,
-    step_cost: float,
-    budget: float,
-    inapprox_ratio: float | None = None,
-) -> FeasibilityVerdict:
-    """Can the instance be solved to accuracy epsilon within the budget?
-
-    ``inapprox_ratio`` declares a hardness threshold rho: accuracies with
-    epsilon < rho - 1 carry infinite cost regardless of budget.
-    """
-    if not step_bits > 0:
-        raise ValueError("step_bits must be positive")
-    if inapprox_ratio is not None and epsilon < inapprox_ratio - 1.0:
-        return FeasibilityVerdict(epsilon=epsilon, p_goal=0.0, c_eff=INFINITE_COST, solvable=False)
-    count = int(goal_set(instance, epsilon).size)
-    p = count / instance.size
-    cost = effective_cost(search_information(p), step_bits, step_cost)
-    return FeasibilityVerdict(
-        epsilon=epsilon,
-        p_goal=p,
-        c_eff=cost,
-        solvable=solvability_verdict(cost, budget),
-    )
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,12 @@ def run_bounds(o: dict) -> int:
     n_delta = None
     if spec.support_bound is not None:
         n_delta = stopping.high_prob_steps(o["i_total"], spec.mean_tail, spec.support_bound, o["delta"])
+    expected_steps = o["trials"] * stopping.cost_bounds(spec, o["i_total"], o["cs"])[1] / o["cs"]
+    if not expected_steps <= stopping.MAX_TOTAL_STEPS:
+        raise ValueError(
+            f"{o['trials']} trials expect up to {expected_steps:.3g} steps in all, "
+            f"over the limit of {stopping.MAX_TOTAL_STEPS:.0e}"
+        )
     trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
     report = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
     write_csv(

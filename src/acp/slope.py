@@ -8,16 +8,19 @@ credible interval is narrower than the success resolution.
 The query is the same at every step. Every query costs the same, so the
 best information per unit cost is the best gain, and the Gaussian-channel
 gain 0.5 * log2(1 + x^2 * v / sigma^2) grows with |x| while the posterior
-variance v is positive. The agent therefore always queries the end of the
-query domain with the largest |x|, -3 by default.
+variance v is positive. The agent's query is therefore always the end of
+the query domain with the largest |x|, -3.
+
+The slope and query domains and the slope grid are ``EstimationTask``'s
+defaults, the geometry ``run_noise_sweep`` prices its predictions on, so the
+agent and its prediction are stated once.
 
 One engine runs the agent: ``_lockstep`` advances a batch of tasks that
 differ only in their hidden slope together, one row of a (trials, grid)
 log-posterior per task, and drops each row when its task finishes. Every
 row does the arithmetic of a one-trial loop and every task draws its noise
-from its own generator, so a task's trace and its generator's final state
-do not depend on which tasks share its batch. ``run_slope_agent`` is a
-batch of one.
+from its own generator, so a task's trace does not depend on which tasks
+share its batch. ``run_slope_agent`` is a batch of one.
 
 ``run_noise_sweep`` pairs the agent's empirical step counts with the
 a-priori predictions from the estimation pipeline, per noise level. The
@@ -43,6 +46,14 @@ DEFAULT_NOISE_LEVELS = (0.1, 0.3, 1.0, 3.0)
 
 _MIN_SIGMA = 1e-9
 
+#: The agent's geometry: the estimation pipeline's default domains and grid.
+_GEOMETRY = EstimationTask()
+_GRID = _GEOMETRY.hypothesis_grid().values
+# the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
+_QUERY = float(max(_GEOMETRY.action_low, _GEOMETRY.action_high, key=abs))
+#: Central posterior mass of the credible interval the agent stops on.
+CREDIBLE_MASS = 0.95
+
 
 @dataclass(frozen=True)
 class SlopeTask:
@@ -55,40 +66,27 @@ class SlopeTask:
 
     true_slope: float
     noise_sigma: float
-    slope_low: float = -2.0
-    slope_high: float = 2.0
-    query_low: float = -3.0
-    query_high: float = 3.0
     success_resolution: float = 0.1
-    slope_grid_size: int = 401
     step_cap: int = 200
-    credible_mass: float = 0.95
 
     def __post_init__(self) -> None:
-        if not self.slope_low <= self.true_slope <= self.slope_high:
+        if not _GEOMETRY.theta_low <= self.true_slope <= _GEOMETRY.theta_high:
             raise ValueError("true_slope must lie inside the slope domain")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and non-negative")
-        if not 0 < self.success_resolution < (self.slope_high - self.slope_low):
+        if not 0 < self.success_resolution < (_GEOMETRY.theta_high - _GEOMETRY.theta_low):
             raise ValueError("success_resolution must be inside the slope domain width")
         if self.step_cap < 1:
             raise ValueError("step_cap must be positive")
-        if not 0 < self.credible_mass < 1:
-            raise ValueError("credible_mass must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class AgentTrace:
     """Record of one agent run. ``completed`` is False if the cap was hit."""
 
-    queries: tuple[tuple[float, float], ...]
     steps: int
     final_estimate: float
     completed: bool
-
-    def __post_init__(self) -> None:
-        if self.steps != len(self.queries):
-            raise ValueError("steps must equal the number of queries")
 
 
 #: Normals each running trial draws per round of the lockstep engine.
@@ -97,7 +95,7 @@ NORMAL_ROUND = 64
 SWEEP_BLOCK = 25
 
 
-def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator], record_queries: bool):
+def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator]):
     """Run the grid agent on tasks that differ only in true_slope, in lockstep.
 
     Row r of a (trials, grid) log-posterior is task r's posterior; all rows
@@ -107,43 +105,34 @@ def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator], r
     normalise, then read the credible interval off the row's cumsum.
 
     Task r's noise comes from ``rngs[r]`` alone, drawn NORMAL_ROUND normals
-    at a time (fewer in the round that reaches the cap). The generator's
-    state is saved before each round and, when the task stops inside one,
-    restored and advanced by exactly the normals it used, so every generator
-    ends where one standard_normal() call per step would leave it.
+    at a time (fewer in the round that reaches the cap), so step t uses the
+    t-th normal of its generator. A task that stops inside a round leaves its
+    generator past the normals it used.
 
-    Returns (steps, completed, final_estimate, queries): three arrays indexed
-    by task, and per task the list of its (x, y) queries if ``record_queries``
-    (else None).
+    Returns (steps, completed, final_estimate): three arrays indexed by task.
     """
     first = tasks[0]
     if any(replace(t, true_slope=first.true_slope) != first for t in tasks):
         raise ValueError("tasks in one batch may differ only in true_slope")
     n = len(tasks)
-    grid = np.linspace(first.slope_low, first.slope_high, first.slope_grid_size)
-    # the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
-    x = float(max(first.query_low, first.query_high, key=abs))
-    grid_x = grid * x
+    grid_x = _GRID * _QUERY
     two_var = 2.0 * max(first.noise_sigma, _MIN_SIGMA) ** 2
-    tail = (1.0 - first.credible_mass) / 2.0
+    tail = (1.0 - CREDIBLE_MASS) / 2.0
     slopes = np.array([t.true_slope for t in tasks])
 
     steps = np.full(n, first.step_cap)  # a row that never stops hits the cap
     completed = np.zeros(n, dtype=bool)
     estimate = np.empty(n)
-    queries = [[] for _ in range(n)] if record_queries else None
 
     active = np.arange(n)  # task index of each log_post row
-    log_post = np.zeros((n, first.slope_grid_size))
+    log_post = np.zeros((n, _GRID.size))
     done = 0
     while active.size and done < first.step_cap:
         k = min(NORMAL_ROUND, first.step_cap - done)
-        states = [rngs[i].bit_generator.state for i in active]
         noise = np.empty((active.size, k))
         for row, i in enumerate(active):
             rngs[i].standard_normal(out=noise[row])
-        ys = slopes[active, None] * x + first.noise_sigma * noise
-        used = np.full(active.size, k)
+        ys = slopes[active, None] * _QUERY + first.noise_sigma * noise
         live = np.arange(active.size)  # round row of each log_post row
         for j in range(k):
             log_post -= np.square(ys[live, j, None] - grid_x) / two_var
@@ -154,50 +143,40 @@ def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator], r
             # np.searchsorted(cdf_row, tail, side="left") for every row at once
             lo = (cdf < tail).sum(axis=1)
             hi = (cdf < 1.0 - tail).sum(axis=1)
-            stop = grid[hi] - grid[lo] <= first.success_resolution
+            stop = _GRID[hi] - _GRID[lo] <= first.success_resolution
             if stop.any():
                 ids = active[live[stop]]
                 steps[ids] = done + j + 1
                 completed[ids] = True
-                estimate[ids] = [probs[r] @ grid for r in np.flatnonzero(stop)]
-                used[live[stop]] = j + 1
+                estimate[ids] = [probs[r] @ _GRID for r in np.flatnonzero(stop)]
                 keep = ~stop
                 live, log_post, probs = live[keep], log_post[keep], probs[keep]
                 if not live.size:
                     break
-        for row, i in enumerate(active):
-            if used[row] < k:
-                rngs[i].bit_generator.state = states[row]
-                rngs[i].standard_normal(used[row])
-            if record_queries:
-                queries[i].extend((x, y) for y in ys[row, : used[row]].tolist())
         active = active[live]
         done += k
-    estimate[active] = [probs[r] @ grid for r in range(active.size)]
-    return steps, completed, estimate, queries
+    estimate[active] = [probs[r] @ _GRID for r in range(active.size)]
+    return steps, completed, estimate
 
 
 def _agent_traces(tasks, rngs) -> list[AgentTrace]:
     """One AgentTrace per task, from one lockstep run."""
-    steps, completed, estimate, queries = _lockstep(tasks, rngs, record_queries=True)
     return [
-        AgentTrace(queries=tuple(q), steps=int(s), final_estimate=float(e), completed=bool(c))
-        for s, c, e, q in zip(steps, completed, estimate, queries)
+        AgentTrace(steps=int(s), final_estimate=float(e), completed=bool(c))
+        for s, c, e in zip(*_lockstep(tasks, rngs))
     ]
 
 
 def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     """Run the Bayesian grid agent on one task. Deterministic given seed.
 
-    Every step queries the end of the query domain with the largest |x|,
-    ``query_low`` on a tie: with uniform costs that query has the largest
+    Every step's query is the end of the query domain with the largest |x|,
+    the low end on a tie: with uniform costs that query has the largest
     Gaussian-channel gain 0.5 * log2(1 + x^2 * v / s^2), v being the
     posterior variance of the slope.
 
     This is a batch of one on the lockstep engine. Step t's noise is the
-    t-th standard normal of ``np.random.default_rng(seed)``; a Generator
-    passed as ``seed`` is used in place and is left exactly one normal per
-    step further on.
+    t-th standard normal of ``np.random.default_rng(seed)``.
     """
     return _agent_traces([task], [np.random.default_rng(seed)])[0]
 
@@ -243,14 +222,14 @@ def _sweep_block(
     rngs = [rng_for(master_seed, level_index, t) for t in ids]
     tasks = [
         SlopeTask(
-            true_slope=float(rng.uniform(-2.0, 2.0)),
+            true_slope=float(rng.uniform(_GEOMETRY.theta_low, _GEOMETRY.theta_high)),
             noise_sigma=sigma,
             success_resolution=resolution,
             step_cap=step_cap,
         )
         for rng in rngs
     ]
-    steps, completed, estimate, _ = _lockstep(tasks, rngs, record_queries=False)
+    steps, completed, estimate = _lockstep(tasks, rngs)
     return [
         SweepTrialRow(sigma=sigma, trial=t, steps_actual=s, completed=c, final_error=abs(e - task.true_slope))
         for t, task, s, c, e in zip(ids, tasks, steps.tolist(), completed.tolist(), estimate.tolist())
@@ -270,10 +249,9 @@ def run_noise_sweep(
     Each trial draws its own hidden slope uniformly from the slope domain,
     then its noise, from ``rng_for(master_seed, level, trial)``. A level's
     trials run in lockstep blocks of SWEEP_BLOCK, which ``workers`` may
-    spread over processes; no per-step query is kept, so memory does not
-    grow with ``step_cap``. Capped (incomplete) runs contribute their step
-    count at the cap, which only raises the measured mean and never hides a
-    lower-bound violation.
+    spread over processes; memory does not grow with ``step_cap``. Capped
+    (incomplete) runs contribute their step count at the cap, which only
+    raises the measured mean and never hides a lower-bound violation.
     """
     levels = [float(s) for s in noise_levels]
     if len(levels) < 2:
@@ -286,7 +264,7 @@ def run_noise_sweep(
     level_rows: list[SweepLevelRow] = []
     trial_rows: list[SweepTrialRow] = []
     for li, sigma in enumerate(levels):
-        # EstimationTask's default domains are the slope task's
+        # the agent's geometry is EstimationTask's defaults
         task = EstimationTask(noise_variance=sigma**2, resolution=resolution)
         report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
         fn = partial(

@@ -46,6 +46,10 @@ FAMILIES = ("deterministic", "exponential", "uniform", "truncated-gaussian")
 #: Hard per-trial step limit guarding misconfigured specs.
 STEP_CAP = 10**7
 
+#: Most steps a whole run may expect by the upper cost bound, summed over its
+#: trials; the ``bounds`` command refuses a larger run before simulating any.
+MAX_TOTAL_STEPS = 10**9
+
 #: Trials per block in run_trials; each block draws from one generator.
 TRIAL_BLOCK = 1024
 

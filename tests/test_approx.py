@@ -1,4 +1,4 @@
-"""Relaxed goal sets, their information geometry, and budget verdicts."""
+"""Relaxed goal sets and their information geometry."""
 
 import itertools
 import math
@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acp import (
-    INFINITE_COST,
     FiniteOptInstance,
     default_knapsack,
-    feasibility_at_accuracy,
     goal_set,
     information_vs_epsilon,
 )
@@ -117,40 +115,6 @@ class TestInformationCurve:
             information_vs_epsilon(inst, [0.1, 0.1])
         with pytest.raises(ValueError):
             information_vs_epsilon(inst, [0.2, 0.1])
-
-
-class TestFeasibility:
-    def test_below_hardness_threshold_is_sentinel(self):
-        inst = FiniteOptInstance(np.array([1.0, 2.0]))
-        v = feasibility_at_accuracy(inst, 0.3, step_bits=1.0, step_cost=1.0,
-                                    budget=1e15, inapprox_ratio=1.5)
-        assert v.c_eff == INFINITE_COST
-        assert v.solvable is False
-
-    def test_above_hardness_threshold_uses_goal_mass(self):
-        inst = FiniteOptInstance(np.array([1.0, 2.0]))
-        v = feasibility_at_accuracy(inst, 0.6, step_bits=1.0, step_cost=1.0,
-                                    budget=10.0, inapprox_ratio=1.5)
-        assert v.solvable is True
-
-    def test_full_mass_costs_nothing(self):
-        inst = FiniteOptInstance(np.array([1.0, 1.0, 1.0]))
-        v = feasibility_at_accuracy(inst, 0.0, step_bits=0.5, step_cost=2.0, budget=0.001)
-        assert v.p_goal == 1.0
-        assert v.c_eff == 0.0
-        assert v.solvable is True
-
-    def test_minimal_budget_nonincreasing_in_epsilon(self, knapsack):
-        # the smallest solvable budget equals c_eff itself
-        inst = knapsack.to_instance()
-        costs = [
-            feasibility_at_accuracy(inst, e, step_bits=1.0, step_cost=1.0, budget=1e9).c_eff
-            for e in EPS_LADDER
-        ]
-        assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
-        for eps, cost in zip(EPS_LADDER, costs):
-            assert feasibility_at_accuracy(inst, eps, 1.0, 1.0, budget=cost).solvable
-            assert not feasibility_at_accuracy(inst, eps, 1.0, 1.0, budget=cost * 0.999).solvable
 
 
 class TestKnapsackFamily:

@@ -103,6 +103,15 @@ class TestExitCodes:
         assert not out.exists() and not dump.exists()
         assert "overflows" in capsys.readouterr().err
 
+    def test_runaway_step_total_writes_nothing(self, tmp_path, capsys):
+        # 10^4 trials of about 10^6 expected steps each: refused before any trial runs
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
+        argv = ("bounds", "--family", "exponential", "--mu-inf", "1e-5", "--i-total", "10",
+                "--trials", "10000", "--out", str(out), "--dump-trials", str(dump))
+        assert _run(*argv) == 2
+        assert not out.exists() and not dump.exists()
+        assert "1e+10 steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
