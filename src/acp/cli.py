@@ -23,7 +23,7 @@ import csv
 import itertools
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -107,15 +107,6 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     ),
 }
 
-_DEFAULT_OUT = {
-    "bounds": "bounds.csv",
-    "slope": "slope.csv",
-    "coloring": "coloring.csv",
-    "estimate": "estimate.csv",
-    "approx": "approx.csv",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -172,7 +163,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
         if given is not None:
             merged[dest] = given
     if merged.get("out") is None:
-        merged["out"] = _DEFAULT_OUT[args.command]
+        merged["out"] = f"{args.command}.csv"
     if merged["seed"] < 0:
         raise ValueError("--seed must be non-negative")
     if merged["workers"] < 1:
@@ -227,23 +218,13 @@ def _summary_path(out: str) -> str:
 
 
 def _build_gain_spec(o: dict) -> stopping.GainSequenceSpec:
-    prefix, tail = tuple(o["mu"]), o["mu_inf"]
-    family = o["family"]
-    if family == "deterministic":
-        spec = stopping.GainSequenceSpec.deterministic(prefix, tail)
-    elif family == "exponential":
-        spec = stopping.GainSequenceSpec.exponential(prefix, tail)
-    elif family == "uniform":
-        spec = stopping.GainSequenceSpec.uniform(prefix, tail)
-    else:
-        support = o["m"] if o["m"] is not None else 4.0 * (prefix[0] if prefix else tail)
-        spec = stopping.GainSequenceSpec.truncated_gaussian(prefix, tail, support, o["scale"])
-    overrides = {}
-    if o["m2"] is not None:
-        overrides["second_moment_bound"] = o["m2"]
-    if o["m"] is not None and family != "truncated-gaussian":
-        overrides["support_bound"] = o["m"]
-    return replace(spec, **overrides) if overrides else spec
+    prefix, tail, family = tuple(o["mu"]), o["mu_inf"], o["family"]
+    support, scale = o["m"], None
+    if family == "truncated-gaussian":
+        support = support if support is not None else 4.0 * (prefix[0] if prefix else tail)
+        scale = o["scale"]
+    # a None M2 or M is the family's exact value
+    return stopping.GainSequenceSpec(prefix, tail, family, o["m2"], support, scale)
 
 
 def run_bounds(o: dict) -> int:

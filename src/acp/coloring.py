@@ -409,7 +409,7 @@ def run_campaign(
 ) -> CampaignReport:
     """Full benchmark: generate, filter, solve with all agents, aggregate.
 
-    Each config row is (n, p, k, instance_count) with instance_count >= 50.
+    Each config row is (n, p, k, instance_count) with k >= 2 and instance_count >= 50.
     Bound violations count feasible runs of the acp agent whose expansions
     fell below the predicted cost; the expected value is zero.
     """
@@ -417,6 +417,8 @@ def run_campaign(
     for n, p, k, count in configs:
         if count < 50:
             raise ValueError("instance_count must be at least 50 per config")
+        if k < 2:
+            raise ValueError("k must be at least 2")
 
     summaries: list[ConfigSummary] = []
     records: list[InstanceRecord] = []

@@ -7,7 +7,10 @@ The estimation pipeline sizes up a task before any real query is spent:
   2. estimate the information yield of each candidate action by drawing
      (hypothesis, outcome) pairs from the grid's own predictive, re-scoring
      the grid posterior and coarsening it to the same bins,
-  3. divide total bits by per-step bits and multiply by the cost per action.
+  3. divide total bits by per-step bits; every action costs 1.
+
+The task's fixed geometry is module constants (THETA_DOMAIN, ACTION_GRID);
+``EstimationTask`` holds only what varies.
 
 One error source is tracked explicitly: Monte Carlo noise in the gain
 estimates, as a Hoeffding deviation bound. It is folded into a first-order
@@ -30,6 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import INFINITE_COST, effective_cost, entropy_bits, solvability_verdict
+
+#: The identification task's hypothesis (slope) and query domains.
+THETA_DOMAIN = (-2.0, 2.0)
+ACTION_DOMAIN = (-3.0, 3.0)
+#: Candidate queries of the estimator, evenly spaced over ACTION_DOMAIN.
+ACTION_GRID = np.linspace(*ACTION_DOMAIN, 61)
+ACTION_GRID.setflags(write=False)
+#: Share of the best candidate queries averaged into the per-step gain.
+TOP_FRACTION = 0.25
+#: Failure probability of the Hoeffding bound on the gain estimate.
+MC_DELTA = 0.05
 
 #: Per-step gains below this are treated as "no progress": the task is
 #: reported unsolvable instead of dividing by a vanishing estimate.
@@ -203,43 +217,25 @@ def monte_carlo_error(gain_ceiling: float, n_samples: int, delta: float) -> floa
 class EstimationTask:
     """Configuration of a 1D identification task for cost estimation.
 
-    The hypothesis lives on [theta_low, theta_high], queries on
-    [action_low, action_high]; observations are theta * action plus
-    Gaussian noise. ``resolution`` defines when the hypothesis counts
-    as identified. ``top_fraction`` controls how many of the best actions
-    are averaged into the per-step gain.
+    The hypothesis lives on THETA_DOMAIN, on a grid of ``theta_grid_size``
+    points; queries are the points of ACTION_GRID. Observations are
+    theta * action plus Gaussian noise of variance ``noise_variance``.
+    ``resolution`` defines when the hypothesis counts as identified.
     """
 
-    theta_low: float = -2.0
-    theta_high: float = 2.0
-    action_low: float = -3.0
-    action_high: float = 3.0
     noise_variance: float = 0.25
     resolution: float = 0.1
-    cost_per_action: float = 1.0
     theta_grid_size: int = 401
-    action_grid_size: int = 61
-    top_fraction: float = 0.25
     n_outcome_samples: int = 64
-    mc_delta: float = 0.05
 
     def __post_init__(self) -> None:
-        if not self.theta_high > self.theta_low:
-            raise ValueError("theta domain is empty")
-        if not self.action_high > self.action_low:
-            raise ValueError("action domain is empty")
         if not 0 < self.noise_variance < math.inf:
             raise ValueError("noise_variance must be positive and finite")
-        if not 0 < self.resolution < (self.theta_high - self.theta_low):
+        if not 0 < self.resolution < THETA_DOMAIN[1] - THETA_DOMAIN[0]:
             raise ValueError("resolution must be inside the theta domain width")
-        if not 0 < self.top_fraction <= 1:
-            raise ValueError("top_fraction must lie in (0, 1]")
 
     def hypothesis_grid(self) -> HypothesisGrid:
-        return HypothesisGrid.uniform(self.theta_low, self.theta_high, self.theta_grid_size)
-
-    def action_grid(self) -> np.ndarray:
-        return np.linspace(self.action_low, self.action_high, self.action_grid_size)
+        return HypothesisGrid.uniform(*THETA_DOMAIN, self.theta_grid_size)
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
     ``task.n_outcome_samples`` pairs drawn from the grid's own predictive:
     theta from the grid prior and y = theta * x + noise. The same draws
     serve every action (common random numbers). Per-step information is the
-    mean gain over the top ``task.top_fraction`` of the action grid, and
+    mean gain over the top TOP_FRACTION of ACTION_GRID, and
     ``mc_error_bits`` is the Hoeffding bound for gains in [0, total_bits].
 
     If the per-step estimate is below MIN_STEP_BITS the task is reported
@@ -275,22 +271,21 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
     if task.n_outcome_samples < 16:
         raise ValueError("n_outcome_samples must be at least 16")
     grid = task.hypothesis_grid()
-    width = task.theta_high - task.theta_low
+    width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
     total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
 
     rng = np.random.default_rng(seed)
     thetas = rng.choice(grid.values, size=task.n_outcome_samples, p=grid.probabilities)
     noise = math.sqrt(task.noise_variance) * rng.standard_normal(task.n_outcome_samples)
-    actions = task.action_grid()
-    gains = np.empty(actions.size)
-    for i, x in enumerate(actions):
+    gains = np.empty(ACTION_GRID.size)
+    for i, x in enumerate(ACTION_GRID):
         post = _grid_posteriors(grid, grid.values * x, thetas * x + noise, task.noise_variance)
         binned = _bin_masses(post, task.resolution, width)
         gains[i] = total_bits - entropy_bits(binned, axis=1).mean()
-    n_top = max(1, math.ceil(task.top_fraction * actions.size))
+    n_top = math.ceil(TOP_FRACTION * ACTION_GRID.size)
     step_bits = float(np.sort(gains)[-n_top:].mean())
 
-    mc_err = monte_carlo_error(total_bits, task.n_outcome_samples, task.mc_delta)
+    mc_err = monte_carlo_error(total_bits, task.n_outcome_samples, MC_DELTA)
 
     if step_bits < MIN_STEP_BITS:
         return EstimationReport(
@@ -303,9 +298,9 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
             solvable=False,
         )
 
-    cost = effective_cost(total_bits, step_bits, task.cost_per_action)
+    cost = effective_cost(total_bits, step_bits, 1.0)
     # first-order margin from the step-bits error alone; total_bits is exact
-    margin = task.cost_per_action * (total_bits * mc_err / step_bits**2)
+    margin = total_bits * mc_err / step_bits**2
     return EstimationReport(
         total_bits=total_bits,
         step_bits=step_bits,

@@ -11,16 +11,17 @@ gain 0.5 * log2(1 + x^2 * v / sigma^2) grows with |x| while the posterior
 variance v is positive. The agent's query is therefore always the end of
 the query domain with the largest |x|, -3.
 
-The slope and query domains and the slope grid are ``EstimationTask``'s
-defaults, the geometry ``run_noise_sweep`` prices its predictions on, so the
-agent and its prediction are stated once.
+The slope and query domains are the estimator's ``gp.THETA_DOMAIN`` and
+``gp.ACTION_DOMAIN`` and the slope grid is its default hypothesis grid, the
+geometry ``run_noise_sweep`` prices its predictions on, so the agent and its
+prediction are stated once.
 
-One engine runs the agent: ``_lockstep`` advances a batch of tasks that
-differ only in their hidden slope together, one row of a (trials, grid)
-log-posterior per task, and drops each row when its task finishes. Every
-row does the arithmetic of a one-trial loop and every task draws its noise
-from its own generator, so a task's trace does not depend on which tasks
-share its batch. ``run_slope_agent`` is a batch of one.
+One engine runs the agent: ``_lockstep`` advances a batch of hidden slopes
+that share a noise level, resolution and step cap together, one row of a
+(trials, grid) log-posterior per slope, and drops each row when its trial
+finishes. Every row does the arithmetic of a one-trial loop and every trial
+draws its noise from its own generator, so a trial's trace does not depend
+on which trials share its batch. ``run_slope_agent`` is a batch of one.
 
 ``run_noise_sweep`` pairs the agent's empirical step counts with the
 a-priori predictions from the estimation pipeline, per noise level. The
@@ -32,13 +33,12 @@ the task harder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
-from .gp import EstimationTask, a_priori_estimate
+from .gp import ACTION_DOMAIN, THETA_DOMAIN, EstimationTask, a_priori_estimate
 from .seeding import map_indexed, rng_for
 
 #: Default noise levels for the sweep.
@@ -46,11 +46,10 @@ DEFAULT_NOISE_LEVELS = (0.1, 0.3, 1.0, 3.0)
 
 _MIN_SIGMA = 1e-9
 
-#: The agent's geometry: the estimation pipeline's default domains and grid.
-_GEOMETRY = EstimationTask()
-_GRID = _GEOMETRY.hypothesis_grid().values
+#: The agent's slope grid: the estimation pipeline's default hypothesis grid.
+_GRID = np.linspace(*THETA_DOMAIN, EstimationTask.theta_grid_size)
 # the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
-_QUERY = float(max(_GEOMETRY.action_low, _GEOMETRY.action_high, key=abs))
+_QUERY = max(ACTION_DOMAIN, key=abs)
 #: Central posterior mass of the credible interval the agent stops on.
 CREDIBLE_MASS = 0.95
 
@@ -70,11 +69,11 @@ class SlopeTask:
     step_cap: int = 200
 
     def __post_init__(self) -> None:
-        if not _GEOMETRY.theta_low <= self.true_slope <= _GEOMETRY.theta_high:
+        if not THETA_DOMAIN[0] <= self.true_slope <= THETA_DOMAIN[1]:
             raise ValueError("true_slope must lie inside the slope domain")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and non-negative")
-        if not 0 < self.success_resolution < (_GEOMETRY.theta_high - _GEOMETRY.theta_low):
+        if not 0 < self.success_resolution < THETA_DOMAIN[1] - THETA_DOMAIN[0]:
             raise ValueError("success_resolution must be inside the slope domain width")
         if self.step_cap < 1:
             raise ValueError("step_cap must be positive")
@@ -95,44 +94,41 @@ NORMAL_ROUND = 64
 SWEEP_BLOCK = 25
 
 
-def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator]):
-    """Run the grid agent on tasks that differ only in true_slope, in lockstep.
+def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs):
+    """Run the grid agent on the hidden ``slopes`` in lockstep.
 
-    Row r of a (trials, grid) log-posterior is task r's posterior; all rows
+    Row r of a (trials, grid) log-posterior is slope r's posterior; all rows
     take each step together and a row is dropped once its credible width
-    reaches the resolution. Each row's arithmetic is the per-trial loop's:
+    reaches ``resolution``. Each row's arithmetic is the per-trial loop's:
     subtract the scaled squared residual, subtract the row max, exponentiate,
     normalise, then read the credible interval off the row's cumsum.
 
-    Task r's noise comes from ``rngs[r]`` alone, drawn NORMAL_ROUND normals
-    at a time (fewer in the round that reaches the cap), so step t uses the
-    t-th normal of its generator. A task that stops inside a round leaves its
-    generator past the normals it used.
+    Slope r's noise comes from ``rngs[r]`` alone, drawn NORMAL_ROUND normals
+    at a time (fewer in the round that reaches ``step_cap``), so step t uses
+    the t-th normal of its generator. A trial that stops inside a round
+    leaves its generator past the normals it used.
 
-    Returns (steps, completed, final_estimate): three arrays indexed by task.
+    Returns (steps, completed, final_estimate): three arrays indexed by slope.
     """
-    first = tasks[0]
-    if any(replace(t, true_slope=first.true_slope) != first for t in tasks):
-        raise ValueError("tasks in one batch may differ only in true_slope")
-    n = len(tasks)
+    slopes = np.asarray(slopes, dtype=float)
+    n = slopes.size
     grid_x = _GRID * _QUERY
-    two_var = 2.0 * max(first.noise_sigma, _MIN_SIGMA) ** 2
+    two_var = 2.0 * max(noise_sigma, _MIN_SIGMA) ** 2
     tail = (1.0 - CREDIBLE_MASS) / 2.0
-    slopes = np.array([t.true_slope for t in tasks])
 
-    steps = np.full(n, first.step_cap)  # a row that never stops hits the cap
+    steps = np.full(n, step_cap)  # a row that never stops hits the cap
     completed = np.zeros(n, dtype=bool)
     estimate = np.empty(n)
 
-    active = np.arange(n)  # task index of each log_post row
+    active = np.arange(n)  # slope index of each log_post row
     log_post = np.zeros((n, _GRID.size))
     done = 0
-    while active.size and done < first.step_cap:
-        k = min(NORMAL_ROUND, first.step_cap - done)
+    while active.size and done < step_cap:
+        k = min(NORMAL_ROUND, step_cap - done)
         noise = np.empty((active.size, k))
         for row, i in enumerate(active):
             rngs[i].standard_normal(out=noise[row])
-        ys = slopes[active, None] * _QUERY + first.noise_sigma * noise
+        ys = slopes[active, None] * _QUERY + noise_sigma * noise
         live = np.arange(active.size)  # round row of each log_post row
         for j in range(k):
             log_post -= np.square(ys[live, j, None] - grid_x) / two_var
@@ -143,7 +139,7 @@ def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator]):
             # np.searchsorted(cdf_row, tail, side="left") for every row at once
             lo = (cdf < tail).sum(axis=1)
             hi = (cdf < 1.0 - tail).sum(axis=1)
-            stop = _GRID[hi] - _GRID[lo] <= first.success_resolution
+            stop = _GRID[hi] - _GRID[lo] <= resolution
             if stop.any():
                 ids = active[live[stop]]
                 steps[ids] = done + j + 1
@@ -159,14 +155,6 @@ def _lockstep(tasks: Sequence[SlopeTask], rngs: Sequence[np.random.Generator]):
     return steps, completed, estimate
 
 
-def _agent_traces(tasks, rngs) -> list[AgentTrace]:
-    """One AgentTrace per task, from one lockstep run."""
-    return [
-        AgentTrace(steps=int(s), final_estimate=float(e), completed=bool(c))
-        for s, c, e in zip(*_lockstep(tasks, rngs))
-    ]
-
-
 def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     """Run the Bayesian grid agent on one task. Deterministic given seed.
 
@@ -178,7 +166,11 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     This is a batch of one on the lockstep engine. Step t's noise is the
     t-th standard normal of ``np.random.default_rng(seed)``.
     """
-    return _agent_traces([task], [np.random.default_rng(seed)])[0]
+    (steps,), (completed,), (estimate,) = _lockstep(
+        [task.true_slope], task.noise_sigma, task.success_resolution, task.step_cap,
+        [np.random.default_rng(seed)],
+    )
+    return AgentTrace(steps=int(steps), final_estimate=float(estimate), completed=bool(completed))
 
 
 @dataclass(frozen=True)
@@ -220,19 +212,11 @@ def _sweep_block(
 ) -> list[SweepTrialRow]:
     ids = range(block * SWEEP_BLOCK, min(trials, (block + 1) * SWEEP_BLOCK))
     rngs = [rng_for(master_seed, level_index, t) for t in ids]
-    tasks = [
-        SlopeTask(
-            true_slope=float(rng.uniform(_GEOMETRY.theta_low, _GEOMETRY.theta_high)),
-            noise_sigma=sigma,
-            success_resolution=resolution,
-            step_cap=step_cap,
-        )
-        for rng in rngs
-    ]
-    steps, completed, estimate = _lockstep(tasks, rngs)
+    slopes = [float(rng.uniform(*THETA_DOMAIN)) for rng in rngs]
+    steps, completed, estimate = _lockstep(slopes, sigma, resolution, step_cap, rngs)
     return [
-        SweepTrialRow(sigma=sigma, trial=t, steps_actual=s, completed=c, final_error=abs(e - task.true_slope))
-        for t, task, s, c, e in zip(ids, tasks, steps.tolist(), completed.tolist(), estimate.tolist())
+        SweepTrialRow(sigma=sigma, trial=t, steps_actual=s, completed=c, final_error=abs(e - a))
+        for t, a, s, c, e in zip(ids, slopes, steps.tolist(), completed.tolist(), estimate.tolist())
     ]
 
 
@@ -260,11 +244,12 @@ def run_noise_sweep(
         raise ValueError("noise levels must be positive and finite")
     if trials_per_level < 20:
         raise ValueError("trials_per_level must be at least 20")
+    if step_cap < 1:
+        raise ValueError("step_cap must be positive")
 
     level_rows: list[SweepLevelRow] = []
     trial_rows: list[SweepTrialRow] = []
     for li, sigma in enumerate(levels):
-        # the agent's geometry is EstimationTask's defaults
         task = EstimationTask(noise_variance=sigma**2, resolution=resolution)
         report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
         fn = partial(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -122,13 +122,8 @@ def _solve_trunc_loc(target_mean: float, scale: float, upper: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=16)
 def _solve_tg_table(keys: tuple[float, ...], scale: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct means, rows of (loc, cdf_at_0, cdf_at_support)), read-only.
-
-    Cached so that a factory-built spec solves each loc once: the factory
-    reads its second moment off this table and __post_init__ keeps it.
-    """
+    """(sorted distinct means, rows of (loc, cdf_at_0, cdf_at_support))."""
     rows = []
     for m in keys:
         loc = _solve_trunc_loc(m, scale, upper)
@@ -136,10 +131,7 @@ def _solve_tg_table(keys: tuple[float, ...], scale: float, upper: float) -> tupl
         if cdf_hi - cdf_lo < 1e-10:
             raise ValueError(_TOO_EXTREME)
         rows.append((loc, cdf_lo, cdf_hi))
-    table = (np.array(keys), np.array(rows))
-    for array in table:
-        array.flags.writeable = False
-    return table
+    return np.array(keys), np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -147,9 +139,13 @@ class GainSequenceSpec:
     """Distributional description of the per-step gains.
 
     ``mean_prefix`` holds the leading means explicitly; every later step
-    uses ``mean_tail``. ``second_moment_bound`` is the caller's M2 >=
-    sup E[X_i^2] used in the bound formulas. ``support_bound`` is the
-    almost-sure upper bound M for the bounded families.
+    uses ``mean_tail``. ``second_moment_bound`` is the M2 >= sup E[X_i^2]
+    used in the bound formulas. ``support_bound`` is the almost-sure upper
+    bound M for the bounded families. Left as None, each is the family's
+    exact value: M2 is mu_1^2, 2 mu_1^2 or 4 mu_1^2 / 3 for the
+    deterministic, exponential and uniform families and the largest second
+    moment over the truncated-gaussian's means; M is mu_1 for the
+    deterministic family and 2 mu_1 for the uniform one.
 
     Families and their per-step laws at mean m:
       deterministic       X = m exactly
@@ -158,14 +154,12 @@ class GainSequenceSpec:
       truncated-gaussian  X ~ Normal(loc, noise_scale^2) truncated to
                           [0, support_bound], loc solved so the truncated
                           mean is exactly m
-
-    Prefer the factory classmethods, which fill in exact moments.
     """
 
     mean_prefix: tuple[float, ...]
     mean_tail: float
     family: str
-    second_moment_bound: float
+    second_moment_bound: float | None = None
     support_bound: float | None = None
     noise_scale: float | None = None
 
@@ -173,6 +167,23 @@ class GainSequenceSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "mean_prefix", tuple(float(m) for m in self.mean_prefix))
+        mu1 = float(self.mean_first)
+        if self.family == "truncated-gaussian":
+            # checked first: the loc solve needs a finite positive window and scale
+            support, scale = self.support_bound, self.noise_scale
+            if not all(v is not None and 0 < v < math.inf for v in (support, scale)):
+                raise ValueError("truncated-gaussian needs a finite positive support_bound and noise_scale")
+            keys = tuple(sorted(set(self.mean_prefix) | {float(self.mean_tail)}))
+            table = _solve_tg_table(keys, scale, support)
+            object.__setattr__(self, "_tg_table", table)
+            m2 = max(_trunc_norm_stats(loc, scale, support)[1] for loc in table[1][:, 0].tolist())
+        else:
+            sq = mu1**2
+            m2 = {"deterministic": sq, "exponential": 2.0 * sq, "uniform": 4.0 * sq / 3.0}[self.family]
+        if self.second_moment_bound is None:
+            object.__setattr__(self, "second_moment_bound", m2)
+        if self.support_bound is None and self.family in ("deterministic", "uniform"):
+            object.__setattr__(self, "support_bound", mu1 if self.family == "deterministic" else 2.0 * mu1)
         means = list(self.mean_prefix) + [self.mean_tail]
         if not all(math.isfinite(m) for m in means):
             raise ValueError("all means must be finite")
@@ -187,18 +198,8 @@ class GainSequenceSpec:
             raise ValueError("mean sequence must be non-increasing")
         if self.second_moment_bound < self.mean_first**2 - 1e-12:
             raise ValueError("second_moment_bound must be at least mu_1^2")
-        if self.family == "uniform":
-            if self.support_bound is None or self.support_bound < 2.0 * self.mean_first - 1e-12:
-                raise ValueError("uniform family needs support_bound >= 2 * mu_1")
-        if self.family == "truncated-gaussian":
-            if self.support_bound is None or self.support_bound <= 0:
-                raise ValueError("truncated-gaussian family needs a positive support_bound")
-            if self.noise_scale is None or self.noise_scale <= 0:
-                raise ValueError("truncated-gaussian family needs a positive noise_scale")
-            if any(m >= self.support_bound for m in means):
-                raise ValueError("means must lie strictly below support_bound")
-            keys = tuple(sorted(set(self.mean_prefix) | {float(self.mean_tail)}))
-            object.__setattr__(self, "_tg_table", _solve_tg_table(keys, self.noise_scale, self.support_bound))
+        if self.family == "uniform" and self.support_bound < 2.0 * self.mean_first - 1e-12:
+            raise ValueError("uniform family needs support_bound >= 2 * mu_1")
         if self.support_bound is not None and any(m > self.support_bound + 1e-12 for m in means):
             raise ValueError("means cannot exceed support_bound")
 
@@ -206,18 +207,15 @@ class GainSequenceSpec:
 
     @classmethod
     def deterministic(cls, mean_prefix: Sequence[float] = (), mean_tail: float = 1.0) -> "GainSequenceSpec":
-        mu1 = float(mean_prefix[0]) if len(mean_prefix) else float(mean_tail)
-        return cls(tuple(mean_prefix), mean_tail, "deterministic", mu1**2, support_bound=mu1)
+        return cls(tuple(mean_prefix), mean_tail, "deterministic")
 
     @classmethod
     def exponential(cls, mean_prefix: Sequence[float] = (), mean_tail: float = 1.0) -> "GainSequenceSpec":
-        mu1 = float(mean_prefix[0]) if len(mean_prefix) else float(mean_tail)
-        return cls(tuple(mean_prefix), mean_tail, "exponential", 2.0 * mu1**2)
+        return cls(tuple(mean_prefix), mean_tail, "exponential")
 
     @classmethod
     def uniform(cls, mean_prefix: Sequence[float] = (), mean_tail: float = 1.0) -> "GainSequenceSpec":
-        mu1 = float(mean_prefix[0]) if len(mean_prefix) else float(mean_tail)
-        return cls(tuple(mean_prefix), mean_tail, "uniform", 4.0 * mu1**2 / 3.0, support_bound=2.0 * mu1)
+        return cls(tuple(mean_prefix), mean_tail, "uniform")
 
     @classmethod
     def truncated_gaussian(
@@ -227,14 +225,7 @@ class GainSequenceSpec:
         support_bound: float = 4.0,
         noise_scale: float = 0.5,
     ) -> "GainSequenceSpec":
-        # checked here because _solve_trunc_loc runs before __post_init__
-        if not (0 < support_bound < math.inf and 0 < noise_scale < math.inf):
-            raise ValueError("truncated-gaussian needs a finite positive support_bound and noise_scale")
-        keys = tuple(sorted({float(m) for m in mean_prefix} | {float(mean_tail)}))
-        # __post_init__ asks for the same table and gets this solve back from the cache
-        _, table = _solve_tg_table(keys, noise_scale, support_bound)
-        m2 = max(_trunc_norm_stats(loc, noise_scale, support_bound)[1] for loc in table[:, 0].tolist())
-        return cls(tuple(mean_prefix), mean_tail, "truncated-gaussian", m2, support_bound, noise_scale)
+        return cls(tuple(mean_prefix), mean_tail, "truncated-gaussian", None, support_bound, noise_scale)
 
     # -- structure -------------------------------------------------------
 

@@ -112,6 +112,14 @@ class TestExitCodes:
         assert not out.exists() and not dump.exists()
         assert "1e+10 steps" in capsys.readouterr().err
 
+    def test_single_color_writes_nothing(self, tmp_path, capsys):
+        # refused before any graph is drawn; the search for a 1-colorable G(10, 0.3) would not end
+        out = tmp_path / "c.csv"
+        argv = ("coloring", "--n", "10", "--p", "0.3", "--k", "1", "--instances", "50", "--out", str(out))
+        assert _run(*argv) == 2
+        assert not out.exists() and not (tmp_path / "c_summary.csv").exists()
+        assert "k must be at least 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -230,6 +238,26 @@ class TestDeterminism:
         assert hashlib.sha256(_read(dump)).hexdigest() == (
             "b9aef3378a6b16a6c5b186e04eedd0f8caadc06359425c6295e5b6f7dfa024c9"
         )
+
+    @pytest.mark.parametrize(
+        "family, overrides, row, n_delta",
+        [
+            ("uniform", (), b"10.000000,25.333333,19.018000,500,0.131780,true\n", 66),
+            ("uniform", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.018000,500,0.131780,true\n", 85),
+            ("deterministic", (), b"10.000000,24.000000,19.000000,500,0.000000,true\n", 37),
+            ("deterministic", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.000000,500,0.000000,true\n", 85),
+            ("truncated-gaussian", (), b"10.000000,24.249866,18.988000,500,0.096303,true\n", 160),
+            ("truncated-gaussian", ("--m", "5", "--m2", "9"),
+             b"10.000000,29.000000,18.988000,500,0.096303,true\n", 85),
+        ],
+    )
+    def test_bounds_family_bytes_are_pinned(self, tmp_path, capsys, family, overrides, row, n_delta):
+        # the upper bound reads M2 and the step budget reads M: exact family values or the overrides
+        out = tmp_path / "b.csv"
+        assert _run("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "20",
+                    "--trials", "500", "--seed", "3", *overrides, "--out", str(out)) == 0
+        assert _read(out) == b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n" + row
+        assert f"steps for completion w.p. 95.00%: {n_delta}\n" in capsys.readouterr().out
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"

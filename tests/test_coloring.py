@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acp.coloring
 from acp import (
     AGENT_KINDS,
     ColoringInstance,
@@ -279,6 +280,16 @@ class TestCampaign:
     def test_requires_fifty_instances(self):
         with pytest.raises(ValueError):
             run_campaign(configs=((8, 0.25, 3, 10),), master_seed=0)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_rejects_fewer_than_two_colors_before_generating(self, monkeypatch, k):
+        # one color fits only edgeless graphs, which G(10, 0.3) almost never draws
+        def no_graphs(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(acp.coloring, "gen_erdos_renyi", no_graphs)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, k, 50)), master_seed=0)
 
     def test_parallel_matches_serial(self):
         serial = run_campaign(configs=((8, 0.25, 3, 50),), master_seed=2, workers=1)

@@ -18,6 +18,7 @@ from acp import (
     information_gain,
     monte_carlo_error,
 )
+from acp.gp import ACTION_GRID, MC_DELTA, THETA_DOMAIN, TOP_FRACTION
 
 SLOPE_PRIOR_VAR = 4.0 / 3.0  # variance of a uniform slope on [-2, 2]
 
@@ -49,7 +50,7 @@ def quadrature_step_bits(task: EstimationTask) -> float:
     grid = task.hypothesis_grid()
     theta, prior = grid.values, grid.probabilities
     sigma = math.sqrt(task.noise_variance)
-    n_bins = round((task.theta_high - task.theta_low) / task.resolution)
+    n_bins = round((THETA_DOMAIN[1] - THETA_DOMAIN[0]) / task.resolution)
     onehot = np.zeros((theta.size, n_bins))
     onehot[np.arange(theta.size), (np.arange(theta.size) * n_bins) // theta.size] = 1.0
 
@@ -59,14 +60,14 @@ def quadrature_step_bits(task: EstimationTask) -> float:
 
     total = bits(prior @ onehot)
     gains = []
-    for x in task.action_grid():
+    for x in ACTION_GRID:
         mean = theta * x
         y = np.arange(mean.min() - 9 * sigma, mean.max() + 9 * sigma, sigma / 4)
         joint = np.exp(-((y[:, None] - mean[None, :]) ** 2) / (2 * sigma**2)) * prior
         marginal = joint.sum(axis=1)
         weights = marginal / marginal.sum()
         gains.append(total - weights @ bits((joint / marginal[:, None]) @ onehot))
-    n_top = math.ceil(task.top_fraction * len(gains))
+    n_top = math.ceil(TOP_FRACTION * len(gains))
     return float(np.mean(sorted(gains)[-n_top:]))
 
 
@@ -164,9 +165,8 @@ class TestAPrioriEstimate:
     def test_formula_chain(self):
         task = slope_task(0.5)
         report = a_priori_estimate(task, budget=100.0, seed=0)
-        assert report.cost_predicted == pytest.approx(
-            report.total_bits / report.step_bits * task.cost_per_action
-        )
+        # every action costs 1
+        assert report.cost_predicted == pytest.approx(report.total_bits / report.step_bits)
         assert report.predicted_steps == math.ceil(report.total_bits / report.step_bits)
         assert report.total_bits == pytest.approx(math.log2(40.0), abs=1e-3)
 
@@ -191,13 +191,8 @@ class TestAPrioriEstimate:
         assert a == b
 
     def test_vanishing_gain_yields_sentinel(self):
-        # queries confined to x ~ 0 carry almost no information about the slope
-        task = EstimationTask(
-            action_low=-1e-9,
-            action_high=1e-9,
-            noise_variance=1.0,
-            resolution=0.1,
-        )
+        # under overwhelming noise no query carries information about the slope
+        task = EstimationTask(noise_variance=1e12, resolution=0.1)
         report = a_priori_estimate(task, budget=1e12, seed=0)
         assert report.solvable is False
         assert report.cost_predicted == INFINITE_COST
@@ -212,7 +207,7 @@ class TestAPrioriEstimate:
         task = slope_task(0.5)
         report = a_priori_estimate(task, budget=math.inf, seed=0)
         assert report.mc_error_bits == monte_carlo_error(
-            report.total_bits, task.n_outcome_samples, task.mc_delta
+            report.total_bits, task.n_outcome_samples, MC_DELTA
         )
 
     @settings(max_examples=25, deadline=None)

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
-from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _agent_traces
+from acp.gp import ACTION_DOMAIN, THETA_DOMAIN
+from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _lockstep
 
 
 def _reference_run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
@@ -116,11 +117,15 @@ class TestLockstepEngine:
 
     @staticmethod
     def _check(slopes, sigma, resolution, step_cap, seeds):
+        rngs = [np.random.default_rng(s) for s in seeds]
+        traces = [
+            AgentTrace(steps=int(s), final_estimate=float(e), completed=bool(c))
+            for s, c, e in zip(*_lockstep(slopes, sigma, resolution, step_cap, rngs))
+        ]
         tasks = [
             SlopeTask(true_slope=a, noise_sigma=sigma, success_resolution=resolution, step_cap=step_cap)
             for a in slopes
         ]
-        traces = _agent_traces(tasks, [np.random.default_rng(s) for s in seeds])
         assert traces == [_reference_run_slope_agent(t, s) for t, s in zip(tasks, seeds)]
         return traces
 
@@ -158,11 +163,6 @@ class TestLockstepEngine:
         traces = self._check([-1.34, -1.8, -1.94], 0.6, 0.1, 200, [33, 10, 3])
         assert [t.steps for t in traces] == [63, 64, 65]
 
-    def test_rejects_mixed_batch(self):
-        tasks = [SlopeTask(true_slope=0.0, noise_sigma=1.0), SlopeTask(true_slope=0.0, noise_sigma=2.0)]
-        with pytest.raises(ValueError, match="true_slope"):
-            _agent_traces(tasks, [np.random.default_rng(0), np.random.default_rng(1)])
-
 
 @pytest.fixture(scope="module")
 def small_sweep():
@@ -193,6 +193,10 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=5)
 
+    def test_rejects_nonpositive_step_cap(self):
+        with pytest.raises(ValueError, match="step_cap must be positive"):
+            run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=20, step_cap=0)
+
     def test_parallel_matches_serial(self):
         serial = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=1)
         parallel = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=2)
@@ -205,10 +209,10 @@ class TestPredictionTask:
             EstimationTask(noise_variance=0.0)
 
     def test_matches_slope_geometry(self):
-        # the agent's geometry, hard-coded in the reference above, is EstimationTask's defaults
+        # the agent's geometry, hard-coded in the reference above, is the estimator's
         task = EstimationTask(noise_variance=0.5**2)
-        assert (task.theta_low, task.theta_high) == (-2.0, 2.0)
-        assert max(task.action_low, task.action_high, key=abs) == -3.0
+        assert THETA_DOMAIN == (-2.0, 2.0)
+        assert max(ACTION_DOMAIN, key=abs) == -3.0
         assert task.theta_grid_size == 401
         assert CREDIBLE_MASS == 0.95
         assert task.noise_variance == pytest.approx(0.25)

@@ -183,7 +183,6 @@ class TestTruncatedGaussianMoments:
             return _solve_trunc_loc(mean, scale, upper)
 
         monkeypatch.setattr(stopping, "_solve_trunc_loc", counting)
-        stopping._solve_tg_table.cache_clear()
         spec = GainSequenceSpec.truncated_gaussian((2.0, 1.5, 1.5), 0.7, 4.0, 0.45)
         assert sorted(solved) == [0.7, 1.5, 2.0]
         # the second moment is read off the same table the sampler uses
