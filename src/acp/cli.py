@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -187,26 +186,32 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-#: %-formats that give _format_cell's text for cells of exactly these types
-_NUMBER_FORMATS = {float: "%.6f", int: "%d"}
-
-
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> None:
     """Deterministic CSV: LF newlines, '.' decimal point, 6-decimal reals.
 
-    A run of rows whose cells are all plain floats and ints, in the same
-    type order, is written with one %-template; their text never needs
-    quoting. Every other row goes through csv.writer and _format_cell.
+    ``rows`` is a list of rows, each written through csv.writer and
+    _format_cell, or a numpy structured array whose fields are all integer
+    or float kinds. The latter is written column by column: each field is
+    converted to Python numbers once and every row goes through one
+    %-template (%d or %.6f per field), giving _format_cell's text, which
+    never needs quoting. A field of any other kind raises TypeError before
+    the file is opened.
     """
+    columns = None
+    if isinstance(rows, np.ndarray) and rows.dtype.names:
+        fields = rows.dtype.names
+        kinds = [rows.dtype[name].kind for name in fields]
+        if any(kind not in "iuf" for kind in kinds):
+            raise TypeError(f"structured rows need integer or float fields, got dtype {rows.dtype}")
+        template = ",".join("%.6f" if kind == "f" else "%d" for kind in kinds) + "\n"
+        columns = [rows[name].tolist() for name in fields]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for kinds, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
-            if all(kind in _NUMBER_FORMATS for kind in kinds):
-                template = ",".join(_NUMBER_FORMATS[kind] for kind in kinds) + "\n"
-                fh.writelines(template % tuple(row) for row in run)
-            else:
-                writer.writerows([_format_cell(cell) for cell in row] for row in run)
+        if columns is None:
+            writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+        else:
+            fh.writelines(map(template.__mod__, zip(*columns)))
 
 
 def _summary_path(out: str) -> str:
@@ -252,9 +257,8 @@ def run_bounds(o: dict) -> int:
         write_csv(
             o["dump_trials"],
             ["trial_id", "n_steps", "s_n", "overshoot"],
-            # tolist() gives Python int/float cells, which write_csv formats with one template
-            list(zip(range(len(trials)), trials.n_steps.tolist(), trials.accumulated.tolist(),
-                     trials.overshoot.tolist())),
+            np.rec.fromarrays((np.arange(len(trials)), trials.n_steps, trials.accumulated, trials.overshoot),
+                              names="trial_id,n_steps,s_n,overshoot"),
         )
     print(f"{o['family']} gains, target {o['i_total']} bits, {report.n_trials} trials")
     print(f"  bounds      [{report.lower:.4f}, {report.upper:.4f}]")

@@ -168,6 +168,10 @@ class GainSequenceSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "mean_prefix", tuple(float(m) for m in self.mean_prefix))
         mu1 = float(self.mean_first)
+        try:
+            sq = mu1**2
+        except OverflowError:  # |mu_1| above about 1.3e154: the M2 checks below reject the inf
+            sq = math.inf
         if self.family == "truncated-gaussian":
             # checked first: the loc solve needs a finite positive window and scale
             support, scale = self.support_bound, self.noise_scale
@@ -178,7 +182,6 @@ class GainSequenceSpec:
             object.__setattr__(self, "_tg_table", table)
             m2 = max(_trunc_norm_stats(loc, scale, support)[1] for loc in table[1][:, 0].tolist())
         else:
-            sq = mu1**2
             m2 = {"deterministic": sq, "exponential": 2.0 * sq, "uniform": 4.0 * sq / 3.0}[self.family]
         if self.second_moment_bound is None:
             object.__setattr__(self, "second_moment_bound", m2)
@@ -196,7 +199,7 @@ class GainSequenceSpec:
             raise ValueError("all means must be positive")
         if any(means[i] < means[i + 1] - 1e-12 for i in range(len(means) - 1)):
             raise ValueError("mean sequence must be non-increasing")
-        if self.second_moment_bound < self.mean_first**2 - 1e-12:
+        if self.second_moment_bound < sq - 1e-12:
             raise ValueError("second_moment_bound must be at least mu_1^2")
         if self.family == "uniform" and self.support_bound < 2.0 * self.mean_first - 1e-12:
             raise ValueError("uniform family needs support_bound >= 2 * mu_1")
@@ -361,6 +364,7 @@ def cost_bounds(spec: GainSequenceSpec, total_bits: float, step_cost: float) -> 
     Lower: step_cost * total_bits / mu_1 (best case, every step yields the
     initial expected gain). Upper: step_cost * (total_bits / mu_tail +
     M2 / mu_tail^2), the worst-case mean plus the overshoot allowance.
+    Raises ValueError when mu_tail^2 underflows to 0.
     """
     if not 0 < total_bits < math.inf:
         raise ValueError("total_bits must be positive and finite")
@@ -368,7 +372,10 @@ def cost_bounds(spec: GainSequenceSpec, total_bits: float, step_cost: float) -> 
         raise ValueError("step_cost must be positive and finite")
     lower = step_cost * total_bits / spec.mean_first
     tail = spec.mean_tail
-    upper = step_cost * (total_bits / tail + spec.second_moment_bound / tail**2)
+    try:
+        upper = step_cost * (total_bits / tail + spec.second_moment_bound / tail**2)
+    except ZeroDivisionError:
+        raise ValueError(f"mean_tail={tail!r} is too small: mean_tail^2 underflows to 0") from None
     return lower, upper
 
 

@@ -68,6 +68,12 @@ class TestExitCodes:
             ("--family", "exponential", "--delta", "1.5"),
             ("--family", "truncated-gaussian", "--scale", "inf"),
             ("--family", "truncated-gaussian", "--scale", "nan"),
+            # mu_1^2 overflows, or mu_tail^2 underflows to 0
+            ("--family", "exponential", "--mu-inf", "1e200"),
+            ("--family", "deterministic", "--mu-inf", "1e200"),
+            ("--mu", "1e200", "--mu-inf", "1"),
+            ("--mu-inf", "1e-200"),
+            ("--mu-inf", "1e-200", "--m2", "1"),
         ],
     )
     def test_bad_bounds_config_writes_nothing(self, tmp_path, capsys, flags):
@@ -240,24 +246,33 @@ class TestDeterminism:
         )
 
     @pytest.mark.parametrize(
-        "family, overrides, row, n_delta",
+        "family, overrides, row, n_delta, dump_sha",
         [
-            ("uniform", (), b"10.000000,25.333333,19.018000,500,0.131780,true\n", 66),
-            ("uniform", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.018000,500,0.131780,true\n", 85),
-            ("deterministic", (), b"10.000000,24.000000,19.000000,500,0.000000,true\n", 37),
-            ("deterministic", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.000000,500,0.000000,true\n", 85),
-            ("truncated-gaussian", (), b"10.000000,24.249866,18.988000,500,0.096303,true\n", 160),
+            ("uniform", (), b"10.000000,25.333333,19.018000,500,0.131780,true\n", 66,
+             "5f26615904e7ec4cd5fd9d7fa510798c8d41fefd18a1a41b5151f99c6494342d"),
+            ("uniform", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.018000,500,0.131780,true\n", 85,
+             "5f26615904e7ec4cd5fd9d7fa510798c8d41fefd18a1a41b5151f99c6494342d"),
+            ("deterministic", (), b"10.000000,24.000000,19.000000,500,0.000000,true\n", 37,
+             "08e5cda0b266f97a277bff1056b487953338c1cfccf32aed9865290a3a6694c9"),
+            ("deterministic", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.000000,500,0.000000,true\n", 85,
+             "08e5cda0b266f97a277bff1056b487953338c1cfccf32aed9865290a3a6694c9"),
+            ("truncated-gaussian", (), b"10.000000,24.249866,18.988000,500,0.096303,true\n", 160,
+             "b2100b1a1262a96b2437de11173c95eb22a08a625d9c5e1da7a6062a3346db77"),
             ("truncated-gaussian", ("--m", "5", "--m2", "9"),
-             b"10.000000,29.000000,18.988000,500,0.096303,true\n", 85),
+             b"10.000000,29.000000,18.988000,500,0.096303,true\n", 85,
+             "854ea5c5d3e78a11aefde0ed5c06eb3212d41b43535d0687f8635f904416b508"),
         ],
     )
-    def test_bounds_family_bytes_are_pinned(self, tmp_path, capsys, family, overrides, row, n_delta):
-        # the upper bound reads M2 and the step budget reads M: exact family values or the overrides
-        out = tmp_path / "b.csv"
+    def test_bounds_family_bytes_are_pinned(self, tmp_path, capsys, family, overrides, row, n_delta, dump_sha):
+        # the upper bound reads M2 and the step budget reads M: exact family values or the overrides;
+        # the trial dump depends on M only for the truncated-gaussian, whose window it sets
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
         assert _run("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "20",
-                    "--trials", "500", "--seed", "3", *overrides, "--out", str(out)) == 0
+                    "--trials", "500", "--seed", "3", *overrides, "--out", str(out),
+                    "--dump-trials", str(dump)) == 0
         assert _read(out) == b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n" + row
         assert f"steps for completion w.p. 95.00%: {n_delta}\n" in capsys.readouterr().out
+        assert hashlib.sha256(_read(dump)).hexdigest() == dump_sha
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
@@ -379,6 +394,36 @@ class TestCsvWriter:
         writer.writerow(["h1", "h,2"])
         writer.writerows([_format_cell(cell) for cell in row] for row in rows)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    INT64 = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0]))
+    FLOAT64 = st.one_of(st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["i", "f"]), min_size=1, max_size=4).flatmap(
+            lambda kinds: st.tuples(
+                st.just(kinds),
+                st.lists(st.tuples(*[TestCsvWriter.INT64 if k == "i" else TestCsvWriter.FLOAT64
+                                     for k in kinds]), max_size=6),
+            )
+        )
+    )
+    def test_structured_rows_match_list_rows(self, tmp_path_factory, table):
+        kinds, rows = table
+        header = [f"c{j}" for j in range(len(kinds))]
+        dtype = [(name, np.int64 if k == "i" else np.float64) for name, k in zip(header, kinds)]
+        folder = tmp_path_factory.mktemp("typed")
+        write_csv(str(folder / "typed.csv"), header, np.array(rows, dtype=dtype))
+        write_csv(str(folder / "list.csv"), header, [list(row) for row in rows])
+        assert (folder / "typed.csv").read_bytes() == (folder / "list.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.bool_, "U3", object])
+    def test_structured_rows_reject_other_kinds(self, tmp_path, bad):
+        path = tmp_path / "typed.csv"
+        rows = np.zeros(2, dtype=[("n", np.int64), ("x", bad)])
+        with pytest.raises(TypeError):
+            write_csv(str(path), ["n", "x"], rows)
+        assert not path.exists()
 
     def test_lf_newlines_only(self, tmp_path):
         path = tmp_path / "nl.csv"
