@@ -1,11 +1,14 @@
 """Random-graph k-coloring benchmark with expansion accounting.
 
 Instances are Erdos-Renyi graphs; infeasible ones are filtered out by an
-exact oracle, a complete backtracking search over vertex bitmasks. It
-refutes a node as soon as some vertex has no color left, colors forced
-vertices before it branches, and tries only one unused color per vertex,
-since unused colors are interchangeable. None of these loses a coloring,
-so the oracle answers exactly.
+exact oracle on neighbor bitmasks. It first refutes any graph that holds a
+(k+1)-clique, which no k-coloring survives, and then runs a complete
+backtracking search over vertex bitmasks. The search refutes a node as soon
+as some vertex has no color left, colors forced vertices before it branches,
+and tries only one unused color per vertex, since unused colors are
+interchangeable. None of these loses a coloring, so the oracle answers
+exactly. The filter works on bare edge sets and builds a validated `Graph`
+only for the instances it keeps.
 
 Three agents solve each feasible instance with backtracking search plus
 forward checking, differing only in how they order vertices and colors:
@@ -121,21 +124,49 @@ def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
-    """G(n, p): each of the n(n-1)/2 edges appears independently with prob p."""
+def _check_gnp(n: int, p: float) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+
+
+def _gnp_edges(n: int, p: float, seed) -> tuple[tuple[int, int], ...]:
+    """The edges of G(n, p) in row-major order, for an n and p already checked."""
     pairs = _vertex_pairs(n)
     mask = np.random.default_rng(seed).random(len(pairs)) < p
-    return Graph(n, tuple(compress(pairs, mask.tolist())))
+    return tuple(compress(pairs, mask.tolist()))
+
+
+def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
+    """G(n, p): each of the n(n-1)/2 edges appears independently with prob p."""
+    _check_gnp(n, p)
+    return Graph(n, _gnp_edges(n, p, seed))
+
+
+def _has_clique(nbr: list[int], cand: int, r: int) -> bool:
+    """True if the vertex mask cand holds r pairwise adjacent vertices.
+
+    Each pass takes the lowest candidate v and looks for an (r-1)-clique
+    among its higher neighbors, so every clique is found from its lowest
+    vertex; a mask with fewer than r vertices left cannot hold one.
+    """
+    if r <= 1:
+        return cand.bit_count() >= r
+    while cand.bit_count() >= r:
+        bit = cand & -cand
+        cand ^= bit
+        if _has_clique(nbr, cand & nbr[bit.bit_length() - 1], r - 1):
+            return True
+    return False
 
 
 def is_k_colorable(graph: Graph, k: int) -> bool:
-    """Exact feasibility by complete backtracking over vertex bitmasks.
+    """Exact feasibility: refute a (k+1)-clique, then backtrack over vertex bitmasks.
 
-    Each color keeps the mask of uncolored vertices that may still take it,
+    No k-coloring survives k + 1 pairwise adjacent vertices, so a graph that
+    holds such a clique is refuted before any search. In the search, each
+    color keeps the mask of uncolored vertices that may still take it,
     so one pass over the k masks finds every vertex with no color left
     (the node is refuted) or exactly one (it is colored next, before any
     branching). Otherwise the search branches on the lowest uncolored
@@ -148,13 +179,20 @@ def is_k_colorable(graph: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n = graph.n
+    return _colorable(graph.n, graph.edges, k)
+
+
+def _colorable(n: int, edges, k: int) -> bool:
+    """`is_k_colorable` on a bare vertex count and edge list, for k >= 1."""
     if k >= n:  # one color per vertex
         return True
     nbr = [0] * n
-    for u, v in graph.edges:
+    for u, v in edges:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
+    everyone = (1 << n) - 1
+    if _has_clique(nbr, everyone, k + 1):
+        return False
 
     def search(avail: list[int], uncolored: int, used: int) -> bool:
         while uncolored:
@@ -187,7 +225,6 @@ def is_k_colorable(graph: Graph, k: int) -> bool:
                     return True
         return False
 
-    everyone = (1 << n) - 1
     return search([everyone] * k, everyone, 0)
 
 
@@ -267,7 +304,7 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     n = g.n
     neighbors = g.neighbors()
     degrees = g.degrees()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if agent == "random" else None
     full = (1 << k) - 1
     domains = [full] * n
     assignment = [-1] * n
@@ -370,15 +407,20 @@ class CampaignReport:
 
 
 def _feasible_instances(n: int, p: float, k: int, count: int, config_index: int, master_seed: int):
-    """Generate instances, discarding infeasible ones, until count are found."""
+    """Draw G(n, p) edge sets, discarding infeasible ones, until count are kept.
+
+    n and p are checked by the caller. Each draw is the edge set
+    `gen_erdos_renyi` gives for its seed, but only a kept one is built into
+    a `Graph`, so edge validation skips the discards.
+    """
     seed_rng = rng_for(master_seed, config_index)
     feasible: list[ColoringInstance] = []
     discarded = 0
     while len(feasible) < count:
         gen_seed = int(seed_rng.integers(2**63))
-        graph = gen_erdos_renyi(n, p, gen_seed)
-        if is_k_colorable(graph, k):
-            feasible.append(ColoringInstance(graph=graph, k=k, seed=gen_seed, p=p))
+        edges = _gnp_edges(n, p, gen_seed)
+        if _colorable(n, edges, k):
+            feasible.append(ColoringInstance(graph=Graph(n, edges), k=k, seed=gen_seed, p=p))
         else:
             discarded += 1
     return feasible, discarded
@@ -409,7 +451,9 @@ def run_campaign(
 ) -> CampaignReport:
     """Full benchmark: generate, filter, solve with all agents, aggregate.
 
-    Each config row is (n, p, k, instance_count) with k >= 2 and instance_count >= 50.
+    Each config row is (n, p, k, instance_count) with n >= 1, p in [0, 1],
+    k >= 2 and instance_count >= 50; every row is checked before any graph
+    is drawn.
     Bound violations count feasible runs of the acp agent whose expansions
     fell below the predicted cost; the expected value is zero.
     """
@@ -419,6 +463,7 @@ def run_campaign(
             raise ValueError("instance_count must be at least 50 per config")
         if k < 2:
             raise ValueError("k must be at least 2")
+        _check_gnp(n, p)
 
     summaries: list[ConfigSummary] = []
     records: list[InstanceRecord] = []

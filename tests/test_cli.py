@@ -127,6 +127,22 @@ class TestExitCodes:
         assert "k must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "n, p, message",
+        [
+            ("0", "0.3", "n must be at least 1"),
+            ("10", "nan", "p must lie in [0, 1]"),
+            ("10", "1.5", "p must lie in [0, 1]"),
+            ("10", "-0.1", "p must lie in [0, 1]"),
+        ],
+    )
+    def test_bad_graph_config_writes_nothing(self, tmp_path, capsys, n, p, message):
+        out = tmp_path / "c.csv"
+        argv = ("coloring", "--n", n, "--p", p, "--k", "3", "--instances", "50", "--out", str(out))
+        assert _run(*argv) == 2
+        assert not out.exists() and not (tmp_path / "c_summary.csv").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("estimate", "--noise", "inf"),
@@ -273,6 +289,24 @@ class TestDeterminism:
         assert _read(out) == b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n" + row
         assert f"steps for completion w.p. 95.00%: {n_delta}\n" in capsys.readouterr().out
         assert hashlib.sha256(_read(dump)).hexdigest() == dump_sha
+
+    @pytest.mark.parametrize(
+        "flags, detail_sha, summary_sha",
+        [
+            (("--seed", "0"),
+             "88fc1b1cf27fa32c2b754e3bd060479cc99aa99eef133ab394127352adfd80c5",
+             "d7ace1355e2818d4910e39c1dff03b3f4d70ddb6178c3f34e0418a278812d9eb"),
+            (("--n", "10", "--p", "0.3", "--k", "3", "--instances", "50", "--seed", "11"),
+             "6dc41fe62eecffd1636993bfa1ef71a5b2ec9d83d007dd478d6b9bb086f48372",
+             "094b4721c3f6e3d7f91298bd411ef4db688e28ade9b849fdcd536d968c656098"),
+        ],
+    )
+    def test_coloring_bytes_are_pinned(self, tmp_path, capsys, flags, detail_sha, summary_sha):
+        # the default campaign keeps 250 of about 3 800 drawn graphs
+        out = tmp_path / "c.csv"
+        assert _run("coloring", *flags, "--out", str(out)) == 0
+        assert hashlib.sha256(_read(out)).hexdigest() == detail_sha
+        assert hashlib.sha256(_read(tmp_path / "c_summary.csv")).hexdigest() == summary_sha
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"

@@ -1,10 +1,12 @@
 """Graph generation, exact oracles, agents, and the benchmark campaign."""
 
 import math
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import acp.coloring
@@ -20,6 +22,7 @@ from acp import (
     search_information,
     solve,
 )
+from acp.seeding import rng_for
 
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 C5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
@@ -68,6 +71,28 @@ def _reference_edges(n, p, seed):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = rng.random(len(pairs)) < p
     return tuple(pair for pair, keep in zip(pairs, mask) if keep)
+
+
+def _reference_feasible_instances(n, p, k, count, config_index, master_seed):
+    """The campaign filter spelled out: public generator, reference oracle."""
+    seed_rng = rng_for(master_seed, config_index)
+    feasible, discarded = [], 0
+    while len(feasible) < count:
+        gen_seed = int(seed_rng.integers(2**63))
+        graph = gen_erdos_renyi(n, p, gen_seed)
+        if _reference_is_k_colorable(graph, k):
+            feasible.append(ColoringInstance(graph=graph, k=k, seed=gen_seed, p=p))
+        else:
+            discarded += 1
+    return feasible, discarded
+
+
+def _neighbor_masks(graph):
+    nbr = [0] * graph.n
+    for u, v in graph.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
 
 
 @st.composite
@@ -160,6 +185,24 @@ class TestFeasibilityOracle:
             for k in (2, 3):
                 assert is_k_colorable(g, k) == (count_proper_colorings(g, k) > 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs(max_n=9), st.integers(1, 5))
+    def test_clique_check_matches_brute_force(self, g, r):
+        nbr = _neighbor_masks(g)
+        expected = any(
+            all(nbr[u] >> v & 1 for u, v in combinations(vertices, 2))
+            for vertices in combinations(range(g.n), r)
+        )
+        assert acp.coloring._has_clique(nbr, (1 << g.n) - 1, r) is expected
+
+    @pytest.mark.parametrize("config", [(10, 0.3, 3, 30), (15, 0.41, 3, 20), (9, 0.2, 2, 20)])
+    @pytest.mark.parametrize("master_seed", [0, 5])
+    def test_campaign_filter_matches_public_loop(self, config, master_seed):
+        # the filter draws bare edge sets; the reference builds every Graph and refutes without cliques
+        assert acp.coloring._feasible_instances(*config, 1, master_seed) == _reference_feasible_instances(
+            *config, 1, master_seed
+        )
+
 
 class TestCounting:
     def test_triangle(self):
@@ -178,6 +221,11 @@ class TestCounting:
 
     @settings(max_examples=300, deadline=None)
     @given(_graphs(max_n=12), st.sampled_from([1, 2, 3, 4]))
+    @example(K4, 3).via("k + 1 = n, refuted by the clique of every vertex")
+    @example(Graph(2, ((0, 1),)), 1).via("k + 1 = n, one edge")
+    @example(C5, 4).via("k + 1 = n, no clique: the search decides")
+    @example(K4, 4).via("k = n")
+    @example(PATH3, 4).via("k > n")
     def test_feasibility_oracle_agrees_with_count(self, g, k):
         expected = count_proper_colorings(g, k) > 0
         assert is_k_colorable(g, k) == expected
@@ -287,9 +335,26 @@ class TestCampaign:
         def no_graphs(*args):
             raise AssertionError("a graph was generated")
 
-        monkeypatch.setattr(acp.coloring, "gen_erdos_renyi", no_graphs)
+        monkeypatch.setattr(acp.coloring, "_gnp_edges", no_graphs)
         with pytest.raises(ValueError, match="k must be at least 2"):
             run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, k, 50)), master_seed=0)
+
+    @pytest.mark.parametrize(
+        "n, p, message",
+        [
+            (0, 0.3, "n must be at least 1"),
+            (10, math.nan, "p must lie in [0, 1]"),
+            (10, 1.5, "p must lie in [0, 1]"),
+            (10, -0.1, "p must lie in [0, 1]"),
+        ],
+    )
+    def test_rejects_bad_graph_row_before_generating(self, monkeypatch, n, p, message):
+        def no_graphs(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(acp.coloring, "_gnp_edges", no_graphs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, 3, 50), (n, p, 3, 50)), master_seed=0)
 
     def test_parallel_matches_serial(self):
         serial = run_campaign(configs=((8, 0.25, 3, 50),), master_seed=2, workers=1)
