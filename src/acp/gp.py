@@ -12,6 +12,12 @@ The estimation pipeline sizes up a task before any real query is spent:
 The task's fixed geometry is module constants (THETA_DOMAIN, ACTION_GRID);
 ``EstimationTask`` holds only what varies.
 
+Step 2 scores (action, draw) posteriors in blocks of at most BLOCK_CELLS
+cells, all written into one reused buffer, so its memory is O(draws) and
+does not grow with actions times grid cells. A task whose posterior work
+(draws x actions x cells) exceeds MAX_POSTERIOR_CELLS is refused when it is
+built, before any grid is allocated.
+
 One error source is tracked explicitly: Monte Carlo noise in the gain
 estimates, as a Hoeffding deviation bound. It is folded into a first-order
 margin on the predicted cost, and the solvability verdict requires the
@@ -44,6 +50,12 @@ ACTION_GRID.setflags(write=False)
 TOP_FRACTION = 0.25
 #: Failure probability of the Hoeffding bound on the gain estimate.
 MC_DELTA = 0.05
+
+#: Cells of one posterior block (512 KB of float64, sized to stay in L2).
+BLOCK_CELLS = 1 << 16
+#: Most draw x action x cell posterior terms one estimate may compute: about
+#: 100 s at roughly 10 ns per cell.
+MAX_POSTERIOR_CELLS = 10**10
 
 #: Per-step gains below this are treated as "no progress": the task is
 #: reported unsolvable instead of dividing by a vanishing estimate.
@@ -119,25 +131,35 @@ class HypothesisGrid:
         return float(entropy_bits(self.probabilities))
 
 
-def _grid_posteriors(
-    grid: HypothesisGrid, predicted: np.ndarray, outcomes: np.ndarray, noise_variance: float
-) -> np.ndarray:
-    """Grid posterior after each outcome, one row per outcome.
-
-    ``predicted`` holds each cell's noiseless outcome; the observation noise
-    is Gaussian with ``noise_variance``.
-    """
+def _log_prior(probs: np.ndarray) -> np.ndarray:
+    """Log of each cell's prior mass; zero-prior cells get -inf."""
     # zero-prior cells must stay at zero mass no matter how extreme the outcome
     with np.errstate(divide="ignore"):
-        log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
-    # one outcome-by-cell buffer, updated in place from log-posterior to posterior
-    post = outcomes[:, None] - predicted[None, :]
+        return np.where(probs > 0, np.log(probs.clip(min=1e-300)), -np.inf)
+
+
+def _grid_posteriors(
+    log_prior: np.ndarray,
+    predicted: np.ndarray,
+    outcomes: np.ndarray,
+    noise_variance: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Grid posterior after each outcome, with grid cells on the last axis.
+
+    ``predicted`` holds each cell's noiseless outcome and ``outcomes`` the
+    observed values on a trailing axis of length 1; both broadcast against
+    ``log_prior``. The observation noise is Gaussian with ``noise_variance``.
+    The posteriors are written into ``out`` when it is given.
+    """
+    # one buffer, updated in place from log-posterior to posterior
+    post = np.subtract(outcomes, predicted, out=out)
     np.square(post, out=post)
     post /= -2.0 * noise_variance
     post += log_prior
-    post -= post.max(axis=1, keepdims=True)
+    post -= post.max(axis=-1, keepdims=True)
     np.exp(post, out=post)
-    post /= post.sum(axis=1, keepdims=True)
+    post /= post.sum(axis=-1, keepdims=True)
     return post
 
 
@@ -166,24 +188,24 @@ def information_gain(
     prior_bits = grid.prior_entropy()
     mean_y, var_y = posterior.predictive_y(action)
     draws = mean_y + math.sqrt(var_y) * rng.standard_normal(n_outcome_samples)
-    post = _grid_posteriors(grid, grid.values * action, draws, posterior.noise_variance)
+    post = _grid_posteriors(
+        _log_prior(grid.probabilities), grid.values * action, draws[:, None], posterior.noise_variance
+    )
     mean_posterior_bits = float(entropy_bits(post, axis=1).mean())
     gain = prior_bits - mean_posterior_bits
     return float(min(max(gain, 0.0), prior_bits))
 
 
-def _bin_masses(probs: np.ndarray, resolution: float, domain_width: float) -> np.ndarray:
-    """Sum equal-width cells (last axis, in order) into bins of width ``resolution``."""
+def _bin_starts(n_cells: int, resolution: float, domain_width: float) -> np.ndarray:
+    """First cell of each bin of width ``resolution`` over ``n_cells`` equal-width cells."""
     if not 0 < resolution < domain_width:
         raise ValueError("resolution must lie strictly between 0 and domain_width")
     n_bins = max(1, int(round(domain_width / resolution)))
-    n = probs.shape[-1]
-    if n < n_bins:
-        raise ValueError(f"prior has {n} cells, fewer than the {n_bins} requested bins")
+    if n_cells < n_bins:
+        raise ValueError(f"prior has {n_cells} cells, fewer than the {n_bins} requested bins")
     # with at least one cell per bin, every bin starts at some cell
-    bin_index = (np.arange(n) * n_bins) // n
-    starts = np.flatnonzero(np.diff(bin_index, prepend=-1))
-    return np.add.reduceat(probs, starts, axis=-1)
+    bin_index = (np.arange(n_cells) * n_bins) // n_cells
+    return np.flatnonzero(np.diff(bin_index, prepend=-1))
 
 
 def estimate_total_information(prior_probs, resolution: float, domain_width: float) -> float:
@@ -194,7 +216,9 @@ def estimate_total_information(prior_probs, resolution: float, domain_width: flo
     the entropy of the bin masses returned; a uniform prior gives
     log2(width / resolution).
     """
-    return float(entropy_bits(_bin_masses(np.asarray(prior_probs, dtype=float), resolution, domain_width)))
+    probs = np.asarray(prior_probs, dtype=float)
+    starts = _bin_starts(probs.shape[-1], resolution, domain_width)
+    return float(entropy_bits(np.add.reduceat(probs, starts, axis=-1)))
 
 
 def monte_carlo_error(gain_ceiling: float, n_samples: int, delta: float) -> float:
@@ -233,6 +257,13 @@ class EstimationTask:
             raise ValueError("noise_variance must be positive and finite")
         if not 0 < self.resolution < THETA_DOMAIN[1] - THETA_DOMAIN[0]:
             raise ValueError("resolution must be inside the theta domain width")
+        cells = self.n_outcome_samples * ACTION_GRID.size * self.theta_grid_size
+        if cells > MAX_POSTERIOR_CELLS:
+            raise ValueError(
+                f"{self.n_outcome_samples} outcome samples x {ACTION_GRID.size} actions x "
+                f"{self.theta_grid_size} grid cells = {cells:.3g} posterior cells, over the "
+                f"cap of {MAX_POSTERIOR_CELLS:.0e} per estimate"
+            )
 
     def hypothesis_grid(self) -> HypothesisGrid:
         return HypothesisGrid.uniform(*THETA_DOMAIN, self.theta_grid_size)
@@ -249,6 +280,48 @@ class EstimationReport:
     mc_error_bits: float
     cost_margin: float
     solvable: bool
+
+
+def _action_gains(task: EstimationTask, seed: int) -> tuple[float, np.ndarray]:
+    """Total bits and the estimated gain of each point of ACTION_GRID.
+
+    Posteriors are scored a block at a time in one buffer of at most
+    BLOCK_CELLS cells (one grid row if a row is larger): several whole
+    actions per block when their draws fit, else one action's draws a slice
+    at a time. Each action's gain is total bits minus the mean binned
+    posterior entropy over its draws.
+    """
+    if task.n_outcome_samples < 16:
+        raise ValueError("n_outcome_samples must be at least 16")
+    grid = task.hypothesis_grid()
+    width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
+    n_cells = grid.values.size
+    starts = _bin_starts(n_cells, task.resolution, width)
+    total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
+    log_prior = _log_prior(grid.probabilities)
+
+    draws = task.n_outcome_samples
+    rng = np.random.default_rng(seed)
+    thetas = rng.choice(grid.values, size=draws, p=grid.probabilities)
+    noise = math.sqrt(task.noise_variance) * rng.standard_normal(draws)
+
+    rows = max(1, BLOCK_CELLS // n_cells)
+    draws_per_block = min(draws, rows)
+    actions_per_block = max(1, rows // draws)
+    buf = np.empty(actions_per_block * draws_per_block * n_cells)
+    gains = np.empty(ACTION_GRID.size)
+    for a in range(0, ACTION_GRID.size, actions_per_block):
+        b = min(a + actions_per_block, ACTION_GRID.size)
+        predicted = ACTION_GRID[a:b, None, None] * grid.values
+        ent = np.empty((b - a, draws))
+        for d in range(0, draws, draws_per_block):
+            e = min(d + draws_per_block, draws)
+            outcomes = ACTION_GRID[a:b, None] * thetas[d:e] + noise[d:e]
+            out = buf[: outcomes.size * n_cells].reshape(*outcomes.shape, n_cells)
+            post = _grid_posteriors(log_prior, predicted, outcomes[..., None], task.noise_variance, out)
+            ent[:, d:e] = entropy_bits(np.add.reduceat(post, starts, axis=-1))
+        gains[a:b] = total_bits - ent.mean(axis=-1)
+    return total_bits, gains
 
 
 def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> EstimationReport:
@@ -268,20 +341,7 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    if task.n_outcome_samples < 16:
-        raise ValueError("n_outcome_samples must be at least 16")
-    grid = task.hypothesis_grid()
-    width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
-    total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
-
-    rng = np.random.default_rng(seed)
-    thetas = rng.choice(grid.values, size=task.n_outcome_samples, p=grid.probabilities)
-    noise = math.sqrt(task.noise_variance) * rng.standard_normal(task.n_outcome_samples)
-    gains = np.empty(ACTION_GRID.size)
-    for i, x in enumerate(ACTION_GRID):
-        post = _grid_posteriors(grid, grid.values * x, thetas * x + noise, task.noise_variance)
-        binned = _bin_masses(post, task.resolution, width)
-        gains[i] = total_bits - entropy_bits(binned, axis=1).mean()
+    total_bits, gains = _action_gains(task, seed)
     n_top = math.ceil(TOP_FRACTION * ACTION_GRID.size)
     step_bits = float(np.sort(gains)[-n_top:].mean())
 

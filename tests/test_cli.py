@@ -157,6 +157,14 @@ class TestExitCodes:
         assert not out.exists() and not (tmp_path / "o_summary.csv").exists()
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [("--trials", "10000000"), ("--grid", "1000000000")])
+    def test_runaway_estimate_writes_nothing(self, tmp_path, capsys, flags):
+        # refused before the hypothesis grid is built: over 10^10 posterior cells
+        out = tmp_path / "e.csv"
+        assert _run("estimate", *flags, "--out", str(out)) == 2
+        assert not out.exists()
+        assert "posterior cells" in capsys.readouterr().err
+
     @pytest.mark.parametrize("eps", ["nan", "0,inf"])
     def test_non_finite_epsilon_writes_nothing(self, tmp_path, capsys, eps):
         out = tmp_path / "a.csv"
@@ -225,6 +233,23 @@ class TestDeterminism:
         assert _read(out) == (
             b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n"
             b"5.321758,2.477488,2.148046,3,0.903436,0.783303,true\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, row",
+        [
+            # 2048 draws span several posterior blocks of the estimator
+            (("--trials", "2048", "--seed", "3"),
+             b"5.321758,2.469381,2.155098,3,0.159706,0.139380,true\n"),
+            (("--noise", "3", "--trials", "2048", "--seed", "0"),
+             b"5.321758,0.514378,10.346008,11,0.159706,3.212276,true\n"),
+        ],
+    )
+    def test_large_estimate_bytes_are_pinned(self, tmp_path, capsys, flags, row):
+        out = tmp_path / "e.csv"
+        assert _run("estimate", *flags, "--out", str(out)) == 0
+        assert _read(out) == (
+            b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n" + row
         )
 
     def test_slope_summary_bytes_are_pinned(self, tmp_path, capsys):

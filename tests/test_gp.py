@@ -1,10 +1,11 @@
 """GP posterior, information-gain estimation, and the a-priori pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acp import (
@@ -18,7 +19,9 @@ from acp import (
     information_gain,
     monte_carlo_error,
 )
+from acp import gp
 from acp.gp import ACTION_GRID, MC_DELTA, THETA_DOMAIN, TOP_FRACTION
+from acp.info import entropy_bits
 
 SLOPE_PRIOR_VAR = 4.0 / 3.0  # variance of a uniform slope on [-2, 2]
 
@@ -69,6 +72,51 @@ def quadrature_step_bits(task: EstimationTask) -> float:
         gains.append(total - weights @ bits((joint / marginal[:, None]) @ onehot))
     n_top = math.ceil(TOP_FRACTION * len(gains))
     return float(np.mean(sorted(gains)[-n_top:]))
+
+
+def _reference_step_gains(task: EstimationTask, seed) -> tuple[float, np.ndarray]:
+    """Total bits and the 61 action gains, one whole action at a time: the
+    reference the blocked estimator must equal bit for bit."""
+    grid = task.hypothesis_grid()
+    width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
+    total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
+    rng = np.random.default_rng(seed)
+    thetas = rng.choice(grid.values, size=task.n_outcome_samples, p=grid.probabilities)
+    noise = math.sqrt(task.noise_variance) * rng.standard_normal(task.n_outcome_samples)
+    with np.errstate(divide="ignore"):
+        log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
+    n = grid.values.size
+    n_bins = max(1, int(round(width / task.resolution)))
+    starts = np.flatnonzero(np.diff((np.arange(n) * n_bins) // n, prepend=-1))
+    gains = np.empty(ACTION_GRID.size)
+    for i, x in enumerate(ACTION_GRID):
+        post = (thetas * x + noise)[:, None] - (grid.values * x)[None, :]
+        np.square(post, out=post)
+        post /= -2.0 * task.noise_variance
+        post += log_prior
+        post -= post.max(axis=1, keepdims=True)
+        np.exp(post, out=post)
+        post /= post.sum(axis=1, keepdims=True)
+        gains[i] = total_bits - entropy_bits(np.add.reduceat(post, starts, axis=-1), axis=1).mean()
+    return total_bits, gains
+
+
+@st.composite
+def _blocked_tasks(draw) -> EstimationTask:
+    """Tasks whose draw counts cluster around the estimator's block edges."""
+    size = draw(st.integers(min_value=40, max_value=2000))
+    rows = gp.BLOCK_CELLS // size
+    # rows // k draws fit k whole actions in a block; rows + 1 splits one action
+    edge = draw(st.sampled_from([rows // 3, rows // 2, rows]))
+    # at most 10^6 draw-cells per action keeps an example near a second
+    most = min(3000, 10**6 // size)
+    n_draws = draw(st.integers(16, most) | st.sampled_from([edge - 1, edge, edge + 1]))
+    return EstimationTask(
+        noise_variance=10.0 ** draw(st.floats(-6.0, 6.0)),
+        resolution=draw(st.sampled_from([0.1, 0.15, 0.3, 0.5, 1.0, 2.5])),
+        theta_grid_size=size,
+        n_outcome_samples=min(max(n_draws, 16), most),
+    )
 
 
 class TestGPPosterior:
@@ -215,3 +263,40 @@ class TestAPrioriEstimate:
     def test_step_bits_within_total(self, sigma, seed):
         report = a_priori_estimate(slope_task(sigma), budget=math.inf, seed=seed)
         assert 0.0 <= report.step_bits <= report.total_bits + 1e-9
+
+
+class TestBlockedEstimator:
+    @settings(max_examples=25, deadline=None)
+    @given(task=_blocked_tasks(), seed=st.integers(min_value=0, max_value=2**32))
+    # a grid row larger than a whole block
+    @example(task=EstimationTask(theta_grid_size=gp.BLOCK_CELLS + 1, n_outcome_samples=16), seed=5)
+    def test_gains_equal_reference_bit_for_bit(self, task, seed):
+        total_bits, gains = gp._action_gains(task, seed)
+        ref_bits, ref_gains = _reference_step_gains(task, seed)
+        assert total_bits == ref_bits
+        assert np.array_equal(gains, ref_gains)
+
+    def test_memory_is_linear_in_draws(self):
+        # one action's full outcome-by-cell matrix would take 64 MB here
+        task = EstimationTask(n_outcome_samples=20_000)
+        tracemalloc.start()
+        try:
+            a_priori_estimate(task, budget=math.inf, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_work_cap_is_exact(self):
+        # 409 836 x 61 x 400 = 9 999 998 400 posterior cells, just under 10^10
+        EstimationTask(n_outcome_samples=409_836, theta_grid_size=400)
+        with pytest.raises(ValueError, match="posterior cells"):
+            EstimationTask(n_outcome_samples=409_837, theta_grid_size=400)
+
+    def test_bin_checks_fire_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew outcomes before checking the bins")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="fewer than the 40 requested bins"):
+            a_priori_estimate(EstimationTask(theta_grid_size=39), budget=1.0)
