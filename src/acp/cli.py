@@ -186,32 +186,134 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+#: Rows of a structured array formatted per chunk by write_csv.
+_CHUNK_ROWS = 1 << 14
+#: Below this magnitude round(|x| * 10**6) is computed exactly and fits int64.
+_FLOAT_LIMIT = 2.0**43
+
+
+def _split_column(values: np.ndarray):
+    """One chunk of a field as (whole, negative, millionths), or None.
+
+    ``whole`` is the uint64 magnitude of the integer part and ``millionths``
+    the six decimals of a float field (None for an integer field). A float
+    chunk holding a non-finite value or one of magnitude 2**43 or more
+    gives None.
+
+    A float rounds as '%.6f' does, half to even on the exact binary value:
+    with y = |x| = yi + f, f * 10**6 = z * 15625 for z = 64 f, and z splits
+    into zh (multiples of 2**-33) and zl, so A = zh * 15625 and B = zl * 15625
+    are exact wherever B decides a tie. N = yi * 10**6 + floor(A), plus one
+    when B exceeds 0.5 - frac(A) or equals it with floor(A) odd.
+    """
+    if values.dtype.kind == "f":
+        x = values.astype(np.float64, copy=False)
+        y = np.abs(x)
+        if not (y < _FLOAT_LIMIT).all():  # nan compares false
+            return None
+        yi = np.floor(y)
+        z = (y - yi) * 64.0
+        zh = np.floor(z * 2.0**33) * 2.0**-33
+        a = zh * 15625.0
+        b = (z - zh) * 15625.0
+        ai = np.floor(a)
+        t = 0.5 - (a - ai)
+        n = ai.astype(np.int64)
+        up = (b > t) | ((b == t) & (n & 1).astype(bool))
+        n += yi.astype(np.int64) * 10**6
+        n += up
+        whole, millionths = np.divmod(n, 10**6)
+        return whole.view(np.uint64), np.signbit(x), millionths
+    if values.dtype.kind == "u":
+        return values.astype(np.uint64), None, None
+    signed = values.astype(np.int64)
+    negative = signed < 0
+    whole = signed.view(np.uint64)
+    return np.where(negative, np.uint64(0) - whole, whole), negative, None
+
+
+def _put_digits(out: np.ndarray, end: int, q: np.ndarray, width: int, pad: bool) -> None:
+    """Decimal digits of ``q`` in the ``width`` columns before ``end``.
+
+    With ``pad`` False the leading zeros stay NUL, and a value of 0 is one '0'.
+    """
+    for col in range(end - 1, end - 1 - width, -1):
+        nonzero = None if pad or col == end - 1 else q != 0
+        q, r = np.divmod(q, 10)
+        r += ord("0")
+        if nonzero is not None:
+            r *= nonzero
+        out[:, col] = r
+
+
+def _format_chunk(columns: list[np.ndarray]) -> str | None:
+    """The CSV text of one chunk of rows, or None if a float is out of range.
+
+    Each field is right-aligned in a fixed-width slot of NUL bytes, followed
+    by its ',' or '\\n' column; dropping the NULs leaves the text.
+    """
+    parts = [_split_column(values) for values in columns]
+    if any(part is None for part in parts):
+        return None
+    slots = []
+    for whole, negative, millionths in parts:
+        digits = len(str(int(whole.max())))
+        signed = negative is not None and bool(negative.any())
+        slots.append((digits, signed, signed + digits + (7 if millionths is not None else 0)))
+    out = np.zeros((len(columns[0]), sum(slot[2] + 1 for slot in slots)), dtype=np.uint8)
+    end = 0
+    for (whole, negative, millionths), (digits, signed, width) in zip(parts, slots):
+        end += width
+        stop = end
+        if millionths is not None:
+            _put_digits(out, end, millionths, 6, pad=True)
+            stop -= 7
+            out[:, stop] = ord(".")
+        _put_digits(out, stop, whole, digits, pad=False)
+        if signed:
+            rows = np.flatnonzero(negative)
+            start = stop - digits - 1
+            # the slot's first nonzero byte is the row's first digit; '-' goes just before it
+            first = (out[rows, start:stop] != 0).argmax(axis=1)
+            out[rows, start + first - 1] = ord("-")
+        out[:, end] = ord(",")
+        end += 1
+    out[:, -1] = ord("\n")
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> None:
     """Deterministic CSV: LF newlines, '.' decimal point, 6-decimal reals.
 
     ``rows`` is a list of rows, each written through csv.writer and
     _format_cell, or a numpy structured array whose fields are all integer
-    or float kinds. The latter is written column by column: each field is
-    converted to Python numbers once and every row goes through one
-    %-template (%d or %.6f per field), giving _format_cell's text, which
-    never needs quoting. A field of any other kind raises TypeError before
-    the file is opened.
+    or float kinds. The latter is written _CHUNK_ROWS rows at a time, each
+    chunk formatted by numpy into one ASCII string: integers as %d and
+    floats as %.6f, correctly rounded half to even as Python rounds them,
+    so the bytes are _format_cell's and never need quoting. A chunk holding
+    a non-finite float or one of magnitude 2**43 or more goes through one
+    %-template per row instead. A field of any other kind raises TypeError
+    before the file is opened.
     """
-    columns = None
+    fields = None
     if isinstance(rows, np.ndarray) and rows.dtype.names:
         fields = rows.dtype.names
         kinds = [rows.dtype[name].kind for name in fields]
         if any(kind not in "iuf" for kind in kinds):
             raise TypeError(f"structured rows need integer or float fields, got dtype {rows.dtype}")
         template = ",".join("%.6f" if kind == "f" else "%d" for kind in kinds) + "\n"
-        columns = [rows[name].tolist() for name in fields]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if columns is None:
+        if fields is None:
             writer.writerows([_format_cell(cell) for cell in row] for row in rows)
-        else:
-            fh.writelines(map(template.__mod__, zip(*columns)))
+            return
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            columns = [rows[name][lo:lo + _CHUNK_ROWS] for name in fields]
+            text = _format_chunk(columns)
+            if text is None:
+                text = "".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
+            fh.write(text)
 
 
 def _summary_path(out: str) -> str:
@@ -245,6 +347,11 @@ def run_bounds(o: dict) -> int:
             f"{o['trials']} trials expect up to {expected_steps:.3g} steps in all, "
             f"over the limit of {stopping.MAX_TOTAL_STEPS:.0e}"
         )
+    # a missing output directory fails before any trial runs, not after the first CSV
+    for path in filter(None, (o["out"], o["dump_trials"])):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
     trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
     report = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
     write_csv(

@@ -92,6 +92,14 @@ class AgentTrace:
 NORMAL_ROUND = 64
 #: Trials per block of the noise sweep; a constant, so --workers never changes a block.
 SWEEP_BLOCK = 25
+#: Most level x trial x step x grid-cell updates one sweep may price: about
+#: 200 s at roughly 21 ns per cell-step.
+MAX_CELL_STEPS = 10**10
+
+
+def sweep_cell_steps(n_levels: int, trials_per_level: int, step_cap: int) -> int:
+    """The price of a noise sweep: posterior cell updates if every trial runs to its cap."""
+    return n_levels * trials_per_level * step_cap * _GRID.size
 
 
 def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs):
@@ -233,9 +241,11 @@ def run_noise_sweep(
     Each trial draws its own hidden slope uniformly from the slope domain,
     then its noise, from ``rng_for(master_seed, level, trial)``. A level's
     trials run in lockstep blocks of SWEEP_BLOCK, which ``workers`` may
-    spread over processes; memory does not grow with ``step_cap``. Capped
-    (incomplete) runs contribute their step count at the cap, which only
-    raises the measured mean and never hides a lower-bound violation.
+    spread over processes; memory does not grow with ``step_cap``. A sweep
+    that ``sweep_cell_steps`` prices above MAX_CELL_STEPS is refused before
+    any trial runs. Capped (incomplete) runs contribute their step count at
+    the cap, which only raises the measured mean and never hides a
+    lower-bound violation.
     """
     levels = [float(s) for s in noise_levels]
     if len(levels) < 2:
@@ -246,6 +256,12 @@ def run_noise_sweep(
         raise ValueError("trials_per_level must be at least 20")
     if step_cap < 1:
         raise ValueError("step_cap must be positive")
+    cell_steps = sweep_cell_steps(len(levels), trials_per_level, step_cap)
+    if cell_steps > MAX_CELL_STEPS:
+        raise ValueError(
+            f"{len(levels)} levels x {trials_per_level} trials x {step_cap} steps x {_GRID.size} "
+            f"grid cells = {cell_steps:.3g} cell-steps, over the cap of {MAX_CELL_STEPS:.0e} per sweep"
+        )
 
     level_rows: list[SweepLevelRow] = []
     trial_rows: list[SweepTrialRow] = []

@@ -12,8 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acp.cli import _format_cell, build_parser, main, resolve_options, write_csv
+from acp.cli import _CHUNK_ROWS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _reference_structured_text(rows: np.ndarray) -> str:
+    """A structured array's rows as one %-template line each (%d or %.6f per field)."""
+    fields = rows.dtype.names
+    template = ",".join("%.6f" if rows.dtype[name].kind == "f" else "%d" for name in fields) + "\n"
+    return "".join(map(template.__mod__, zip(*(rows[name].tolist() for name in fields))))
 
 
 def _run(*argv) -> int:
@@ -51,6 +59,16 @@ class TestExitCodes:
         missing_dir = tmp_path / "does" / "not" / "exist" / "x.csv"
         code = _run("bounds", "--trials", "100", "--out", str(missing_dir))
         assert code == 1
+
+    def test_missing_dump_directory_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # refused before any trial runs, so the report CSV is not left behind either
+        simulated = []
+        monkeypatch.setattr("acp.stopping.run_trials", lambda *a, **k: simulated.append(a))
+        out, dump = tmp_path / "b.csv", tmp_path / "missing" / "t.csv"
+        assert _run("bounds", "--trials", "100", "--out", str(out), "--dump-trials", str(dump)) == 1
+        assert not out.exists() and not dump.parent.exists()
+        assert simulated == []
+        assert "no directory" in capsys.readouterr().err
 
     def test_invalid_domain_value_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -164,6 +182,20 @@ class TestExitCodes:
         assert _run("estimate", *flags, "--out", str(out)) == 2
         assert not out.exists()
         assert "posterior cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--noise", "0.1,0.2", "--trials", "100000000"),
+            ("--noise", "100,200", "--trials", "20", "--step-cap", "100000000"),
+        ],
+    )
+    def test_runaway_slope_writes_nothing(self, tmp_path, capsys, flags):
+        # refused before any estimate or trial runs: over 10^10 cell-steps
+        out = tmp_path / "s.csv"
+        assert _run("slope", *flags, "--out", str(out)) == 2
+        assert not out.exists() and not (tmp_path / "s_summary.csv").exists()
+        assert "cell-steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["nan", "0,inf"])
     def test_non_finite_epsilon_writes_nothing(self, tmp_path, capsys, eps):
@@ -475,6 +507,92 @@ class TestCsvWriter:
         write_csv(str(folder / "typed.csv"), header, np.array(rows, dtype=dtype))
         write_csv(str(folder / "list.csv"), header, [list(row) for row in rows])
         assert (folder / "typed.csv").read_bytes() == (folder / "list.csv").read_bytes()
+
+    INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+    # the fast path's range: finite and below 2**43 in magnitude
+    LIMIT = 2.0**43
+    IN_RANGE = st.one_of(
+        st.floats(-LIMIT, LIMIT, exclude_min=True, exclude_max=True),
+        # dyadic values k / 2**j; the exact ties at the sixth decimal are the odd multiples of 2**-7
+        st.builds(lambda k, j: k / 2.0**j, st.integers(-(2**40), 2**40), st.integers(0, 64)),
+        st.builds(lambda k: (2 * k + 1) / 2.0**7, st.integers(-(2**48), 2**48)),
+        # (k + 1/2) / 10**6 and its neighbours either side, of either sign
+        st.builds(
+            lambda k, step, sign: sign * float(np.nextafter((k + 0.5) / 1e6, (k + 0.5) / 1e6 + step)),
+            st.integers(0, 2**52), st.sampled_from([-1, 0, 1]), st.sampled_from([-1.0, 1.0]),
+        ),
+        # subnormals
+        st.floats(-2.0**-1022, 2.0**-1022),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -4e-7, 5e-7, -5e-7,
+                         float(np.nextafter(2.0**43, 0)), -float(np.nextafter(2.0**43, 0)), 2.0**43 - 0.5]),
+    )
+    VALUES = {
+        np.float64: IN_RANGE,
+        np.float32: st.one_of(
+            IN_RANGE, st.floats(-LIMIT, LIMIT, exclude_min=True, exclude_max=True, width=32)
+        ),
+        **{
+            dt: st.one_of(
+                st.integers(int(np.iinfo(dt).min), int(np.iinfo(dt).max)),
+                st.sampled_from([int(np.iinfo(dt).min), int(np.iinfo(dt).max), 0]),
+            )
+            for dt in INT_DTYPES
+        },
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(list(VALUES)), min_size=1, max_size=4).flatmap(
+            lambda dtypes: st.tuples(
+                st.just(dtypes),
+                st.lists(st.tuples(*[TestCsvWriter.VALUES[dt] for dt in dtypes]), max_size=12),
+            )
+        )
+    )
+    def test_structured_bytes_match_template(self, tmp_path_factory, table):
+        dtypes, rows = table
+        header = [f"c{j}" for j in range(len(dtypes))]
+        typed = np.array(rows, dtype=list(zip(header, dtypes)))
+        path = tmp_path_factory.mktemp("typed") / "typed.csv"
+        write_csv(str(path), header, typed)
+        assert path.read_bytes() == (",".join(header) + "\n" + _reference_structured_text(typed)).encode()
+
+    @staticmethod
+    def _trial_like(n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        s_n = 10 + rng.exponential(1.0, n)
+        return np.rec.fromarrays(
+            (np.arange(n), rng.integers(-(2**62), 2**62, n), s_n, (s_n - 11) * 1e6, s_n.astype(np.float32)),
+            names="trial_id,n,s_n,x,f32",
+        )
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_edges_match_template(self, tmp_path, extra):
+        assert _CHUNK_ROWS == 2**14
+        rows = self._trial_like(_CHUNK_ROWS + extra, seed=extra + 1)
+        path = tmp_path / "edge.csv"
+        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        assert path.read_bytes() == ("a,b,c,d,e\n" + _reference_structured_text(rows)).encode()
+
+    def test_out_of_range_chunk_between_in_range_chunks(self, tmp_path):
+        # only the middle chunk holds inf, nan and 1e300; it takes the %-template path
+        rows = self._trial_like(3 * _CHUNK_ROWS, seed=4)
+        rows.x[_CHUNK_ROWS + np.array([0, 7, _CHUNK_ROWS - 1])] = [np.inf, np.nan, 1e300]
+        path = tmp_path / "mixed.csv"
+        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        text = path.read_text()
+        assert text == "a,b,c,d,e\n" + _reference_structured_text(rows)
+        assert ",inf," in text and ",nan," in text and f",{1e300:.6f}," in text
+
+    @pytest.mark.parametrize(
+        "big", [2.0**43, -(2.0**43), float(np.nextafter(2.0**43, np.inf)), 1e13, 2.0**53, -(2.0**63)]
+    )
+    def test_values_past_the_limit_match_template(self, tmp_path, big):
+        # int64 cannot hold round(|x| * 10**6) much past 2**43
+        rows = np.rec.fromarrays((np.arange(3), np.array([0.5e-6, big, -1.5e-6])), names="i,x")
+        path = tmp_path / "big.csv"
+        write_csv(str(path), ["i", "x"], rows)
+        assert path.read_bytes() == ("i,x\n" + _reference_structured_text(rows)).encode()
 
     @pytest.mark.parametrize("bad", [np.bool_, "U3", object])
     def test_structured_rows_reject_other_kinds(self, tmp_path, bad):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
 from acp.gp import ACTION_DOMAIN, THETA_DOMAIN
 from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _lockstep
+from acp.slope import DEFAULT_NOISE_LEVELS, MAX_CELL_STEPS, sweep_cell_steps
 
 
 def _reference_run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
@@ -196,6 +197,16 @@ class TestNoiseSweep:
     def test_rejects_nonpositive_step_cap(self):
         with pytest.raises(ValueError, match="step_cap must be positive"):
             run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=20, step_cap=0)
+
+    def test_default_sweep_price(self):
+        # levels x trials x step cap x 401 grid cells
+        assert sweep_cell_steps(len(DEFAULT_NOISE_LEVELS), 50, 200) == 16_040_000
+
+    def test_rejects_overpriced_sweep(self):
+        # one step over the cap is refused before any level's estimate or trial runs
+        step_cap = MAX_CELL_STEPS // sweep_cell_steps(2, 20, 1) + 1
+        with pytest.raises(ValueError, match="cell-steps, over the cap"):
+            run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=20, step_cap=step_cap)
 
     def test_parallel_matches_serial(self):
         serial = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=1)
