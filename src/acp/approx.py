@@ -5,6 +5,12 @@ A goal set at relaxation eps collects every candidate within a factor
 which drives the information needed to land in it down; the reports expose
 both readings of that requirement (the -log2(p) search information, which
 is monotone, and the indicator entropy, which peaks at p = 1/2).
+
+The bundled knapsack family is enumerated in full: an instance of n items
+holds one float64 per subset (8 MiB at n = 20), built from two half-subset
+tables (Horowitz & Sahni's meet-in-the-middle split) with at most one block
+of ``gp.BLOCK_CELLS`` int64 scratch cells, and goal sets are counted
+without building their index arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .gp import BLOCK_CELLS
 from .info import binary_entropy, search_information
 
 _MAX_CANDIDATES = 1 << 20
+#: Largest integer that float64 and int64 both hold exactly; knapsack objective
+#: values are summed in int64 and stored as float64, so none may exceed it.
+_MAX_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -64,24 +74,32 @@ class EpsilonGoalReport:
             raise ValueError("goal_count must be at least 1 (the optimum always qualifies)")
 
 
+def _goal_bound(instance: FiniteOptInstance, epsilon: float) -> float:
+    """The largest value in the goal set at relaxation ``epsilon``."""
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+    fstar = instance.optimum
+    if fstar < 0:
+        raise ValueError("multiplicative criterion undefined for negative optimum")
+    return (1.0 + epsilon) * fstar
+
+
 def goal_set(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
     """Indices of candidates with value <= (1 + epsilon) * optimum.
 
     The multiplicative criterion needs a non-negative optimum; a negative
     one is an error. The set grows with epsilon and always holds the optimum.
     """
-    if not 0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
-    fstar = instance.optimum
-    if fstar < 0:
-        raise ValueError("multiplicative criterion undefined for negative optimum")
-    return np.flatnonzero(instance.values <= (1.0 + epsilon) * fstar)
+    return np.flatnonzero(instance.values <= _goal_bound(instance, epsilon))
 
 
 def information_vs_epsilon(
     instance: FiniteOptInstance, epsilons: Sequence[float]
 ) -> list[EpsilonGoalReport]:
-    """Goal-set geometry across an ascending schedule of relaxations."""
+    """Goal-set geometry across an ascending schedule of relaxations.
+
+    Each goal set is counted, not listed: the count is ``goal_set``'s size.
+    """
     eps = [float(e) for e in epsilons]
     if any(e < 0 for e in eps):
         raise ValueError("epsilons must be non-negative")
@@ -89,7 +107,7 @@ def information_vs_epsilon(
         raise ValueError("epsilons must be strictly ascending")
     reports = []
     for e in eps:
-        count = int(goal_set(instance, e).size)
+        count = int(np.count_nonzero(instance.values <= _goal_bound(instance, e)))
         p = count / instance.size
         reports.append(
             EpsilonGoalReport(
@@ -120,6 +138,14 @@ class KnapsackSpec:
             raise ValueError("weights and profits must be positive integers")
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
+        weight = sum(self.weights)
+        total = sum(self.profits)
+        worst = total + (total + 1) * max(weight - self.capacity, 0)
+        if weight > _MAX_EXACT or worst > _MAX_EXACT:
+            raise ValueError(
+                f"total weight {weight} and largest objective value {worst} must not exceed "
+                f"2^53, the largest integer float64 holds exactly"
+            )
 
     def to_instance(self) -> FiniteOptInstance:
         """Penalized minimization over all item subsets.
@@ -128,20 +154,52 @@ class KnapsackSpec:
         weight, so f >= 0, minimizing f maximizes profit among feasible
         subsets, and (with integer weights) every overweight subset scores
         worse than every feasible one.
+
+        Subset mask m has bit i set iff item i is in it. The first h = n // 2
+        items give the low mask bits and the rest the high bits, each half
+        with its own int64 weight and profit tables (2^h and 2^(n-h)
+        entries). The values, one float64 per subset, are filled a block of
+        high-mask rows by all low masks at a time, through at most
+        BLOCK_CELLS cells of int64 scratch.
+        Every value is an exact integer below 2^53, so it does not depend on
+        the order of the sums.
         """
         n = len(self.weights)
-        # subset mask m has bit i set iff item i is in it; the masks with top
-        # bit i are those below 1 << i plus item i
-        w = np.zeros(1 << n, dtype=np.int64)
-        q = np.zeros(1 << n, dtype=np.int64)
-        for i, (weight, profit) in enumerate(zip(self.weights, self.profits)):
-            half = 1 << i
-            np.add(w[:half], weight, out=w[half : 2 * half])
-            np.add(q[:half], profit, out=q[half : 2 * half])
+        h = n // 2
+        w_lo, q_lo = _subset_sums(self.weights[:h], self.profits[:h])
+        w_hi, q_hi = _subset_sums(self.weights[h:], self.profits[h:])
         total = int(sum(self.profits))
         penalty = total + 1
-        values = (total - q) + penalty * np.maximum(w - self.capacity, 0)
-        return FiniteOptInstance(values=values.astype(float), labels=range(1 << n))
+        # every subset fits a capacity above the total weight, which int64 may not hold
+        capacity = min(self.capacity, int(sum(self.weights)))
+
+        values = np.empty(1 << n)
+        table = values.reshape(w_hi.size, w_lo.size)  # row r holds masks r << h | l
+        rows = BLOCK_CELLS >> h  # at least 64, since h <= 10
+        for r in range(0, w_hi.size, rows):
+            block = slice(r, r + rows)
+            f = np.add(w_hi[block, None], w_lo)
+            f -= capacity
+            np.maximum(f, 0, out=f)
+            f *= penalty
+            f += total
+            f -= q_hi[block, None]
+            f -= q_lo
+            table[block] = f
+        return FiniteOptInstance(values=values, labels=range(1 << n))
+
+
+def _subset_sums(weights: Sequence[int], profits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and profit of every subset of the items, indexed by subset mask."""
+    n = len(weights)
+    w = np.zeros(1 << n, dtype=np.int64)
+    q = np.zeros(1 << n, dtype=np.int64)
+    # the masks with top bit i are those below 1 << i plus item i
+    for i, (weight, profit) in enumerate(zip(weights, profits)):
+        half = 1 << i
+        np.add(w[:half], weight, out=w[half : 2 * half])
+        np.add(q[:half], profit, out=q[half : 2 * half])
+    return w, q
 
 
 def default_knapsack(n_items: int = 10, seed: int = 0) -> KnapsackSpec:

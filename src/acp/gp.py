@@ -257,13 +257,18 @@ class EstimationTask:
             raise ValueError("noise_variance must be positive and finite")
         if not 0 < self.resolution < THETA_DOMAIN[1] - THETA_DOMAIN[0]:
             raise ValueError("resolution must be inside the theta domain width")
-        cells = self.n_outcome_samples * ACTION_GRID.size * self.theta_grid_size
+        cells = self.posterior_cells
         if cells > MAX_POSTERIOR_CELLS:
             raise ValueError(
                 f"{self.n_outcome_samples} outcome samples x {ACTION_GRID.size} actions x "
                 f"{self.theta_grid_size} grid cells = {cells:.3g} posterior cells, over the "
                 f"cap of {MAX_POSTERIOR_CELLS:.0e} per estimate"
             )
+
+    @property
+    def posterior_cells(self) -> int:
+        """The work of one estimate: draw x action x grid cell posterior terms."""
+        return self.n_outcome_samples * ACTION_GRID.size * self.theta_grid_size
 
     def hypothesis_grid(self) -> HypothesisGrid:
         return HypothesisGrid.uniform(*THETA_DOMAIN, self.theta_grid_size)

@@ -92,14 +92,16 @@ class AgentTrace:
 NORMAL_ROUND = 64
 #: Trials per block of the noise sweep; a constant, so --workers never changes a block.
 SWEEP_BLOCK = 25
-#: Most level x trial x step x grid-cell updates one sweep may price: about
-#: 200 s at roughly 21 ns per cell-step.
+#: Most cell-steps one sweep may price: about 200 s at roughly 21 ns per
+#: agent cell-step (an estimate's posterior cell costs about half that).
 MAX_CELL_STEPS = 10**10
 
 
 def sweep_cell_steps(n_levels: int, trials_per_level: int, step_cap: int) -> int:
-    """The price of a noise sweep: posterior cell updates if every trial runs to its cap."""
-    return n_levels * trials_per_level * step_cap * _GRID.size
+    """The price of a noise sweep: per level, the agent's posterior cell updates
+    if every trial runs to its cap, plus the level estimate's posterior cells."""
+    estimate_cells = EstimationTask().posterior_cells
+    return n_levels * (trials_per_level * step_cap * _GRID.size + estimate_cells)
 
 
 def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs):
@@ -259,8 +261,9 @@ def run_noise_sweep(
     cell_steps = sweep_cell_steps(len(levels), trials_per_level, step_cap)
     if cell_steps > MAX_CELL_STEPS:
         raise ValueError(
-            f"{len(levels)} levels x {trials_per_level} trials x {step_cap} steps x {_GRID.size} "
-            f"grid cells = {cell_steps:.3g} cell-steps, over the cap of {MAX_CELL_STEPS:.0e} per sweep"
+            f"{len(levels)} levels x ({trials_per_level} trials x {step_cap} steps x {_GRID.size} "
+            f"grid cells + one estimate) = {cell_steps:.3g} cell-steps, over the cap of "
+            f"{MAX_CELL_STEPS:.0e} per sweep"
         )
 
     level_rows: list[SweepLevelRow] = []

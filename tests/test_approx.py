@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acp import (
     FiniteOptInstance,
+    KnapsackSpec,
     default_knapsack,
     goal_set,
     information_vs_epsilon,
@@ -32,6 +34,36 @@ def brute_force_knapsack_goals(spec, epsilon):
             values[mask] = (total - profit) + (total + 1) * max(0, weight - spec.capacity)
     best = min(values.values())
     return {mask for mask, v in values.items() if v <= (1 + epsilon) * best}
+
+
+def _reference_to_instance(spec):
+    """The full-table builder: int64 weight and profit sums over all 2^n
+    subsets, then the objective as whole-array expressions."""
+    n = len(spec.weights)
+    w = np.zeros(1 << n, dtype=np.int64)
+    q = np.zeros(1 << n, dtype=np.int64)
+    for i, (weight, profit) in enumerate(zip(spec.weights, spec.profits)):
+        half = 1 << i
+        np.add(w[:half], weight, out=w[half : 2 * half])
+        np.add(q[:half], profit, out=q[half : 2 * half])
+    total = int(sum(spec.profits))
+    values = (total - q) + (total + 1) * np.maximum(w - spec.capacity, 0)
+    return FiniteOptInstance(values=values.astype(float), labels=range(1 << n))
+
+
+@st.composite
+def knapsack_specs(draw):
+    """Specs of 1-20 items whose sums reach up to the 2^53 guard."""
+    n = draw(st.integers(1, 20))
+    w_max = draw(st.sampled_from([15, 2**20, 2**53 // n]))
+    q_max = draw(st.sampled_from([19, 2**20, 2**53 // (2 * n)]))
+    weights = draw(st.lists(st.integers(1, w_max), min_size=n, max_size=n))
+    profits = draw(st.lists(st.integers(1, q_max), min_size=n, max_size=n))
+    total_w, total_q = sum(weights), sum(profits)
+    # the largest overweight that keeps every value within 2^53; a negative
+    # excess leaves room to spare
+    excess = draw(st.integers(-total_w, (2**53 - total_q) // (total_q + 1)))
+    return KnapsackSpec(tuple(weights), tuple(profits), max(1, total_w - excess))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +164,59 @@ class TestKnapsackFamily:
         total_w = bits @ weights
         feasible = total_w <= knapsack.capacity
         assert inst.values[~feasible].min() > inst.values[feasible].max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(knapsack_specs())
+    @example(default_knapsack(20, 3))
+    @example(default_knapsack(19, 5))
+    def test_split_build_matches_reference(self, spec):
+        inst, ref = spec.to_instance(), _reference_to_instance(spec)
+        assert np.array_equal(inst.values, ref.values)
+        assert inst.labels == ref.labels == range(1 << len(spec.weights))
+
+    def test_twenty_item_curve_memory_is_bounded(self):
+        # one float64 per subset is 8 MiB; the full-table build peaked at about 40 MiB
+        spec = default_knapsack(20, 3)
+        tracemalloc.start()
+        try:
+            information_vs_epsilon(spec.to_instance(), EPS_LADDER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_rejects_sums_beyond_exact_integers(self):
+        # in int64 this wrapped round: the full set scored about -3.9e18
+        with pytest.raises(ValueError, match="2\\^53"):
+            KnapsackSpec(weights=(10**10,) * 3, profits=(10**10,) * 3, capacity=1)
+
+    @pytest.mark.parametrize(
+        "weights, profits, capacity, values",
+        [
+            ((2**53,), (1,), 2**53, [1.0, 0.0]),  # total weight at the guard
+            ((1,), (2**53,), 1, [2.0**53, 0.0]),  # largest value at the guard
+            ((2,), (2**52 - 1,), 1, [2.0**52 - 1, 2.0**52]),  # penalty bound 2^53 - 1
+        ],
+    )
+    def test_accepts_sums_at_the_guard(self, weights, profits, capacity, values):
+        spec = KnapsackSpec(weights=weights, profits=profits, capacity=capacity)
+        assert spec.to_instance().values.tolist() == values
+
+    @pytest.mark.parametrize(
+        "weights, profits, capacity",
+        [
+            ((2**53 + 1,), (1,), 2**54),  # total weight one over
+            ((1,), (2**53 + 1,), 1),  # largest value one over
+            ((2,), (2**52,), 1),  # penalty bound 2^53 + 1
+        ],
+    )
+    def test_rejects_sums_one_past_the_guard(self, weights, profits, capacity):
+        with pytest.raises(ValueError, match="2\\^53"):
+            KnapsackSpec(weights=weights, profits=profits, capacity=capacity)
+
+    def test_capacity_beyond_int64_leaves_every_subset_feasible(self):
+        spec = KnapsackSpec(weights=(3, 5), profits=(1, 2), capacity=10**30)
+        assert spec.to_instance().values.tolist() == [3.0, 2.0, 1.0, 0.0]
 
     def test_rejects_too_many_items(self):
         with pytest.raises(ValueError):

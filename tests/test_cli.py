@@ -188,6 +188,8 @@ class TestExitCodes:
         [
             ("--noise", "0.1,0.2", "--trials", "100000000"),
             ("--noise", "100,200", "--trials", "20", "--step-cap", "100000000"),
+            # 7000 levels x (20 x 1 x 401 + 1 565 504 estimate cells) = 1.1e10
+            ("--noise", ",".join(map(str, range(1, 7001))), "--trials", "20", "--step-cap", "1"),
         ],
     )
     def test_runaway_slope_writes_nothing(self, tmp_path, capsys, flags):
@@ -364,6 +366,20 @@ class TestDeterminism:
         assert _run("coloring", *flags, "--out", str(out)) == 0
         assert hashlib.sha256(_read(out)).hexdigest() == detail_sha
         assert hashlib.sha256(_read(tmp_path / "c_summary.csv")).hexdigest() == summary_sha
+
+    @pytest.mark.parametrize(
+        "flags, sha",
+        [
+            (("--items", "20", "--seed", "3"),
+             "8558084c9fcf77189c966a3f3d11812bc70ac2ac5d600eec07ab2f48d547fad6"),
+            (("--seed", "11"),
+             "9ea140eb2ee7d9f88091014e1048b15823fedfad4db4e92aebf9cf92dd2cc595"),
+        ],
+    )
+    def test_approx_bytes_are_pinned(self, tmp_path, capsys, flags, sha):
+        out = tmp_path / "a.csv"
+        assert _run("approx", *flags, "--out", str(out)) == 0
+        assert hashlib.sha256(_read(out)).hexdigest() == sha
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"

@@ -199,12 +199,15 @@ class TestNoiseSweep:
             run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=20, step_cap=0)
 
     def test_default_sweep_price(self):
-        # levels x trials x step cap x 401 grid cells
-        assert sweep_cell_steps(len(DEFAULT_NOISE_LEVELS), 50, 200) == 16_040_000
+        # levels x (trials x step cap x 401 grid cells + 64 draws x 61 actions x 401 cells)
+        assert sweep_cell_steps(len(DEFAULT_NOISE_LEVELS), 50, 200) == 22_302_016
 
     def test_rejects_overpriced_sweep(self):
         # one step over the cap is refused before any level's estimate or trial runs
-        step_cap = MAX_CELL_STEPS // sweep_cell_steps(2, 20, 1) + 1
+        estimates = sweep_cell_steps(2, 20, 0)
+        per_step = sweep_cell_steps(2, 20, 1) - estimates
+        step_cap = (MAX_CELL_STEPS - estimates) // per_step + 1
+        assert sweep_cell_steps(2, 20, step_cap - 1) <= MAX_CELL_STEPS < sweep_cell_steps(2, 20, step_cap)
         with pytest.raises(ValueError, match="cell-steps, over the cap"):
             run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=20, step_cap=step_cap)
 
