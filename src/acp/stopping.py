@@ -17,7 +17,13 @@ the bounds, and provides a Monte Carlo harness that checks them.
 Gains are drawn by inverse-CDF transform from one uniform variate per step.
 Trials are simulated in blocks that share one generator, and ``run_trials``
 cuts them into blocks of a fixed size, so a run is a pure function of
-(spec, total_bits, n_trials, master_seed) whatever the worker count. Trials
+(spec, total_bits, n_trials, master_seed) whatever the worker count. A block
+runs in one float64 buffer allocated once: each chunk of a round fills it
+with uniforms, turns them into gains in place and then into partial sums in
+place. Every family's gains are >= 0, so partial sums never decrease and a
+trial crosses its target within a round exactly when its last partial sum
+does; the first crossing step is searched for only in chunks where some
+trial crossed. Trials
 are kept as one ``np.recarray`` with a row per trial and three columns:
 ``n_steps`` (int64 stopping time), ``accumulated`` (float64 sum at the
 stop) and ``overshoot`` (float64, ``accumulated - total_bits``).
@@ -53,7 +59,9 @@ MAX_TOTAL_STEPS = 10**9
 #: Trials per block in run_trials; each block draws from one generator.
 TRIAL_BLOCK = 1024
 
-#: Most gains drawn at once by the block engine, which bounds its memory.
+#: Gains drawn at once by the block engine: each block's one scratch buffer
+#: holds max(ROUND_ELEMENTS, round width) float64 cells, so a block's memory is
+#: O(ROUND_ELEMENTS + trials).
 ROUND_ELEMENTS = 1 << 14
 
 
@@ -246,18 +254,29 @@ class GainSequenceSpec:
             out[:take] = self.mean_prefix[start : start + take]
         return out
 
-    def draw_gains(self, means: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
+    def draw_gains(
+        self, means: np.ndarray, uniforms: np.ndarray | None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Transform one uniform variate per step into a gain at the given mean.
 
         ``means`` and ``uniforms`` may have any shapes that broadcast together
-        (the deterministic family ignores ``uniforms``).
+        (the deterministic family ignores ``uniforms``). The transform runs in
+        place in ``out``, which may be ``uniforms`` itself; left as None, a
+        new array of the broadcast shape is allocated. Every gain lies in
+        [0, support_bound] (in [0, inf) for the exponential family), which
+        the block engine's crossing test relies on.
         """
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(means), np.shape(uniforms)))
         if self.family == "deterministic":
-            return means.copy()
+            np.copyto(out, means)
+            return out
         if self.family == "exponential":
-            return -means * np.log1p(-uniforms)
+            np.negative(uniforms, out=out)
+            np.log1p(out, out=out)
+            return np.multiply(-means, out, out=out)
         if self.family == "uniform":
-            return 2.0 * means * uniforms
+            return np.multiply(2.0 * means, uniforms, out=out)
         from scipy.special import ndtri  # scipy is slow to import and only this family needs it
 
         keys, table = getattr(self, "_tg_table")
@@ -265,9 +284,15 @@ class GainSequenceSpec:
         if not np.array_equal(keys[idx], means):
             raise ValueError("means outside the spec's mean sequence")
         locs, cdf_lo, cdf_hi = table[idx, 0], table[idx, 1], table[idx, 2]
+        np.multiply(uniforms, cdf_hi - cdf_lo, out=out)
+        np.add(cdf_lo, out, out=out)
         # clip keeps ndtri finite when a window edge underflows to 0 or 1
-        quantile = np.clip(cdf_lo + uniforms * (cdf_hi - cdf_lo), 1e-16, 1.0 - 1e-16)
-        return locs + self.noise_scale * ndtri(quantile)
+        np.clip(out, 1e-16, 1.0 - 1e-16, out=out)
+        ndtri(out, out=out)
+        np.multiply(self.noise_scale, out, out=out)
+        np.add(locs, out, out=out)
+        # the quantile clip and rounding can land a far-tail draw just past a support edge
+        return np.clip(out, 0.0, self.support_bound, out=out)
 
 
 @dataclass(frozen=True)
@@ -300,8 +325,13 @@ def _simulate_block(
     spec and target only); each round draws a (rows, width) matrix of
     uniforms for the trials still running, at most ROUND_ELEMENTS at a time,
     so the consumed stream does not depend on where each crossing lands
-    within the round. Raises StepCapExceeded if a trial is still short of
-    total_bits after ``step_cap`` steps.
+    within the round. Each chunk runs in one buffer allocated per block: the
+    uniforms, their gains and the partial sums overwrite each other in
+    place. Gains are >= 0, so partial sums never decrease and a row crossed
+    total_bits exactly when its last sum did; the first crossing column is
+    searched for only in chunks where some row crossed. Raises
+    StepCapExceeded if a trial is still short of total_bits after
+    ``step_cap`` steps.
     """
     if not 0 < total_bits < math.inf:
         raise ValueError("total_bits must be positive and finite")
@@ -311,6 +341,7 @@ def _simulate_block(
     accumulated = np.zeros(n)
     running = np.zeros(n)
     active = np.arange(n)
+    buffer = np.empty(max(width, ROUND_ELEMENTS))
     done = 0
     while active.size:
         k = min(width, step_cap - done)
@@ -323,15 +354,17 @@ def _simulate_block(
         still = []
         for start in range(0, active.size, chunk):
             rows = active[start : start + chunk]
-            uniforms = None if spec.family == "deterministic" else rng.random((rows.size, k))
-            gains = spec.draw_gains(means, uniforms)
-            csum = running[rows, None] + np.cumsum(gains, axis=1)
-            hit = csum >= total_bits
-            first = hit.argmax(axis=1)
-            crossed = hit[np.arange(rows.size), first]
-            ended = rows[crossed]
-            n_steps[ended] = done + first[crossed] + 1
-            accumulated[ended] = csum[crossed, first[crossed]]
+            csum = buffer[: rows.size * k].reshape(rows.size, k)
+            uniforms = None if spec.family == "deterministic" else rng.random(out=csum)
+            spec.draw_gains(means, uniforms, out=csum)
+            np.cumsum(csum, axis=1, out=csum)
+            csum += running[rows, None]
+            crossed = csum[:, -1] >= total_bits
+            if crossed.any():
+                first = (csum >= total_bits).argmax(axis=1)[crossed]
+                ended = rows[crossed]
+                n_steps[ended] = done + first + 1
+                accumulated[ended] = csum[crossed, first]
             running[rows] = csum[:, -1]
             still.append(rows[~crossed])
         active = np.concatenate(still)

@@ -350,6 +350,27 @@ class TestDeterminism:
         assert hashlib.sha256(_read(dump)).hexdigest() == dump_sha
 
     @pytest.mark.parametrize(
+        "family, row, dump_sha",
+        [
+            ("deterministic", b"4500.000000,9004.000000,8999.000000,40,0.000000,true\n",
+             "a8ee615e2bb22f76912a6eddfb3868e22bfef221cd0564a90643764bad2229c3"),
+            ("exponential", b"4500.000000,9008.000000,8990.575000,40,15.529578,true\n",
+             "36e69048c55ea658b8d12a8e95339ac92aa03d54dd02f439a5041175162d12b3"),
+            ("uniform", b"4500.000000,9005.333333,8990.300000,40,8.924196,true\n",
+             "4de3c6ba6f7d406fb586d24280a51544b50fb04e8e06e02b6955681376e15e56"),
+            ("truncated-gaussian", b"4500.000000,9004.249866,8993.475000,40,7.375200,true\n",
+             "7ac4244209264f2c1adf0185c0e999210b4171b749ee5643c220ceae09f3a59d"),
+        ],
+    )
+    def test_long_trial_bytes_are_pinned(self, tmp_path, capsys, family, row, dump_sha):
+        # about 9000 steps a trial: three rounds of up to 4096 steps, each in ten chunks of four trials
+        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
+        assert _run("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "9000",
+                    "--trials", "40", "--seed", "3", "--out", str(out), "--dump-trials", str(dump)) == 0
+        assert _read(out) == b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n" + row
+        assert hashlib.sha256(_read(dump)).hexdigest() == dump_sha
+
+    @pytest.mark.parametrize(
         "flags, detail_sha, summary_sha",
         [
             (("--seed", "0"),

@@ -1,10 +1,11 @@
 """Stopping-time simulator, cost bounds, and the high-probability budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
@@ -21,7 +22,7 @@ from acp import (
     summarize_trials,
 )
 from acp import stopping
-from acp.stopping import TRIAL_BLOCK, _solve_trunc_loc, _trunc_norm_stats
+from acp.stopping import ROUND_ELEMENTS, STEP_CAP, TRIAL_BLOCK, _solve_trunc_loc, _trunc_norm_stats
 
 DIMINISHING = tuple(max(2.0 * 0.9**i, 0.5) for i in range(14))
 
@@ -41,6 +42,66 @@ def _records(steps):
     return np.rec.fromarrays(
         (steps, steps.astype(float), np.zeros(steps.size)), names="n_steps,accumulated,overshoot"
     )
+
+
+def _reference_simulate_block(spec, total_bits, n, seed, step_cap=STEP_CAP):
+    """The block engine with fresh arrays per chunk, searching every row of every chunk."""
+    if not 0 < total_bits < math.inf:
+        raise ValueError("total_bits must be positive and finite")
+    rng = np.random.default_rng(seed)
+    width = int(min(4096, max(16, math.ceil(total_bits / spec.mean_tail) + 8)))
+    n_steps = np.zeros(n, dtype=np.int64)
+    accumulated = np.zeros(n)
+    running = np.zeros(n)
+    active = np.arange(n)
+    done = 0
+    while active.size:
+        k = min(width, step_cap - done)
+        if k <= 0:
+            raise StepCapExceeded(
+                f"no crossing within {step_cap} steps (sum={running[active].min():.3g})"
+            )
+        means = spec.means_for_steps(done, k)[None, :]
+        chunk = max(1, ROUND_ELEMENTS // k)
+        still = []
+        for start in range(0, active.size, chunk):
+            rows = active[start : start + chunk]
+            uniforms = None if spec.family == "deterministic" else rng.random((rows.size, k))
+            gains = spec.draw_gains(means, uniforms)
+            csum = running[rows, None] + np.cumsum(gains, axis=1)
+            hit = csum >= total_bits
+            first = hit.argmax(axis=1)
+            crossed = hit[np.arange(rows.size), first]
+            ended = rows[crossed]
+            n_steps[ended] = done + first[crossed] + 1
+            accumulated[ended] = csum[crossed, first[crossed]]
+            running[rows] = csum[:, -1]
+            still.append(rows[~crossed])
+        active = np.concatenate(still)
+        done += k
+    return np.rec.fromarrays(
+        (n_steps, accumulated, accumulated - total_bits), names="n_steps,accumulated,overshoot"
+    )
+
+
+@st.composite
+def _block_cases(draw):
+    """(spec, total_bits, n, seed, step_cap) for the block engine, rounds of up to 4096 steps."""
+    family = draw(st.sampled_from(stopping.FAMILIES))
+    tail = draw(st.floats(0.5, 2.0))
+    # a stepped prefix that may end just before, at or past the first 4096-step round
+    n_prefix = draw(st.sampled_from([0, 4095, 4096, 4097]) | st.integers(0, 9000))
+    ratios = sorted(draw(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=3)), reverse=True)
+    prefix = [tail * ratios[i * len(ratios) // n_prefix] for i in range(n_prefix)]
+    extra = {"support_bound": 4.0 * max(prefix, default=tail)} if family == "truncated-gaussian" else {}
+    spec = getattr(GainSequenceSpec, family.replace("-", "_"))(prefix, tail, **extra)
+    # up to about four rounds; at full width a round takes 4 trials per chunk
+    total_bits = draw(st.floats(0.1, 4.0 * 4096 * tail))
+    steps = total_bits / tail
+    n = draw(st.integers(1, max(13, min(2500, int(2e5 // steps)))))
+    seed = draw(st.integers(0, 2**32))
+    step_cap = draw(st.just(STEP_CAP) | st.integers(1, 5 * 4096))
+    return spec, total_bits, n, seed, step_cap
 
 
 def _se(values):
@@ -202,6 +263,32 @@ class TestDrawGains:
             law = truncnorm(-loc / scale, (upper - loc) / scale, loc=loc, scale=scale)
             np.testing.assert_allclose(gains[:, c], law.ppf(uniforms[:, c]), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [0.05, 0.2, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("upper", [1.0, 4.0])
+    def test_extreme_uniforms_stay_in_support(self, scale, upper):
+        # the quantile clip at 1e-16 and rounding alone send these draws up to 1e-5 past an edge
+        uniforms = np.array([0.0, 2.0**-53, 1e-12, 1.0 - 2.0**-53])
+        checked = 0
+        for frac in np.linspace(0.02, 0.98, 50):
+            try:
+                spec = GainSequenceSpec.truncated_gaussian((), float(frac * upper), upper, scale)
+            except ValueError:  # too extreme to sample
+                continue
+            gains = spec.draw_gains(np.full(uniforms.size, spec.mean_tail), uniforms)
+            assert np.all((gains >= 0.0) & (gains <= upper)), (spec.mean_tail, gains)
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_in_place_matches_allocating(self, name):
+        spec = SPECS[name]
+        means = spec.means_for_steps(0, 40)[None, :]
+        uniforms = np.random.default_rng(4).random((3, 40))
+        expected = spec.draw_gains(means, None if name == "deterministic" else uniforms.copy())
+        out = spec.draw_gains(means, uniforms, out=uniforms)
+        assert out is uniforms
+        assert np.array_equal(out, np.broadcast_to(expected, out.shape))
+
     def test_unknown_mean_rejected(self):
         with pytest.raises(ValueError):
             SPECS["truncated-gaussian"].draw_gains(np.array([0.75]), np.array([0.5]))
@@ -278,6 +365,37 @@ class TestTrialBlocks:
     def test_step_cap_raises_in_a_block(self):
         with pytest.raises(StepCapExceeded):
             run_trials(SPECS["deterministic"], 1e8, 3, master_seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_block_cases())
+    @example(case=(GainSequenceSpec.exponential([2.0] * 4100, 1.0), 9000.0, 13, 3, STEP_CAP))
+    @example(case=(SPECS["truncated-gaussian"], 5000.0, 9, 1, 8192))
+    @example(case=(SPECS["deterministic"], 5000.0, 2, 0, 4999))
+    # the sum meets the target exactly at the last step of the first round
+    @example(case=(GainSequenceSpec.deterministic([2.0] * 4096, 1.0), 8192.0, 3, 0, STEP_CAP))
+    def test_engine_equals_reference_bit_for_bit(self, case):
+        spec, total_bits, n, seed, step_cap = case
+        try:
+            expected = _reference_simulate_block(spec, total_bits, n, seed, step_cap)
+        except StepCapExceeded as exc:
+            with pytest.raises(StepCapExceeded) as raised:
+                stopping._simulate_block(spec, total_bits, n, seed, step_cap)
+            assert str(raised.value) == str(exc)
+            return
+        got = stopping._simulate_block(spec, total_bits, n, seed, step_cap)
+        for name in ("n_steps", "accumulated", "overshoot"):
+            assert np.array_equal(got[name], expected[name]), name
+
+    def test_block_memory_is_bounded(self):
+        # about 20 million gains through one 128 KiB buffer plus a few trial-length arrays;
+        # a few full-chunk temporaries per chunk would pass the bound
+        tracemalloc.start()
+        try:
+            stopping._simulate_block(SPECS["exponential"], 20_000.0, TRIAL_BLOCK, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
 
     @settings(max_examples=25, deadline=None)
     @given(
