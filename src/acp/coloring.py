@@ -52,6 +52,10 @@ DEFAULT_CONFIGS = (
 
 _COUNT_GUARD = 20
 
+#: Most expansions one solve may make, about 1 s of search; a solve that
+#: would need more stops at the cap and reports no coloring found.
+SOLVE_CAP = 10**5
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -295,8 +299,10 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
 
     Every committed assignment increments the expansion counter, including
     assignments that immediately wipe out a neighbor's domain and ones that
-    recommit a vertex after backtracking. Deterministic given
-    (instance, agent, seed); only the random agent consumes randomness.
+    recommit a vertex after backtracking. A search that would need more
+    than SOLVE_CAP expansions stops there and returns found=False with
+    expansions == SOLVE_CAP. Deterministic given (instance, agent, seed);
+    only the random agent consumes randomness.
     """
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent {agent!r}; expected one of {AGENT_KINDS}")
@@ -336,6 +342,8 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
             return True
         v = pick_vertex()
         for c in order_colors(v):
+            if expansions == SOLVE_CAP:
+                return False
             assignment[v] = c
             expansions += 1
             bit = 1 << c

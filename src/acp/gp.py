@@ -12,11 +12,12 @@ The estimation pipeline sizes up a task before any real query is spent:
 The task's fixed geometry is module constants (THETA_DOMAIN, ACTION_GRID);
 ``EstimationTask`` holds only what varies.
 
-Step 2 scores (action, draw) posteriors in blocks of at most BLOCK_CELLS
-cells, all written into one reused buffer, so its memory is O(draws) and
-does not grow with actions times grid cells. A task whose posterior work
-(draws x actions x cells) exceeds MAX_POSTERIOR_CELLS is refused when it is
-built, before any grid is allocated.
+Step 2 and the GP oracle share one kernel, ``_mean_posterior_bits``: it
+scores one action's draw posteriors in blocks of at most BLOCK_CELLS cells
+through one buffer, so memory is O(draws) and does not grow with draws
+times grid cells. A task whose posterior work (draws x actions x cells)
+exceeds MAX_POSTERIOR_CELLS is refused when it is built, before any grid is
+allocated.
 
 One error source is tracked explicitly: Monte Carlo noise in the gain
 estimates, as a Hoeffding deviation bound. It is folded into a first-order
@@ -143,14 +144,14 @@ def _grid_posteriors(
     predicted: np.ndarray,
     outcomes: np.ndarray,
     noise_variance: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Grid posterior after each outcome, with grid cells on the last axis.
 
     ``predicted`` holds each cell's noiseless outcome and ``outcomes`` the
     observed values on a trailing axis of length 1; both broadcast against
     ``log_prior``. The observation noise is Gaussian with ``noise_variance``.
-    The posteriors are written into ``out`` when it is given.
+    The posteriors are written into ``out``.
     """
     # one buffer, updated in place from log-posterior to posterior
     post = np.subtract(outcomes, predicted, out=out)
@@ -161,6 +162,36 @@ def _grid_posteriors(
     np.exp(post, out=post)
     post /= post.sum(axis=-1, keepdims=True)
     return post
+
+
+def _mean_posterior_bits(
+    log_prior: np.ndarray,
+    predicted: np.ndarray,
+    outcomes: np.ndarray,
+    noise_variance: float,
+    starts: np.ndarray | None = None,
+) -> float:
+    """Mean entropy, in bits, of the grid posterior after each outcome.
+
+    ``predicted`` holds each cell's noiseless outcome for one action and
+    ``outcomes`` the 1D observed values. The posteriors are scored a block
+    at a time, in one buffer of at most BLOCK_CELLS cells (one grid row if a
+    row is larger), so memory is O(draws) however many cells a draw has.
+    Given ``starts``, each posterior is first summed into the bins starting
+    at those cells.
+    """
+    n_cells = predicted.size
+    rows = min(outcomes.size, max(1, BLOCK_CELLS // n_cells))
+    buf = np.empty(rows * n_cells)
+    ent = np.empty(outcomes.size)
+    for d in range(0, outcomes.size, rows):
+        e = min(d + rows, outcomes.size)
+        out = buf[: (e - d) * n_cells].reshape(e - d, n_cells)
+        post = _grid_posteriors(log_prior, predicted, outcomes[d:e, None], noise_variance, out)
+        if starts is not None:
+            post = np.add.reduceat(post, starts, axis=-1)
+        ent[d:e] = entropy_bits(post, axis=-1)
+    return float(ent.mean())
 
 
 def information_gain(
@@ -188,10 +219,9 @@ def information_gain(
     prior_bits = grid.prior_entropy()
     mean_y, var_y = posterior.predictive_y(action)
     draws = mean_y + math.sqrt(var_y) * rng.standard_normal(n_outcome_samples)
-    post = _grid_posteriors(
-        _log_prior(grid.probabilities), grid.values * action, draws[:, None], posterior.noise_variance
+    mean_posterior_bits = _mean_posterior_bits(
+        _log_prior(grid.probabilities), grid.values * action, draws, posterior.noise_variance
     )
-    mean_posterior_bits = float(entropy_bits(post, axis=1).mean())
     gain = prior_bits - mean_posterior_bits
     return float(min(max(gain, 0.0), prior_bits))
 
@@ -257,6 +287,8 @@ class EstimationTask:
             raise ValueError("noise_variance must be positive and finite")
         if not 0 < self.resolution < THETA_DOMAIN[1] - THETA_DOMAIN[0]:
             raise ValueError("resolution must be inside the theta domain width")
+        if self.n_outcome_samples < 16:
+            raise ValueError("n_outcome_samples must be at least 16")
         cells = self.posterior_cells
         if cells > MAX_POSTERIOR_CELLS:
             raise ValueError(
@@ -290,18 +322,12 @@ class EstimationReport:
 def _action_gains(task: EstimationTask, seed: int) -> tuple[float, np.ndarray]:
     """Total bits and the estimated gain of each point of ACTION_GRID.
 
-    Posteriors are scored a block at a time in one buffer of at most
-    BLOCK_CELLS cells (one grid row if a row is larger): several whole
-    actions per block when their draws fit, else one action's draws a slice
-    at a time. Each action's gain is total bits minus the mean binned
-    posterior entropy over its draws.
+    Each action's gain is total bits minus the mean binned posterior
+    entropy over its draws, scored by ``_mean_posterior_bits``.
     """
-    if task.n_outcome_samples < 16:
-        raise ValueError("n_outcome_samples must be at least 16")
     grid = task.hypothesis_grid()
     width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
-    n_cells = grid.values.size
-    starts = _bin_starts(n_cells, task.resolution, width)
+    starts = _bin_starts(grid.values.size, task.resolution, width)
     total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
     log_prior = _log_prior(grid.probabilities)
 
@@ -310,22 +336,11 @@ def _action_gains(task: EstimationTask, seed: int) -> tuple[float, np.ndarray]:
     thetas = rng.choice(grid.values, size=draws, p=grid.probabilities)
     noise = math.sqrt(task.noise_variance) * rng.standard_normal(draws)
 
-    rows = max(1, BLOCK_CELLS // n_cells)
-    draws_per_block = min(draws, rows)
-    actions_per_block = max(1, rows // draws)
-    buf = np.empty(actions_per_block * draws_per_block * n_cells)
     gains = np.empty(ACTION_GRID.size)
-    for a in range(0, ACTION_GRID.size, actions_per_block):
-        b = min(a + actions_per_block, ACTION_GRID.size)
-        predicted = ACTION_GRID[a:b, None, None] * grid.values
-        ent = np.empty((b - a, draws))
-        for d in range(0, draws, draws_per_block):
-            e = min(d + draws_per_block, draws)
-            outcomes = ACTION_GRID[a:b, None] * thetas[d:e] + noise[d:e]
-            out = buf[: outcomes.size * n_cells].reshape(*outcomes.shape, n_cells)
-            post = _grid_posteriors(log_prior, predicted, outcomes[..., None], task.noise_variance, out)
-            ent[:, d:e] = entropy_bits(np.add.reduceat(post, starts, axis=-1))
-        gains[a:b] = total_bits - ent.mean(axis=-1)
+    for i, x in enumerate(ACTION_GRID):
+        gains[i] = total_bits - _mean_posterior_bits(
+            log_prior, x * grid.values, x * thetas + noise, task.noise_variance, starts
+        )
     return total_bits, gains
 
 

@@ -183,6 +183,15 @@ class TestExitCodes:
         assert not out.exists()
         assert "posterior cells" in capsys.readouterr().err
 
+    def test_too_few_estimate_draws_writes_nothing(self, tmp_path, capsys):
+        # refused when the task is built; 16 draws is the least the estimator takes
+        out = tmp_path / "e.csv"
+        assert _run("estimate", "--trials", "15", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "n_outcome_samples must be at least 16" in capsys.readouterr().err
+        assert _run("estimate", "--trials", "16", "--out", str(out)) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

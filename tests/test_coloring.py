@@ -286,6 +286,26 @@ class TestSolve:
         assert stats.found is False
         assert stats.assignment is None
 
+    def test_capped_solve_reports_not_found_at_the_cap(self, monkeypatch):
+        # the first feasible G(40, 0.1) of master seed 0: the random agent needs
+        # 447 271 expansions uncapped, the acp agent 40
+        seed = 8697063857760222071
+        instance = ColoringInstance(graph=gen_erdos_renyi(40, 0.1, seed), k=3, seed=seed, p=0.1)
+        monkeypatch.setattr(acp.coloring, "SOLVE_CAP", 1000)
+        stats = solve(instance, "random", seed=(seed, AGENT_KINDS.index("random")))
+        assert (stats.expansions, stats.found, stats.assignment) == (1000, False, None)
+        assert solve(instance, "acp", seed=(seed, AGENT_KINDS.index("acp"))).found
+
+    def test_cap_allows_exactly_cap_expansions(self, monkeypatch):
+        graph = gen_erdos_renyi(12, 0.35, 3)
+        needed = solve(_instance(graph), "random", seed=0).expansions
+        assert needed > graph.n  # the search backtracks at least once
+        monkeypatch.setattr(acp.coloring, "SOLVE_CAP", needed)
+        assert solve(_instance(graph), "random", seed=0).found
+        monkeypatch.setattr(acp.coloring, "SOLVE_CAP", needed - 1)
+        stats = solve(_instance(graph), "random", seed=0)
+        assert (stats.expansions, stats.found) == (needed - 1, False)
+
     def test_deterministic_given_seed(self):
         g = gen_erdos_renyi(10, 0.3, seed=21)
         for agent in AGENT_KINDS:

@@ -101,21 +101,66 @@ def _reference_step_gains(task: EstimationTask, seed) -> tuple[float, np.ndarray
     return total_bits, gains
 
 
+def _reference_information_gain(posterior, action, grid, n_outcome_samples=64, seed=0) -> float:
+    """``information_gain`` scoring every draw's posterior in one (draws, cells)
+    matrix: the reference the blocked kernel must equal bit for bit."""
+    if n_outcome_samples < 16:
+        raise ValueError("n_outcome_samples must be at least 16")
+    rng = np.random.default_rng(seed)
+    prior_bits = grid.prior_entropy()
+    mean_y, var_y = posterior.predictive_y(action)
+    draws = mean_y + math.sqrt(var_y) * rng.standard_normal(n_outcome_samples)
+    with np.errstate(divide="ignore"):
+        log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
+    post = np.subtract(draws[:, None], grid.values * action)
+    np.square(post, out=post)
+    post /= -2.0 * posterior.noise_variance
+    post += log_prior
+    post -= post.max(axis=-1, keepdims=True)
+    np.exp(post, out=post)
+    post /= post.sum(axis=-1, keepdims=True)
+    mean_posterior_bits = float(entropy_bits(post, axis=1).mean())
+    gain = prior_bits - mean_posterior_bits
+    return float(min(max(gain, 0.0), prior_bits))
+
+
+def _draws_near_block_edges(draw, size: int, most: int) -> int:
+    """A draw count in [16, most], often one off a multiple of a block's rows."""
+    rows = max(1, gp.BLOCK_CELLS // size)
+    # rows draws fill one block exactly; rows + 1 spill one draw into a second
+    edge = draw(st.sampled_from([rows, 2 * rows]))
+    n_draws = draw(st.integers(16, most) | st.sampled_from([edge - 1, edge, edge + 1]))
+    return min(max(n_draws, 16), most)
+
+
+@st.composite
+def _gain_queries(draw):
+    """(posterior, action, grid, draws) whose draw counts cluster at block edges."""
+    size = draw(st.integers(min_value=2, max_value=4000))
+    grid = HypothesisGrid.uniform(-2, 2, size)
+    if draw(st.booleans()):
+        # a prior with zero-mass cells, which must stay empty
+        probs = np.where(np.arange(size) % 3 == 0, 0.0, 1.0)
+        grid = HypothesisGrid(grid.values, probs / probs.sum())
+    posterior = GPPosterior(
+        RBFKernel(1.0, 10.0 ** draw(st.floats(-4.0, 4.0))), noise_variance=10.0 ** draw(st.floats(-6.0, 6.0))
+    )
+    action = draw(st.floats(-3.0, 3.0))
+    # at most 2 * 10^6 draw-cells keeps an example well under a second
+    n_draws = _draws_near_block_edges(draw, size, min(3000, 2 * 10**6 // size))
+    return posterior, action, grid, n_draws
+
+
 @st.composite
 def _blocked_tasks(draw) -> EstimationTask:
     """Tasks whose draw counts cluster around the estimator's block edges."""
     size = draw(st.integers(min_value=40, max_value=2000))
-    rows = gp.BLOCK_CELLS // size
-    # rows // k draws fit k whole actions in a block; rows + 1 splits one action
-    edge = draw(st.sampled_from([rows // 3, rows // 2, rows]))
     # at most 10^6 draw-cells per action keeps an example near a second
-    most = min(3000, 10**6 // size)
-    n_draws = draw(st.integers(16, most) | st.sampled_from([edge - 1, edge, edge + 1]))
     return EstimationTask(
         noise_variance=10.0 ** draw(st.floats(-6.0, 6.0)),
         resolution=draw(st.sampled_from([0.1, 0.15, 0.3, 0.5, 1.0, 2.5])),
         theta_grid_size=size,
-        n_outcome_samples=min(max(n_draws, 16), most),
+        n_outcome_samples=_draws_near_block_edges(draw, size, min(3000, 10**6 // size)),
     )
 
 
@@ -177,6 +222,29 @@ class TestInformationGain:
         grid = HypothesisGrid.uniform(-2, 2, 11)
         with pytest.raises(ValueError):
             information_gain(calibrated_posterior(1.0, 0.5), 1.0, grid, 8, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(query=_gain_queries(), seed=st.integers(min_value=0, max_value=2**32))
+    # a grid row larger than a whole block
+    @example(
+        query=(calibrated_posterior(1.0, 0.5), 1.0, HypothesisGrid.uniform(-2, 2, gp.BLOCK_CELLS + 1), 16), seed=5
+    )
+    def test_equals_reference_bit_for_bit(self, query, seed):
+        posterior, action, grid, n_draws = query
+        got = information_gain(posterior, action, grid, n_draws, seed=seed)
+        assert got == _reference_information_gain(posterior, action, grid, n_draws, seed=seed)
+
+    def test_memory_is_linear_in_draws(self):
+        # the whole (draws, cells) posterior would take 64 MB here
+        grid = HypothesisGrid.uniform(-2, 2, 401)
+        posterior = calibrated_posterior(-3.0, 1.0)
+        tracemalloc.start()
+        try:
+            information_gain(posterior, -3.0, grid, 20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTotalInformation:
