@@ -31,9 +31,9 @@ stop) and ``overshoot`` (float64, ``accumulated - total_bits``).
 The truncated-gaussian family's moments are closed-form (``math.erfc``,
 ``math.exp`` and ``math.expm1``), and its location parameters are found by
 a bounded bisection on the truncated mean, once per distinct mean. Its
-draws invert the normal CDF with ``scipy.special.ndtri``, the module's only
-scipy use, imported where it is called so that importing ``acp`` loads
-numpy and the standard library only.
+draws invert the normal CDF with ``_ndtri``, a numpy port of the Cephes
+``ndtri`` that ``scipy.special.ndtri`` wraps, so the package needs numpy
+and the standard library only.
 """
 
 from __future__ import annotations
@@ -81,6 +81,132 @@ _BISECT_STEPS = 1100
 def _ndtr(x: float) -> float:
     """Standard normal CDF."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _f64(*values: float) -> tuple[np.ndarray, ...]:
+    """Constants as 0-d float64 arrays.
+
+    _ndtri makes about 70 ufunc calls per 2^14-cell chunk, so their fixed
+    cost counts: with a 0-d array operand and a positional output, a call's
+    fixed cost is about 40% below that with a Python float and ``out=``.
+    The values are the same.
+    """
+    return tuple(np.array(v) for v in values)
+
+
+# Cephes ndtri's constants (S. L. Moshier, Cephes Math Library, 1989). Its
+# central approximation P0/Q0 covers p in (exp(-2), 1 - exp(-2)]; P1/Q1 and
+# P2/Q2 cover the tails in z = 1 / x, x = sqrt(-2 ln y), for x below 8 and
+# from 8 on. Coefficients run from the highest power down; each Q is monic
+# and its leading 1 is not listed.
+_EXP_M2, _ONE_MINUS_EXP_M2, _SQRT_2PI = _f64(
+    0.13533528323661269189, 1.0 - 0.13533528323661269189, 2.50662827463100050242
+)
+_HALF, _ONE, _MINUS_TWO, _EIGHT = _f64(0.5, 1.0, -2.0, 8.0)
+_P0 = _f64(
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = _f64(
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = _f64(
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = _f64(
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = _f64(
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = _f64(
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _rational(x: np.ndarray, p: tuple, q: tuple, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """x * polevl(x, p) / p1evl(x, q) in cephes' order of operations, returned in num."""
+    np.multiply(x, p[0], num)
+    for c in p[1:-1]:
+        np.add(num, c, num)
+        np.multiply(num, x, num)
+    np.add(num, p[-1], num)
+    np.add(x, q[0], den)
+    for c in q[1:]:
+        np.multiply(den, x, den)
+        np.add(den, c, den)
+    np.multiply(num, x, num)
+    return np.divide(num, den, num)
+
+
+def _ndtri(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each p in [0, 1], written to out (which may be p).
+
+    A port of cephes ``ndtri``, the routine ``scipy.special.ndtri`` wraps,
+    with its coefficients, branch tests and Horner order, except that p is
+    first clipped to [1e-16, 1 - 1e-16] so that every quantile is finite.
+    Every cell is first given the central value (Q0 has no root for
+    |p - 1/2| < 1/2, so it stays finite); the tail cells, p <= exp(-2) or
+    p > 1 - exp(-2), the only ones the clip can change, are then gathered,
+    clipped and overwritten. The central branch uses + - * / only and
+    matches scipy bit for bit. The tails take ``np.log``, which may differ
+    from the C library's ``log`` in the last place, so they agree with
+    scipy to a few units in the last place. ``out`` must be C-contiguous.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    tail = np.flatnonzero((p <= _EXP_M2) | (p > _ONE_MINUS_EXP_M2))
+    t = p.take(tail)  # before out, which may be p, is written
+    work = np.empty((3,) + p.shape)
+    y = np.subtract(p, _HALF, out)
+    y2 = np.multiply(y, y, work[0])
+    r = _rational(y2, _P0, _Q0, work[1], work[2])
+    np.multiply(r, y, r)
+    np.add(out, r, out)
+    np.multiply(out, _SQRT_2PI, out)
+    if tail.size:
+        out.reshape(-1)[tail] = _ndtri_tails(t, work.reshape(-1))
+    return out
+
+
+def _ndtri_tails(t: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """cephes ndtri's tail branch on the tail probabilities t, which it overwrites.
+
+    ``work`` is scratch space of at least 3 * t.size cells.
+    """
+    m = t.size
+    x, x0, num, den = t, work[:m], work[m : 2 * m], work[2 * m : 3 * m]
+    np.clip(t, 1e-16, 1.0 - 1e-16, out=t)
+    np.subtract(_ONE, t, x0)
+    sign = np.subtract(t, x0)  # cephes negates the lower tail, where p < 1 - p
+    np.minimum(t, x0, out=x)  # y: the upper tail is flipped to 1 - p
+    np.log(x, x)
+    np.multiply(x, _MINUS_TWO, x)
+    np.sqrt(x, x)
+    np.log(x, x0)
+    np.divide(x0, x, x0)
+    np.subtract(x, x0, x0)
+    # cephes takes P2/Q2 where x >= 8 (y < exp(-32)); P1/Q1 is fitted for z > 1/8
+    # only, so when both occur each pair sees only its own cells
+    far = np.greater_equal(x, _EIGHT) if x.max() >= 8.0 else None
+    z = np.divide(_ONE, x, x)
+    if far is None:
+        np.subtract(x0, _rational(z, _P1, _Q1, num, den), x0)
+    else:
+        for cells, p, q in ((~far, _P1, _Q1), (far, _P2, _Q2)):
+            zc = z[cells]
+            x0[cells] -= _rational(zc, p, q, np.empty_like(zc), np.empty_like(zc))
+    return np.copysign(x0, sign, x0)
 
 
 def _trunc_norm_stats(loc: float, scale: float, upper: float) -> tuple[float, float]:
@@ -262,7 +388,8 @@ class GainSequenceSpec:
         ``means`` and ``uniforms`` may have any shapes that broadcast together
         (the deterministic family ignores ``uniforms``). The transform runs in
         place in ``out``, which may be ``uniforms`` itself; left as None, a
-        new array of the broadcast shape is allocated. Every gain lies in
+        new array of the broadcast shape is allocated; a given ``out`` must
+        be C-contiguous for the truncated-gaussian family. Every gain lies in
         [0, support_bound] (in [0, inf) for the exponential family), which
         the block engine's crossing test relies on.
         """
@@ -277,18 +404,18 @@ class GainSequenceSpec:
             return np.multiply(-means, out, out=out)
         if self.family == "uniform":
             return np.multiply(2.0 * means, uniforms, out=out)
-        from scipy.special import ndtri  # scipy is slow to import and only this family needs it
-
         keys, table = getattr(self, "_tg_table")
-        idx = np.minimum(np.searchsorted(keys, means), keys.size - 1)
-        if not np.array_equal(keys[idx], means):
+        # searching keys[:-1] maps a mean past the last key to the last index,
+        # where the equality check below rejects it
+        idx = np.searchsorted(keys[:-1], means)
+        if not np.array_equal(keys.take(idx), means):
             raise ValueError("means outside the spec's mean sequence")
-        locs, cdf_lo, cdf_hi = table[idx, 0], table[idx, 1], table[idx, 2]
+        locs, cdf_lo, cdf_hi = table.T.take(idx, axis=1)
         np.multiply(uniforms, cdf_hi - cdf_lo, out=out)
         np.add(cdf_lo, out, out=out)
-        # clip keeps ndtri finite when a window edge underflows to 0 or 1
-        np.clip(out, 1e-16, 1.0 - 1e-16, out=out)
-        ndtri(out, out=out)
+        # _ndtri clips p to [1e-16, 1 - 1e-16], so a window edge that underflows
+        # to 0 or 1 still gives a finite quantile
+        _ndtri(out, out)
         np.multiply(self.noise_scale, out, out=out)
         np.add(locs, out, out=out)
         # the quantile clip and rounding can land a far-tail draw just past a support edge

@@ -345,15 +345,15 @@ class TestBlockedEstimator:
         assert np.array_equal(gains, ref_gains)
 
     def test_memory_is_linear_in_draws(self):
-        # one action's full outcome-by-cell matrix would take 64 MB here
-        task = EstimationTask(n_outcome_samples=20_000)
+        # one action's full outcome-by-cell matrix would take 16 MB here
+        task = EstimationTask(n_outcome_samples=20_000, theta_grid_size=101)
         tracemalloc.start()
         try:
             a_priori_estimate(task, budget=math.inf, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
 
     def test_work_cap_is_exact(self):
         # 409 836 x 61 x 400 = 9 999 998 400 posterior cells, just under 10^10

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
 from acp import (
@@ -292,6 +292,87 @@ class TestDrawGains:
     def test_unknown_mean_rejected(self):
         with pytest.raises(ValueError):
             SPECS["truncated-gaussian"].draw_gains(np.array([0.75]), np.array([0.5]))
+
+
+def _port_ndtri(p):
+    p = np.asarray(p, dtype=float)
+    return stopping._ndtri(p, np.empty_like(p))
+
+
+#: stopping._ndtri's central branch holds p in (exp(-2), 1 - exp(-2)].
+CENTRAL = (float(np.nextafter(stopping._EXP_M2, 1.0)), float(stopping._ONE_MINUS_EXP_M2))
+
+
+class TestNdtri:
+    """stopping._ndtri against scipy.special.ndtri, the cephes routine it ports.
+
+    The central branch is + - * / in cephes' order, so it must match bit for
+    bit. The tails take np.log, which can differ from the C library's log by
+    one unit in the last place; x = sqrt(-2 ln y) carries that difference into
+    the result at the scale of x, up to 2.9 eps * x over 1.5e8 tail points.
+    So the tails are held to 4 eps * x, which is up to about 7 ulp of the
+    result near p = exp(-2), where the quantile is about half of x (6 ulp
+    seen), and must match exactly on at least 99% of inputs. _ndtri first
+    clips p to [1e-16, 1 - 1e-16]; only the clip test goes outside it.
+    """
+
+    def test_central_grid_bit_for_bit(self):
+        p = np.linspace(*CENTRAL, 400_001)
+        assert np.array_equal(_port_ndtri(p), ndtri(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(*CENTRAL), min_size=1, max_size=50))
+    def test_central_bit_for_bit(self, ps):
+        assert np.array_equal(_port_ndtri(ps), ndtri(ps))
+
+    @pytest.mark.parametrize(
+        "lo, hi, upper",
+        [
+            (1e-16, float(stopping._EXP_M2), False),
+            (1e-16, float(stopping._EXP_M2), True),
+            (1e-16, 1.27e-14, False),  # x >= 8: the P2/Q2 approximation
+            (1e-16, 1.27e-14, True),
+        ],
+        ids=["lower", "upper", "lower-p2", "upper-p2"],
+    )
+    def test_tails_within_a_few_ulp(self, lo, hi, upper):
+        y = np.geomspace(lo, hi, 200_001)
+        if upper:  # 1 - y rounds, so take the y that 1 - p gives back
+            p = 1.0 - y
+            y = 1.0 - p
+        else:
+            p = y
+        got, ref = _port_ndtri(p), ndtri(p)
+        x = np.sqrt(-2.0 * np.log(y))
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * x)
+        assert np.mean(got == ref) >= 0.99
+        assert np.all(np.sign(got) == (1.0 if upper else -1.0))
+
+    def test_edges_exact(self):
+        e2 = float(stopping._EXP_M2)
+        p = np.array(
+            [1e-16, 1.0 - 1e-16, 0.5, e2, np.nextafter(e2, 0.0), np.nextafter(e2, 1.0), 1.0 - e2,
+             np.nextafter(1.0 - e2, 0.0), np.nextafter(1.0 - e2, 1.0), math.exp(-32.0)]
+        )
+        assert np.array_equal(_port_ndtri(p), ndtri(p))
+
+    def test_clips_p_to_finite_quantiles(self):
+        p = np.array([0.0, 5e-324, 1e-17, 1.0])
+        clipped = np.array([1e-16, 1e-16, 1e-16, 1.0 - 1e-16])
+        assert np.array_equal(_port_ndtri(p), ndtri(clipped))
+
+    def test_mixed_branches_in_place_on_a_matrix(self):
+        # central cells, both tails and both tail approximations in one call
+        p = np.concatenate([np.geomspace(1e-16, 0.5, 300), 1.0 - np.geomspace(1e-16, 0.5, 300)])
+        rng = np.random.default_rng(6)
+        p = p[rng.permutation(p.size)].reshape(20, 30)
+        expected = _port_ndtri(p.ravel())
+        np.testing.assert_allclose(expected, ndtri(p.ravel()), rtol=1e-15, atol=0)
+        out = stopping._ndtri(p, p)
+        assert out is p
+        assert np.array_equal(out.ravel(), expected)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            stopping._ndtri(p, np.empty((30, 20)).T)
 
 
 class TestSimulateStopping:
