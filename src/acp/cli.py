@@ -69,9 +69,8 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("--i-total", float, 10.0, "total information requirement in bits"),
         _Opt("--mu", _float_list, (), "leading per-step means, comma-separated (may be empty)"),
         _Opt("--mu-inf", float, 1.0, "tail per-step mean"),
-        _Opt("--m2", float, None, "second-moment bound override (default: exact family value)"),
-        _Opt("--m", float, None, "support bound override (default: exact family value)"),
-        _Opt("--scale", float, 0.5, "base scale of the truncated-gaussian family"),
+        _Opt("--m", float, None, "truncated-gaussian support bound; none means 4 * mu_1"),
+        _Opt("--scale", float, None, "truncated-gaussian base scale; none means 0.5"),
         _Opt("--cs", float, 1.0, "cost per step"),
         _Opt("--delta", float, 0.05, "failure probability for the high-probability step budget"),
         _Opt("--dump-trials", str, None, "optional CSV path for per-trial records"),
@@ -291,17 +290,15 @@ def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> No
     chunk formatted by numpy into one ASCII string: integers as %d and
     floats as %.6f, correctly rounded half to even as Python rounds them,
     so the bytes are _format_cell's and never need quoting. A chunk holding
-    a non-finite float or one of magnitude 2**43 or more goes through one
-    %-template per row instead. A field of any other kind raises TypeError
-    before the file is opened.
+    a non-finite float or one of magnitude 2**43 or more goes through
+    csv.writer and _format_cell row by row instead. A field of any other
+    kind raises TypeError before the file is opened.
     """
     fields = None
     if isinstance(rows, np.ndarray) and rows.dtype.names:
         fields = rows.dtype.names
-        kinds = [rows.dtype[name].kind for name in fields]
-        if any(kind not in "iuf" for kind in kinds):
+        if any(rows.dtype[name].kind not in "iuf" for name in fields):
             raise TypeError(f"structured rows need integer or float fields, got dtype {rows.dtype}")
-        template = ",".join("%.6f" if kind == "f" else "%d" for kind in kinds) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -312,8 +309,10 @@ def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> No
             columns = [rows[name][lo:lo + _CHUNK_ROWS] for name in fields]
             text = _format_chunk(columns)
             if text is None:
-                text = "".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
-            fh.write(text)
+                cells = zip(*(c.tolist() for c in columns))
+                writer.writerows([_format_cell(v) for v in row] for row in cells)
+            else:
+                fh.write(text)
 
 
 def _summary_path(out: str) -> str:
@@ -324,24 +323,19 @@ def _summary_path(out: str) -> str:
 # -- subcommand runners ---------------------------------------------------
 
 
-def _build_gain_spec(o: dict) -> stopping.GainSequenceSpec:
-    prefix, tail, family = tuple(o["mu"]), o["mu_inf"], o["family"]
-    support, scale = o["m"], None
-    if family == "truncated-gaussian":
-        support = support if support is not None else 4.0 * (prefix[0] if prefix else tail)
-        scale = o["scale"]
-    # a None M2 or M is the family's exact value
-    return stopping.GainSequenceSpec(prefix, tail, family, o["m2"], support, scale)
-
-
 def run_bounds(o: dict) -> int:
     if not 0.0 < o["delta"] < 1.0:
         raise ValueError(f"--delta must lie strictly in (0, 1), got {o['delta']!r}")
-    spec = _build_gain_spec(o)
+    spec = stopping.GainSequenceSpec(tuple(o["mu"]), o["mu_inf"], o["family"], o["m"], o["scale"])
     n_delta = None
     if spec.support_bound is not None:
         n_delta = stopping.high_prob_steps(o["i_total"], spec.mean_tail, spec.support_bound, o["delta"])
-    expected_steps = o["trials"] * stopping.cost_bounds(spec, o["i_total"], o["cs"])[1] / o["cs"]
+    trial_steps = stopping.cost_bounds(spec, o["i_total"], o["cs"])[1] / o["cs"]
+    if not trial_steps <= stopping.STEP_CAP:
+        raise ValueError(
+            f"a trial expects up to {trial_steps:.3g} steps, over the step cap of {stopping.STEP_CAP:.0e}"
+        )
+    expected_steps = o["trials"] * trial_steps
     if not expected_steps <= stopping.MAX_TOTAL_STEPS:
         raise ValueError(
             f"{o['trials']} trials expect up to {expected_steps:.3g} steps in all, "

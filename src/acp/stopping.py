@@ -39,7 +39,7 @@ and the standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
@@ -273,18 +273,20 @@ class GainSequenceSpec:
     """Distributional description of the per-step gains.
 
     ``mean_prefix`` holds the leading means explicitly; every later step
-    uses ``mean_tail``. ``second_moment_bound`` is the M2 >= sup E[X_i^2]
-    used in the bound formulas. ``support_bound`` is the almost-sure upper
-    bound M for the bounded families. Left as None, each is the family's
-    exact value: M2 is mu_1^2, 2 mu_1^2 or 4 mu_1^2 / 3 for the
-    deterministic, exponential and uniform families and the largest second
-    moment over the truncated-gaussian's means; M is mu_1 for the
-    deterministic family and 2 mu_1 for the uniform one.
+    uses ``mean_tail``. The family alone sets the bounds the cost formulas
+    read. ``second_moment_bound`` is the exact M2 = sup E[X_i^2]: mu_1^2,
+    2 mu_1^2 or 4 mu_1^2 / 3 for the deterministic, exponential and uniform
+    families, and the largest second moment over the truncated-gaussian's
+    means. ``support_bound`` is the almost-sure upper bound M: mu_1 for the
+    deterministic family, 2 mu_1 for the uniform one and None for the
+    unbounded exponential. Only the truncated-gaussian takes
+    ``support_bound`` (default 4 mu_1) and ``noise_scale`` (default 0.5);
+    giving either to another family raises ValueError.
 
     Families and their per-step laws at mean m:
       deterministic       X = m exactly
       exponential         X ~ Exp(mean m), unbounded
-      uniform             X ~ Uniform[0, 2m]  (so support_bound >= 2*mu_1)
+      uniform             X ~ Uniform[0, 2m]
       truncated-gaussian  X ~ Normal(loc, noise_scale^2) truncated to
                           [0, support_bound], loc solved so the truncated
                           mean is exactly m
@@ -293,52 +295,49 @@ class GainSequenceSpec:
     mean_prefix: tuple[float, ...]
     mean_tail: float
     family: str
-    second_moment_bound: float | None = None
     support_bound: float | None = None
     noise_scale: float | None = None
+    second_moment_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "mean_prefix", tuple(float(m) for m in self.mean_prefix))
-        mu1 = float(self.mean_first)
-        try:
-            sq = mu1**2
-        except OverflowError:  # |mu_1| above about 1.3e154: the M2 checks below reject the inf
-            sq = math.inf
-        if self.family == "truncated-gaussian":
-            # checked first: the loc solve needs a finite positive window and scale
-            support, scale = self.support_bound, self.noise_scale
-            if not all(v is not None and 0 < v < math.inf for v in (support, scale)):
-                raise ValueError("truncated-gaussian needs a finite positive support_bound and noise_scale")
-            keys = tuple(sorted(set(self.mean_prefix) | {float(self.mean_tail)}))
-            table = _solve_tg_table(keys, scale, support)
-            object.__setattr__(self, "_tg_table", table)
-            m2 = max(_trunc_norm_stats(loc, scale, support)[1] for loc in table[1][:, 0].tolist())
-        else:
-            m2 = {"deterministic": sq, "exponential": 2.0 * sq, "uniform": 4.0 * sq / 3.0}[self.family]
-        if self.second_moment_bound is None:
-            object.__setattr__(self, "second_moment_bound", m2)
-        if self.support_bound is None and self.family in ("deterministic", "uniform"):
-            object.__setattr__(self, "support_bound", mu1 if self.family == "deterministic" else 2.0 * mu1)
         means = list(self.mean_prefix) + [self.mean_tail]
         if not all(math.isfinite(m) for m in means):
             raise ValueError("all means must be finite")
-        scales = (self.second_moment_bound, self.support_bound, self.noise_scale)
-        if not all(math.isfinite(v) for v in scales if v is not None):
-            raise ValueError("second_moment_bound, support_bound and noise_scale must be finite")
         if not self.mean_tail > 0:
             raise ValueError("mean_tail must be positive")
         if any(m <= 0 for m in means):
             raise ValueError("all means must be positive")
         if any(means[i] < means[i + 1] - 1e-12 for i in range(len(means) - 1)):
             raise ValueError("mean sequence must be non-increasing")
-        if self.second_moment_bound < sq - 1e-12:
-            raise ValueError("second_moment_bound must be at least mu_1^2")
-        if self.family == "uniform" and self.support_bound < 2.0 * self.mean_first - 1e-12:
-            raise ValueError("uniform family needs support_bound >= 2 * mu_1")
-        if self.support_bound is not None and any(m > self.support_bound + 1e-12 for m in means):
-            raise ValueError("means cannot exceed support_bound")
+        mu1 = float(self.mean_first)
+        support, scale = self.support_bound, self.noise_scale
+        if self.family == "truncated-gaussian":
+            support = 4.0 * mu1 if support is None else support
+            scale = 0.5 if scale is None else scale
+            # the loc solve needs a finite positive window and scale
+            if not all(0 < v < math.inf for v in (support, scale)):
+                raise ValueError("truncated-gaussian needs a finite positive support_bound and noise_scale")
+            keys = tuple(sorted(set(self.mean_prefix) | {float(self.mean_tail)}))
+            table = _solve_tg_table(keys, scale, support)
+            object.__setattr__(self, "_tg_table", table)
+            m2 = max(_trunc_norm_stats(loc, scale, support)[1] for loc in table[1][:, 0].tolist())
+        elif support is not None or scale is not None:
+            raise ValueError(f"only truncated-gaussian takes support_bound and noise_scale, not {self.family}")
+        else:
+            try:
+                sq = mu1**2
+            except OverflowError:  # mu_1 above about 1.3e154
+                sq = math.inf
+            m2, support = {"deterministic": (sq, mu1), "exponential": (2.0 * sq, None),
+                           "uniform": (4.0 * sq / 3.0, 2.0 * mu1)}[self.family]
+        if not math.isfinite(m2):
+            raise ValueError(f"second_moment_bound must be finite; mu_1={mu1!r} is too large")
+        object.__setattr__(self, "support_bound", support)
+        object.__setattr__(self, "noise_scale", scale)
+        object.__setattr__(self, "second_moment_bound", m2)
 
     # -- factories -------------------------------------------------------
 
@@ -359,10 +358,10 @@ class GainSequenceSpec:
         cls,
         mean_prefix: Sequence[float] = (),
         mean_tail: float = 1.0,
-        support_bound: float = 4.0,
-        noise_scale: float = 0.5,
+        support_bound: float | None = None,
+        noise_scale: float | None = None,
     ) -> "GainSequenceSpec":
-        return cls(tuple(mean_prefix), mean_tail, "truncated-gaussian", None, support_bound, noise_scale)
+        return cls(tuple(mean_prefix), mean_tail, "truncated-gaussian", support_bound, noise_scale)
 
     # -- structure -------------------------------------------------------
 

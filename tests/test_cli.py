@@ -50,6 +50,7 @@ class TestExitCodes:
             ("approx", "--trials", "1"),
             ("estimate", "--lengthscale", "2.0"),
             ("estimate", "--signal-var", "4"),
+            ("bounds", "--m2", "9"),
         ],
     )
     def test_removed_flags_are_rejected(self, argv, capsys):
@@ -70,6 +71,17 @@ class TestExitCodes:
         assert simulated == []
         assert "no directory" in capsys.readouterr().err
 
+    def test_trial_over_step_cap_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # one trial expects about 2e7 steps, past STEP_CAP: refused before it runs, not cut off by the cap
+        simulated = []
+        monkeypatch.setattr("acp.stopping.run_trials", lambda *a, **k: simulated.append(a))
+        out, dump = tmp_path / "b.csv", tmp_path / "t.csv"
+        argv = ("bounds", "--trials", "1", "--i-total", "2e7", "--out", str(out), "--dump-trials", str(dump))
+        assert _run(*argv) == 2
+        assert not out.exists() and not dump.exists()
+        assert simulated == []
+        assert "over the step cap" in capsys.readouterr().err
+
     def test_invalid_domain_value_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert _run("bounds", "--i-total", "-5", "--out", str(out)) == 2
@@ -80,7 +92,7 @@ class TestExitCodes:
             ("--mu", "2,nan"),
             ("--i-total", "inf"),
             ("--family", "uniform", "--m", "inf"),
-            ("--m2", "nan"),
+            ("--family", "truncated-gaussian", "--m", "nan"),
             ("--cs", "inf"),
             ("--family", "uniform", "--delta", "1.5"),
             ("--family", "exponential", "--delta", "1.5"),
@@ -91,7 +103,15 @@ class TestExitCodes:
             ("--family", "deterministic", "--mu-inf", "1e200"),
             ("--mu", "1e200", "--mu-inf", "1"),
             ("--mu-inf", "1e-200"),
-            ("--mu-inf", "1e-200", "--m2", "1"),
+            ("--mu", "1", "--mu-inf", "1e-200"),
+            # only the truncated-gaussian takes a support bound or a scale
+            ("--family", "exponential", "--m", "1"),
+            ("--family", "uniform", "--m", "5"),
+            ("--family", "deterministic", "--m", "5"),
+            ("--family", "uniform", "--m", "1e300", "--mu-inf", "1"),
+            ("--family", "exponential", "--scale", "0.5"),
+            ("--family", "uniform", "--scale", "0.5"),
+            ("--family", "deterministic", "--scale", "0.5"),
         ],
     )
     def test_bad_bounds_config_writes_nothing(self, tmp_path, capsys, flags):
@@ -117,7 +137,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--family", "uniform", "--m", "1e300", "--mu-inf", "1"),
+            # (M / mu_tail)^2 overflows
+            ("--family", "uniform", "--mu", "1e150", "--mu-inf", "1e-10"),
             ("--family", "truncated-gaussian", "--m", "1e300", "--scale", "1"),
         ],
     )
@@ -334,22 +355,24 @@ class TestDeterminism:
         [
             ("uniform", (), b"10.000000,25.333333,19.018000,500,0.131780,true\n", 66,
              "5f26615904e7ec4cd5fd9d7fa510798c8d41fefd18a1a41b5151f99c6494342d"),
-            ("uniform", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.018000,500,0.131780,true\n", 85,
-             "5f26615904e7ec4cd5fd9d7fa510798c8d41fefd18a1a41b5151f99c6494342d"),
+            ("truncated-gaussian", ("--scale", "0.3"),
+             b"10.000000,24.090000,18.974000,500,0.059748,true\n", 160,
+             "e7cd28926aa6a72e2b1fefd9ac109c89b6239b2239393f23a4d5de39825674c9"),
             ("deterministic", (), b"10.000000,24.000000,19.000000,500,0.000000,true\n", 37,
              "08e5cda0b266f97a277bff1056b487953338c1cfccf32aed9865290a3a6694c9"),
-            ("deterministic", ("--m", "5", "--m2", "9"), b"10.000000,29.000000,19.000000,500,0.000000,true\n", 85,
-             "08e5cda0b266f97a277bff1056b487953338c1cfccf32aed9865290a3a6694c9"),
+            ("truncated-gaussian", ("--m", "3", "--scale", "0.8"),
+             b"10.000000,24.379698,19.006000,500,0.127139,true\n", 50,
+             "3159acbd3858e7b1d08016e188f458f20c5589b07fc53dc0c252918f977266d2"),
             ("truncated-gaussian", (), b"10.000000,24.249866,18.988000,500,0.096303,true\n", 160,
              "b2100b1a1262a96b2437de11173c95eb22a08a625d9c5e1da7a6062a3346db77"),
-            ("truncated-gaussian", ("--m", "5", "--m2", "9"),
-             b"10.000000,29.000000,18.988000,500,0.096303,true\n", 85,
+            ("truncated-gaussian", ("--m", "5"),
+             b"10.000000,24.249866,18.988000,500,0.096303,true\n", 85,
              "854ea5c5d3e78a11aefde0ed5c06eb3212d41b43535d0687f8635f904416b508"),
         ],
     )
     def test_bounds_family_bytes_are_pinned(self, tmp_path, capsys, family, overrides, row, n_delta, dump_sha):
-        # the upper bound reads M2 and the step budget reads M: exact family values or the overrides;
-        # the trial dump depends on M only for the truncated-gaussian, whose window it sets
+        # the upper bound reads M2 and the step budget reads M, both the family's exact values;
+        # only the truncated-gaussian takes --m and --scale, which set its window, M2 and draws
         out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
         assert _run("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "20",
                     "--trials", "500", "--seed", "3", *overrides, "--out", str(out),

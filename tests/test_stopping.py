@@ -118,26 +118,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GainSequenceSpec.exponential(mean_tail=0.0)
 
-    def test_rejects_m2_below_mu1_squared(self):
-        with pytest.raises(ValueError):
-            GainSequenceSpec((), 2.0, "deterministic", second_moment_bound=1.0, support_bound=2.0)
-
-    def test_uniform_needs_wide_enough_support(self):
-        with pytest.raises(ValueError):
-            GainSequenceSpec((), 1.0, "uniform", second_moment_bound=2.0, support_bound=1.5)
-
     @pytest.mark.parametrize(
         "fields",
         [
             dict(mean_prefix=(2.0, math.nan)),
             dict(mean_tail=math.inf),
-            dict(second_moment_bound=math.nan),
-            dict(support_bound=math.inf),
-            dict(noise_scale=math.inf),
+            dict(mean_tail=1e200),  # M2 = 2 mu_1^2 overflows
+            dict(family="truncated-gaussian", support_bound=math.inf),
+            dict(family="truncated-gaussian", noise_scale=math.inf),
         ],
     )
     def test_rejects_non_finite_fields(self, fields):
-        base = dict(mean_prefix=(), mean_tail=1.0, family="exponential", second_moment_bound=2.0)
+        base = dict(mean_prefix=(), mean_tail=1.0, family="exponential")
         with pytest.raises(ValueError, match="finite"):
             GainSequenceSpec(**{**base, **fields})
 
@@ -155,6 +147,17 @@ class TestSpecValidation:
         u = GainSequenceSpec.uniform(mean_tail=1.0)
         assert u.second_moment_bound == pytest.approx(4.0 / 3.0)
         assert u.support_bound == 2.0
+
+    def test_truncated_gaussian_defaults_follow_mu1(self):
+        spec = GainSequenceSpec.truncated_gaussian((2.0, 1.5), 1.0)
+        assert (spec.support_bound, spec.noise_scale) == (8.0, 0.5)
+        assert GainSequenceSpec.exponential().support_bound is None
+
+    @pytest.mark.parametrize("family", ["deterministic", "exponential", "uniform"])
+    @pytest.mark.parametrize("fields", [dict(support_bound=1.0), dict(noise_scale=0.5)])
+    def test_only_truncated_gaussian_takes_bounds(self, family, fields):
+        with pytest.raises(ValueError, match="only truncated-gaussian"):
+            GainSequenceSpec((), 1.0, family, **fields)
 
     def test_truncated_gaussian_hits_target_means(self):
         spec = GainSequenceSpec.truncated_gaussian(
@@ -505,7 +508,7 @@ class TestCostBounds:
         assert cost_bounds(spec, 10.0, 1.0) == (10.0, 11.0)
 
     def test_diminishing_formula(self):
-        spec = GainSequenceSpec((2.0,), 1.0, "deterministic", second_moment_bound=4.0, support_bound=2.0)
+        spec = GainSequenceSpec((2.0,), 1.0, "deterministic")
         lower, upper = cost_bounds(spec, 10.0, 2.0)
         assert lower == pytest.approx(10.0)
         assert upper == pytest.approx(28.0)
