@@ -20,13 +20,15 @@ cuts them into blocks of a fixed size, so a run is a pure function of
 (spec, total_bits, n_trials, master_seed) whatever the worker count. A block
 runs in one float64 buffer allocated once: each chunk of a round fills it
 with uniforms, turns them into gains in place and then into partial sums in
-place. Every family's gains are >= 0, so partial sums never decrease and a
-trial crosses its target within a round exactly when its last partial sum
-does; the first crossing step is searched for only in chunks where some
-trial crossed. Trials
-are kept as one ``np.recarray`` with a row per trial and three columns:
-``n_steps`` (int64 stopping time), ``accumulated`` (float64 sum at the
-stop) and ``overshoot`` (float64, ``accumulated - total_bits``).
+place. Rounds past the mean prefix draw against the scalar ``mean_tail``
+rather than a row of it. Every family's gains are >= 0, so partial sums
+never decrease and a trial crosses its target within a round exactly when
+its last partial sum does: the running sum before the round is added to the
+last sum alone, and to the whole chunk only where some trial crossed and its
+first crossing step is searched for. Trials are kept as one
+``np.recarray`` with a row per trial and three columns: ``n_steps`` (int64
+stopping time), ``accumulated`` (float64 sum at the stop) and ``overshoot``
+(float64, ``accumulated - total_bits``).
 
 The truncated-gaussian family's moments are closed-form (``math.erfc``,
 ``math.exp`` and ``math.expm1``), and its location parameters are found by
@@ -60,9 +62,10 @@ MAX_TOTAL_STEPS = 10**9
 TRIAL_BLOCK = 1024
 
 #: Gains drawn at once by the block engine: each block's one scratch buffer
-#: holds max(ROUND_ELEMENTS, round width) float64 cells, so a block's memory is
-#: O(ROUND_ELEMENTS + trials).
-ROUND_ELEMENTS = 1 << 14
+#: holds max(ROUND_ELEMENTS, round width) float64 cells (256 KiB), so a block's
+#: memory is O(ROUND_ELEMENTS + trials). At the full round width of 4096 a chunk
+#: holds 8 trials, enough that numpy's fixed cost per call is a small share.
+ROUND_ELEMENTS = 1 << 15
 
 
 class StepCapExceeded(RuntimeError):
@@ -86,10 +89,10 @@ def _ndtr(x: float) -> float:
 def _f64(*values: float) -> tuple[np.ndarray, ...]:
     """Constants as 0-d float64 arrays.
 
-    _ndtri makes about 70 ufunc calls per 2^14-cell chunk, so their fixed
-    cost counts: with a 0-d array operand and a positional output, a call's
-    fixed cost is about 40% below that with a Python float and ``out=``.
-    The values are the same.
+    _ndtri makes about 70 ufunc calls per chunk of the block engine, so
+    their fixed cost counts: with a 0-d array operand and a positional
+    output, a call's fixed cost is about 40% below that with a Python float
+    and ``out=``. The values are the same.
     """
     return tuple(np.array(v) for v in values)
 
@@ -451,13 +454,16 @@ def _simulate_block(
     spec and target only); each round draws a (rows, width) matrix of
     uniforms for the trials still running, at most ROUND_ELEMENTS at a time,
     so the consumed stream does not depend on where each crossing lands
-    within the round. Each chunk runs in one buffer allocated per block: the
-    uniforms, their gains and the partial sums overwrite each other in
-    place. Gains are >= 0, so partial sums never decrease and a row crossed
-    total_bits exactly when its last sum did; the first crossing column is
-    searched for only in chunks where some row crossed. Raises
-    StepCapExceeded if a trial is still short of total_bits after
-    ``step_cap`` steps.
+    within the round, nor on ROUND_ELEMENTS. Each chunk runs in one buffer
+    allocated per block: the uniforms, their gains and the partial sums
+    within the round overwrite each other in place. A round that starts at
+    or past the end of the mean prefix passes the scalar mean_tail to
+    draw_gains, which gives the same bits as a row of it. Gains are >= 0, so partial sums never
+    decrease and a row crossed total_bits exactly when its running sum plus
+    its last partial sum did; only in chunks where some row crossed is the
+    running sum added to every cell and the first crossing column searched
+    for. Raises StepCapExceeded if a trial is still short of total_bits
+    after ``step_cap`` steps.
     """
     if not 0 < total_bits < math.inf:
         raise ValueError("total_bits must be positive and finite")
@@ -468,6 +474,7 @@ def _simulate_block(
     running = np.zeros(n)
     active = np.arange(n)
     buffer = np.empty(max(width, ROUND_ELEMENTS))
+    n_prefix = len(spec.mean_prefix)
     done = 0
     while active.size:
         k = min(width, step_cap - done)
@@ -475,7 +482,7 @@ def _simulate_block(
             raise StepCapExceeded(
                 f"no crossing within {step_cap} steps (sum={running[active].min():.3g})"
             )
-        means = spec.means_for_steps(done, k)[None, :]
+        means = spec.mean_tail if done >= n_prefix else spec.means_for_steps(done, k)[None, :]
         chunk = max(1, ROUND_ELEMENTS // k)
         still = []
         for start in range(0, active.size, chunk):
@@ -484,14 +491,15 @@ def _simulate_block(
             uniforms = None if spec.family == "deterministic" else rng.random(out=csum)
             spec.draw_gains(means, uniforms, out=csum)
             np.cumsum(csum, axis=1, out=csum)
-            csum += running[rows, None]
-            crossed = csum[:, -1] >= total_bits
+            last = csum[:, -1] + running[rows]
+            crossed = last >= total_bits
             if crossed.any():
+                csum += running[rows, None]
                 first = (csum >= total_bits).argmax(axis=1)[crossed]
                 ended = rows[crossed]
                 n_steps[ended] = done + first + 1
                 accumulated[ended] = csum[crossed, first]
-            running[rows] = csum[:, -1]
+            running[rows] = last
             still.append(rows[~crossed])
         active = np.concatenate(still)
         done += k

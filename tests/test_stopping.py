@@ -292,9 +292,24 @@ class TestDrawGains:
         assert out is uniforms
         assert np.array_equal(out, np.broadcast_to(expected, out.shape))
 
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_scalar_mean_matches_row_bit_for_bit(self, name):
+        # rounds past the prefix pass mean_tail itself; mean_first's window reaches the
+        # truncated-gaussian's lower tail and the extremes below reach both tails
+        spec = SPECS[name]
+        uniforms = np.random.default_rng(6).random((3, 64))
+        uniforms[0, :5] = (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53)
+        for m in (spec.mean_tail, spec.mean_first):
+            row = np.full((1, uniforms.shape[1]), m)
+            expected = spec.draw_gains(row, uniforms)
+            assert spec.draw_gains(m, uniforms).tobytes() == expected.tobytes()
+            in_place = uniforms.copy()
+            assert spec.draw_gains(m, in_place, out=in_place).tobytes() == expected.tobytes()
+
     def test_unknown_mean_rejected(self):
-        with pytest.raises(ValueError):
-            SPECS["truncated-gaussian"].draw_gains(np.array([0.75]), np.array([0.5]))
+        for means in (np.array([0.75]), 0.75, 0.1, 5.0):
+            with pytest.raises(ValueError, match="means outside the spec's mean sequence"):
+                SPECS["truncated-gaussian"].draw_gains(means, np.array([0.5]))
 
 
 def _port_ndtri(p):
@@ -470,8 +485,22 @@ class TestTrialBlocks:
         for name in ("n_steps", "accumulated", "overshoot"):
             assert np.array_equal(got[name], expected[name]), name
 
+    @pytest.mark.parametrize("family", stopping.FAMILIES)
+    @pytest.mark.parametrize("n_prefix", [1000, 4096, 5000])
+    def test_round_elements_do_not_change_trials(self, monkeypatch, family, n_prefix):
+        # the prefix ends mid-round, on the first round's edge or past a whole round, and
+        # every trial runs on into rounds past it; the reference keeps the imported
+        # ROUND_ELEMENTS, so only the engine's chunks change
+        spec = getattr(GainSequenceSpec, family.replace("-", "_"))([1.5] * n_prefix, 1.0)
+        expected = _reference_simulate_block(spec, 16_000.0, 9, 2)
+        assert expected.n_steps.min() > 2 * 4096
+        for elements in (64, 4096, 1 << 15):
+            monkeypatch.setattr(stopping, "ROUND_ELEMENTS", elements)
+            got = stopping._simulate_block(spec, 16_000.0, 9, 2)
+            assert got.tobytes() == expected.tobytes(), elements
+
     def test_block_memory_is_bounded(self):
-        # about 20 million gains through one 128 KiB buffer plus a few trial-length arrays;
+        # about 20 million gains through one 256 KiB buffer plus a few trial-length arrays;
         # a few full-chunk temporaries per chunk would pass the bound
         tracemalloc.start()
         try:
