@@ -435,7 +435,8 @@ def run_coloring(o: dict) -> int:
 
 def run_estimate(o: dict) -> int:
     task = gp.EstimationTask(
-        noise_variance=o["noise"] ** 2,
+        # float ** raises OverflowError; * gives inf, which the task refuses
+        noise_variance=o["noise"] * o["noise"],
         resolution=o["resolution"],
         theta_grid_size=o["grid"],
         n_outcome_samples=o["trials"],

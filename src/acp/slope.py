@@ -92,8 +92,8 @@ class AgentTrace:
 NORMAL_ROUND = 64
 #: Trials per block of the noise sweep; a constant, so --workers never changes a block.
 SWEEP_BLOCK = 25
-#: Most cell-steps one sweep may price: about 200 s at roughly 21 ns per
-#: agent cell-step (an estimate's posterior cell costs about half that).
+#: Most cell-steps one sweep may price: about 150 s at roughly 15 ns per
+#: agent cell-step (an estimate's posterior cell costs under half that).
 MAX_CELL_STEPS = 10**10
 
 
@@ -244,10 +244,10 @@ def run_noise_sweep(
     then its noise, from ``rng_for(master_seed, level, trial)``. A level's
     trials run in lockstep blocks of SWEEP_BLOCK, which ``workers`` may
     spread over processes; memory does not grow with ``step_cap``. A sweep
-    that ``sweep_cell_steps`` prices above MAX_CELL_STEPS is refused before
-    any trial runs. Capped (incomplete) runs contribute their step count at
-    the cap, which only raises the measured mean and never hides a
-    lower-bound violation.
+    that ``sweep_cell_steps`` prices above MAX_CELL_STEPS, or with a level
+    whose estimation task is invalid, is refused before any trial runs.
+    Capped (incomplete) runs contribute their step count at the cap, which
+    only raises the measured mean and never hides a lower-bound violation.
     """
     levels = [float(s) for s in noise_levels]
     if len(levels) < 2:
@@ -266,10 +266,12 @@ def run_noise_sweep(
             f"{MAX_CELL_STEPS:.0e} per sweep"
         )
 
+    # float ** raises OverflowError; * gives inf, which the task refuses
+    tasks = [EstimationTask(noise_variance=sigma * sigma, resolution=resolution) for sigma in levels]
+
     level_rows: list[SweepLevelRow] = []
     trial_rows: list[SweepTrialRow] = []
-    for li, sigma in enumerate(levels):
-        task = EstimationTask(noise_variance=sigma**2, resolution=resolution)
+    for li, (sigma, task) in enumerate(zip(levels, tasks)):
         report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
         fn = partial(
             _sweep_block,

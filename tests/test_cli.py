@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,10 @@ class TestExitCodes:
             ("estimate", "--noise", "nan"),
             ("slope", "--noise", "1,inf", "--trials", "20"),
             ("slope", "--noise", "1,nan", "--trials", "20"),
+            # sigma is finite but sigma^2 overflows: a config error, not an OverflowError
+            ("estimate", "--noise", "1e160"),
+            ("slope", "--noise", "1e160,1", "--trials", "20"),
+            ("slope", "--noise", "1,1e160", "--trials", "20"),
         ],
     )
     def test_non_finite_noise_writes_nothing(self, tmp_path, capsys, argv):
@@ -195,6 +200,18 @@ class TestExitCodes:
         assert _run(*argv, "--out", str(out)) == 2
         assert not out.exists() and not (tmp_path / "o_summary.csv").exists()
         assert "noise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [("estimate", "--noise", "1e-155"), ("slope", "--noise", "1e-155,1", "--trials", "20")]
+    )
+    def test_tiny_noise_runs_without_warnings(self, tmp_path, capsys, argv):
+        # nearly every scaled residual squares past the float range: zero-mass cells, not a warning
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(*argv, "--out", str(out)) == 0
+        if argv[0] == "estimate":
+            assert out.read_text().splitlines()[1].startswith("5.321758,5.321758,1.000000,1,")
 
     @pytest.mark.parametrize("flags", [("--trials", "10000000"), ("--grid", "1000000000")])
     def test_runaway_estimate_writes_nothing(self, tmp_path, capsys, flags):

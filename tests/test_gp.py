@@ -74,9 +74,9 @@ def quadrature_step_bits(task: EstimationTask) -> float:
     return float(np.mean(sorted(gains)[-n_top:]))
 
 
-def _reference_step_gains(task: EstimationTask, seed) -> tuple[float, np.ndarray]:
-    """Total bits and the 61 action gains, one whole action at a time: the
-    reference the blocked estimator must equal bit for bit."""
+def _estimator_draws(task: EstimationTask, seed):
+    """Total bits, log prior, bin starts, grid values and the (theta, noise)
+    draws of ``_action_gains``, rebuilt without the package's helpers."""
     grid = task.hypothesis_grid()
     width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
     total_bits = estimate_total_information(grid.probabilities, task.resolution, width)
@@ -88,9 +88,45 @@ def _reference_step_gains(task: EstimationTask, seed) -> tuple[float, np.ndarray
     n = grid.values.size
     n_bins = max(1, int(round(width / task.resolution)))
     starts = np.flatnonzero(np.diff((np.arange(n) * n_bins) // n, prepend=-1))
+    return total_bits, log_prior, starts, grid.values, thetas, noise
+
+
+def _unnormalised_posteriors(log_prior, predicted, outcomes) -> np.ndarray:
+    """exp(log prior - squared residual) for every (outcome, cell), each row
+    scaled to a largest cell of 1; ``predicted`` and ``outcomes`` come divided
+    by sqrt(2 * noise variance)."""
+    post = outcomes[:, None] - predicted[None, :]
+    with np.errstate(over="ignore"):
+        np.square(post, out=post)
+    post = log_prior - post
+    post -= post.max(axis=1, keepdims=True)
+    return np.exp(post)
+
+
+def _reference_step_gains(task: EstimationTask, seed) -> tuple[float, np.ndarray]:
+    """Total bits and the 61 action gains, every draw of an action in one
+    (draws, cells) matrix: the reference the blocked estimator must equal bit
+    for bit."""
+    total_bits, log_prior, starts, values, thetas, noise = _estimator_draws(task, seed)
+    scale = math.sqrt(2.0 * task.noise_variance)
     gains = np.empty(ACTION_GRID.size)
     for i, x in enumerate(ACTION_GRID):
-        post = (thetas * x + noise)[:, None] - (grid.values * x)[None, :]
+        post = _unnormalised_posteriors(log_prior, values * x / scale, (thetas * x + noise) / scale)
+        bins = np.add.reduceat(post, starts, axis=-1)
+        bins /= bins.sum(axis=1, keepdims=True)
+        gains[i] = total_bits - entropy_bits(bins, axis=1).mean()
+    return total_bits, gains
+
+
+def _cell_normalised_step_gains(task: EstimationTask, seed) -> np.ndarray:
+    """The 61 action gains in textbook order: each squared residual divided
+    by -2 sigma^2 and every cell normalised before binning. The estimator,
+    which scales residuals first and normalises bins, must stay within
+    1e-12 bits of it."""
+    total_bits, log_prior, starts, values, thetas, noise = _estimator_draws(task, seed)
+    gains = np.empty(ACTION_GRID.size)
+    for i, x in enumerate(ACTION_GRID):
+        post = (thetas * x + noise)[:, None] - (values * x)[None, :]
         np.square(post, out=post)
         post /= -2.0 * task.noise_variance
         post += log_prior
@@ -98,7 +134,7 @@ def _reference_step_gains(task: EstimationTask, seed) -> tuple[float, np.ndarray
         np.exp(post, out=post)
         post /= post.sum(axis=1, keepdims=True)
         gains[i] = total_bits - entropy_bits(np.add.reduceat(post, starts, axis=-1), axis=1).mean()
-    return total_bits, gains
+    return gains
 
 
 def _reference_information_gain(posterior, action, grid, n_outcome_samples=64, seed=0) -> float:
@@ -112,12 +148,8 @@ def _reference_information_gain(posterior, action, grid, n_outcome_samples=64, s
     draws = mean_y + math.sqrt(var_y) * rng.standard_normal(n_outcome_samples)
     with np.errstate(divide="ignore"):
         log_prior = np.where(grid.probabilities > 0, np.log(grid.probabilities.clip(min=1e-300)), -np.inf)
-    post = np.subtract(draws[:, None], grid.values * action)
-    np.square(post, out=post)
-    post /= -2.0 * posterior.noise_variance
-    post += log_prior
-    post -= post.max(axis=-1, keepdims=True)
-    np.exp(post, out=post)
+    scale = math.sqrt(2.0 * posterior.noise_variance)
+    post = _unnormalised_posteriors(log_prior, grid.values * action / scale, draws / scale)
     post /= post.sum(axis=-1, keepdims=True)
     mean_posterior_bits = float(entropy_bits(post, axis=1).mean())
     gain = prior_bits - mean_posterior_bits
@@ -343,6 +375,13 @@ class TestBlockedEstimator:
         ref_bits, ref_gains = _reference_step_gains(task, seed)
         assert total_bits == ref_bits
         assert np.array_equal(gains, ref_gains)
+
+    @settings(max_examples=25, deadline=None)
+    @given(task=_blocked_tasks(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_gains_match_cell_normalised_arithmetic(self, task, seed):
+        # scaling residuals once and normalising bins, not cells, moves no gain by 1e-12 bits
+        _, gains = gp._action_gains(task, seed)
+        assert np.abs(gains - _cell_normalised_step_gains(task, seed)).max() <= 1e-12
 
     def test_memory_is_linear_in_draws(self):
         # one action's full outcome-by-cell matrix would take 16 MB here

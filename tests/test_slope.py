@@ -211,6 +211,16 @@ class TestNoiseSweep:
         with pytest.raises(ValueError, match="cell-steps, over the cap"):
             run_noise_sweep(noise_levels=(0.5, 1.0), trials_per_level=20, step_cap=step_cap)
 
+    @pytest.mark.parametrize("levels", [(1e160, 1.0), (1.0, 1e160), (1.0, 1e-170)])
+    def test_level_without_a_noise_variance_is_refused_first(self, monkeypatch, levels):
+        # sigma^2 overflows to inf or underflows to 0: refused before any level's estimate runs
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("ran an estimate before checking every level")
+
+        monkeypatch.setattr("acp.slope.a_priori_estimate", no_estimate)
+        with pytest.raises(ValueError, match="noise_variance must be positive and finite"):
+            run_noise_sweep(noise_levels=levels, trials_per_level=20)
+
     def test_parallel_matches_serial(self):
         serial = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=1)
         parallel = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=2)
