@@ -320,6 +320,15 @@ def _summary_path(out: str) -> str:
     return base + "_summary" + (ext or ".csv")
 
 
+def _check_output_dirs(o: dict) -> None:
+    """Fail on a missing directory for any CSV the run writes; a summary CSV
+    sits in the directory of ``--out``."""
+    for path in filter(None, (o["out"], o.get("dump_trials"))):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
+
+
 # -- subcommand runners ---------------------------------------------------
 
 
@@ -341,11 +350,6 @@ def run_bounds(o: dict) -> int:
             f"{o['trials']} trials expect up to {expected_steps:.3g} steps in all, "
             f"over the limit of {stopping.MAX_TOTAL_STEPS:.0e}"
         )
-    # a missing output directory fails before any trial runs, not after the first CSV
-    for path in filter(None, (o["out"], o["dump_trials"])):
-        folder = os.path.dirname(path) or "."
-        if not os.path.isdir(folder):
-            raise OSError(f"cannot write {path}: no directory {folder}")
     trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
     report = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
     write_csv(
@@ -384,7 +388,7 @@ def run_slope(o: dict) -> int:
     write_csv(
         o["out"],
         ["sigma", "trial", "steps_actual", "completed", "final_error"],
-        [[t.sigma, t.trial, t.steps_actual, t.completed, t.final_error] for t in report.trials],
+        report.trials.tolist(),
     )
     summary = _summary_path(o["out"])
     write_csv(
@@ -495,6 +499,8 @@ def main(argv=None) -> int:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2
     try:
+        # a missing output directory fails before any work, not after the first CSV
+        _check_output_dirs(options)
         return _RUNNERS[args.command](options)
     except ValueError as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)

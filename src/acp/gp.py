@@ -18,7 +18,9 @@ once, so each cell's log-likelihood is minus its squared residual, then
 scores the draw posteriors in blocks of at most BLOCK_CELLS cells through
 one buffer: memory is O(draws), not draws times grid cells. A task whose
 posterior work (draws x actions x cells) exceeds MAX_POSTERIOR_CELLS is
-refused when it is built, before any grid is allocated.
+refused when it is built, before any grid is allocated. The slope agent
+scores its posteriors with this kernel's posterior step,
+``_grid_posteriors``, at noise variance sigma^2 / n after n queries.
 
 One error source is tracked explicitly: Monte Carlo noise in the gain
 estimates, as a Hoeffding deviation bound. It is folded into a first-order

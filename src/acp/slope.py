@@ -16,12 +16,19 @@ The slope and query domains are the estimator's ``gp.THETA_DOMAIN`` and
 geometry ``run_noise_sweep`` prices its predictions on, so the agent and its
 prediction are stated once.
 
+Because every query is the same x, the posterior after n steps depends on
+the observations only through their mean: it is the one-query posterior at
+noise variance sigma^2 / n. The agent keeps that sufficient statistic, a
+running sum per trial, and scores its grid posterior with the estimator's
+own kernel, ``gp._grid_posteriors``; this module holds no likelihood
+arithmetic of its own.
+
 One engine runs the agent: ``_lockstep`` advances a batch of hidden slopes
-that share a noise level, resolution and step cap together, one row of a
-(trials, grid) log-posterior per slope, and drops each row when its trial
-finishes. Every row does the arithmetic of a one-trial loop and every trial
-draws its noise from its own generator, so a trial's trace does not depend
-on which trials share its batch. ``run_slope_agent`` is a batch of one.
+that share a noise level, resolution and step cap together and drops each
+slope when its trial finishes. Every slope does the arithmetic of a
+one-trial loop and draws its noise from its own generator, so a trial's
+trace does not depend on which trials share its batch. ``run_slope_agent``
+is a batch of one.
 
 ``run_noise_sweep`` pairs the agent's empirical step counts with the
 a-priori predictions from the estimation pipeline, per noise level. The
@@ -38,7 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .gp import ACTION_DOMAIN, THETA_DOMAIN, EstimationTask, a_priori_estimate
+from .gp import ACTION_DOMAIN, THETA_DOMAIN, EstimationTask, _grid_posteriors, a_priori_estimate
 from .seeding import map_indexed, rng_for
 
 #: Default noise levels for the sweep.
@@ -50,6 +57,8 @@ _MIN_SIGMA = 1e-9
 _GRID = np.linspace(*THETA_DOMAIN, EstimationTask.theta_grid_size)
 # the gain grows with |x| while v > 0; each step follows a credible width > resolution > 0
 _QUERY = max(ACTION_DOMAIN, key=abs)
+#: Log of the agent's uniform prior, up to the constant the kernel's max shift removes.
+_LOG_PRIOR = np.zeros(_GRID.size)
 #: Central posterior mass of the credible interval the agent stops on.
 CREDIBLE_MASS = 0.95
 
@@ -107,11 +116,12 @@ def sweep_cell_steps(n_levels: int, trials_per_level: int, step_cap: int) -> int
 def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs):
     """Run the grid agent on the hidden ``slopes`` in lockstep.
 
-    Row r of a (trials, grid) log-posterior is slope r's posterior; all rows
-    take each step together and a row is dropped once its credible width
-    reaches ``resolution``. Each row's arithmetic is the per-trial loop's:
-    subtract the scaled squared residual, subtract the row max, exponentiate,
-    normalise, then read the credible interval off the row's cumsum.
+    Each slope keeps only the running sum of its observations. At step n
+    the means and the grid's noiseless outcomes are divided by
+    sigma * sqrt(2 / n) and scored by ``gp._grid_posteriors`` under a
+    uniform prior; each row is normalised and its credible interval read
+    off its cumsum. A slope drops out once its credible width reaches
+    ``resolution``, or at ``step_cap``.
 
     Slope r's noise comes from ``rngs[r]`` alone, drawn NORMAL_ROUND normals
     at a time (fewer in the round that reaches ``step_cap``), so step t uses
@@ -123,45 +133,51 @@ def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs
     slopes = np.asarray(slopes, dtype=float)
     n = slopes.size
     grid_x = _GRID * _QUERY
-    two_var = 2.0 * max(noise_sigma, _MIN_SIGMA) ** 2
+    sigma = max(noise_sigma, _MIN_SIGMA)
     tail = (1.0 - CREDIBLE_MASS) / 2.0
 
-    steps = np.full(n, step_cap)  # a row that never stops hits the cap
+    steps = np.empty(n, dtype=np.int64)
     completed = np.zeros(n, dtype=bool)
     estimate = np.empty(n)
 
-    active = np.arange(n)  # slope index of each log_post row
-    log_post = np.zeros((n, _GRID.size))
+    active = np.arange(n)  # slope index of each running slope
+    sums = np.zeros(n)  # running sum of each slope's observations
+    buf = np.empty((n, _GRID.size))
     done = 0
-    while active.size and done < step_cap:
+    while active.size:
         k = min(NORMAL_ROUND, step_cap - done)
         noise = np.empty((active.size, k))
         for row, i in enumerate(active):
             rngs[i].standard_normal(out=noise[row])
         ys = slopes[active, None] * _QUERY + noise_sigma * noise
-        live = np.arange(active.size)  # round row of each log_post row
+        ys[:, 0] += sums[active]
+        np.cumsum(ys, axis=1, out=ys)  # column j: the sum after step done + j + 1
+        live = np.arange(active.size)  # round row of each running slope
         for j in range(k):
-            log_post -= np.square(ys[live, j, None] - grid_x) / two_var
-            log_post -= log_post.max(axis=1, keepdims=True)
-            probs = np.exp(log_post)
-            probs /= probs.sum(axis=1, keepdims=True)
-            cdf = np.cumsum(probs, axis=1)
+            seen = done + j + 1
+            scale = sigma * math.sqrt(2.0 / seen)
+            post = _grid_posteriors(
+                _LOG_PRIOR, grid_x / scale, ys[live, j, None] / seen / scale, buf[: live.size]
+            )
+            post /= post.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(post, axis=1)
             # np.searchsorted(cdf_row, tail, side="left") for every row at once
             lo = (cdf < tail).sum(axis=1)
             hi = (cdf < 1.0 - tail).sum(axis=1)
             stop = _GRID[hi] - _GRID[lo] <= resolution
-            if stop.any():
-                ids = active[live[stop]]
-                steps[ids] = done + j + 1
-                completed[ids] = True
-                estimate[ids] = [probs[r] @ _GRID for r in np.flatnonzero(stop)]
-                keep = ~stop
-                live, log_post, probs = live[keep], log_post[keep], probs[keep]
+            ends = stop | (seen == step_cap)
+            if ends.any():
+                rows = np.flatnonzero(ends)
+                ids = active[live[rows]]
+                steps[ids] = seen
+                completed[ids] = stop[rows]
+                estimate[ids] = [post[r] @ _GRID for r in rows]
+                live = live[~ends]
                 if not live.size:
                     break
+        sums[active[live]] = ys[live, -1]
         active = active[live]
         done += k
-    estimate[active] = [probs[r] @ _GRID for r in range(active.size)]
     return steps, completed, estimate
 
 
@@ -184,17 +200,6 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
 
 
 @dataclass(frozen=True)
-class SweepTrialRow:
-    """Per-trial record of a noise sweep."""
-
-    sigma: float
-    trial: int
-    steps_actual: int
-    completed: bool
-    final_error: float
-
-
-@dataclass(frozen=True)
 class SweepLevelRow:
     """Per-noise-level summary: prediction vs. measured mean steps."""
 
@@ -207,8 +212,10 @@ class SweepLevelRow:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Per-level summaries, and the trials as one record array of ``_sweep_block`` rows."""
+
     levels: tuple[SweepLevelRow, ...]
-    trials: tuple[SweepTrialRow, ...]
+    trials: np.recarray
 
 
 def _sweep_block(
@@ -219,15 +226,18 @@ def _sweep_block(
     resolution: float,
     step_cap: int,
     trials: int,
-) -> list[SweepTrialRow]:
-    ids = range(block * SWEEP_BLOCK, min(trials, (block + 1) * SWEEP_BLOCK))
-    rngs = [rng_for(master_seed, level_index, t) for t in ids]
-    slopes = [float(rng.uniform(*THETA_DOMAIN)) for rng in rngs]
+) -> np.recarray:
+    """One block of a level's trials as a record array: a row per trial with
+    the fields ``sigma``, ``trial``, ``steps_actual``, ``completed`` and
+    ``final_error`` (the distance of the estimate from the hidden slope)."""
+    ids = np.arange(block * SWEEP_BLOCK, min(trials, (block + 1) * SWEEP_BLOCK))
+    rngs = [rng_for(master_seed, level_index, t) for t in ids.tolist()]
+    slopes = np.array([rng.uniform(*THETA_DOMAIN) for rng in rngs])
     steps, completed, estimate = _lockstep(slopes, sigma, resolution, step_cap, rngs)
-    return [
-        SweepTrialRow(sigma=sigma, trial=t, steps_actual=s, completed=c, final_error=abs(e - a))
-        for t, a, s, c, e in zip(ids, slopes, steps.tolist(), completed.tolist(), estimate.tolist())
-    ]
+    return np.rec.fromarrays(
+        (np.full(ids.size, sigma), ids, steps, completed, np.abs(estimate - slopes)),
+        names="sigma,trial,steps_actual,completed,final_error",
+    )
 
 
 def run_noise_sweep(
@@ -270,7 +280,7 @@ def run_noise_sweep(
     tasks = [EstimationTask(noise_variance=sigma * sigma, resolution=resolution) for sigma in levels]
 
     level_rows: list[SweepLevelRow] = []
-    trial_rows: list[SweepTrialRow] = []
+    trial_rows: list[np.recarray] = []
     for li, (sigma, task) in enumerate(zip(levels, tasks)):
         report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
         fn = partial(
@@ -283,8 +293,8 @@ def run_noise_sweep(
             trials=trials_per_level,
         )
         n_blocks = -(-trials_per_level // SWEEP_BLOCK)
-        rows = [row for block in map_indexed(fn, n_blocks, workers=workers) for row in block]
-        steps = np.array([r.steps_actual for r in rows], dtype=float)
+        rows = np.concatenate(map_indexed(fn, n_blocks, workers=workers))
+        steps = rows["steps_actual"].astype(float)
         mean = float(steps.mean())
         se = float(steps.std(ddof=1) / math.sqrt(trials_per_level))
         level_rows.append(
@@ -296,5 +306,5 @@ def run_noise_sweep(
                 gap=mean - report.predicted_steps,
             )
         )
-        trial_rows.extend(rows)
-    return SweepReport(levels=tuple(level_rows), trials=tuple(trial_rows))
+        trial_rows.append(rows)
+    return SweepReport(levels=tuple(level_rows), trials=np.concatenate(trial_rows).view(np.recarray))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from acp.cli import _format_cell, build_parser, main, resolve_options, write_csv
 from acp.cli import _CHUNK_ROWS
+from acp.stopping import TRIAL_BLOCK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,6 +62,30 @@ class TestExitCodes:
         missing_dir = tmp_path / "does" / "not" / "exist" / "x.csv"
         code = _run("bounds", "--trials", "100", "--out", str(missing_dir))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, harness",
+        [
+            (("bounds", "--trials", "100"), "acp.stopping.run_trials"),
+            (("slope", "--trials", "20"), "acp.slope.run_noise_sweep"),
+            (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50"),
+             "acp.coloring.run_campaign"),
+            (("estimate",), "acp.gp.a_priori_estimate"),
+            (("approx",), "acp.approx.default_knapsack"),
+        ],
+    )
+    def test_missing_output_directory_fails_before_work(self, tmp_path, capsys, monkeypatch, argv, harness):
+        called = []
+
+        def no_work(*args, **kwargs):
+            called.append(harness)
+            raise AssertionError("ran the experiment before checking the output directory")
+
+        monkeypatch.setattr(harness, no_work)
+        out = tmp_path / "missing" / "o.csv"
+        assert _run(*argv, "--out", str(out)) == 1
+        assert called == [] and list(tmp_path.iterdir()) == []
+        assert "no directory" in capsys.readouterr().err
 
     def test_missing_dump_directory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # refused before any trial runs, so the report CSV is not left behind either
@@ -212,6 +237,19 @@ class TestExitCodes:
             assert _run(*argv, "--out", str(out)) == 0
         if argv[0] == "estimate":
             assert out.read_text().splitlines()[1].startswith("5.321758,5.321758,1.000000,1,")
+
+    def test_huge_noise_slope_runs_without_warnings(self, tmp_path, capsys):
+        # sigma^2 is finite but 2 sigma^2 is not: the agent scales by sigma sqrt(2 / n) instead
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("slope", "--noise", "1.2e154,1", "--trials", "20", "--step-cap", "50",
+                        "--out", str(out)) == 0
+        rows = [r for r in csv.DictReader(io.StringIO(out.read_text())) if float(r["sigma"]) > 1]
+        assert len(rows) == 20
+        for row in rows:
+            assert (row["steps_actual"], row["completed"]) == ("50", "false")
+            assert np.isfinite(float(row["final_error"]))
 
     @pytest.mark.parametrize("flags", [("--trials", "10000000"), ("--grid", "1000000000")])
     def test_runaway_estimate_writes_nothing(self, tmp_path, capsys, flags):
@@ -452,12 +490,15 @@ class TestDeterminism:
         assert hashlib.sha256(_read(out)).hexdigest() == sha
 
     def test_workers_do_not_change_output(self, tmp_path, capsys):
+        # two trial blocks, so the parallel run really starts a pool
+        assert 2000 > TRIAL_BLOCK
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert _run("bounds", "--trials", "300", "--seed", "3", "--out", str(a),
-                    "--workers", "1") == 0
-        assert _run("bounds", "--trials", "300", "--seed", "3", "--out", str(b),
-                    "--workers", "4") == 0
+        assert _run("bounds", "--trials", "2000", "--seed", "3", "--out", str(a),
+                    "--dump-trials", str(tmp_path / "t1.csv"), "--workers", "1") == 0
+        assert _run("bounds", "--trials", "2000", "--seed", "3", "--out", str(b),
+                    "--dump-trials", str(tmp_path / "t2.csv"), "--workers", "2") == 0
         assert _read(a) == _read(b)
+        assert _read(tmp_path / "t1.csv") == _read(tmp_path / "t2.csv")
 
 
 class TestConfigFile:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
 from acp.gp import ACTION_DOMAIN, THETA_DOMAIN
 from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _lockstep
-from acp.slope import DEFAULT_NOISE_LEVELS, MAX_CELL_STEPS, sweep_cell_steps
+from acp.slope import DEFAULT_NOISE_LEVELS, MAX_CELL_STEPS, SWEEP_BLOCK, sweep_cell_steps
 
 
 def _reference_run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
-    """The agent one step at a time: the reference the lockstep engine must equal."""
+    """The sequential Bayes agent: one step at a time, each observation's
+    log-likelihood added to a running log-posterior. The oracle the engine's
+    sufficient-statistic arithmetic must agree with."""
     rng = np.random.default_rng(seed)
     grid = np.linspace(-2.0, 2.0, 401)
     sigma_eff = max(task.noise_sigma, 1e-9)
@@ -39,6 +41,32 @@ def _reference_run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
             completed = True
             break
     return AgentTrace(steps=steps, final_estimate=float(probs @ grid), completed=completed)
+
+
+def _reference_mean_agent(task: SlopeTask, seed) -> AgentTrace:
+    """The engine's arithmetic for one trial, one step at a time: the running
+    sum of the observations, and at step n the posterior of their mean at
+    scale sigma * sqrt(2 / n). The lockstep engine must equal it bit for bit."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-2.0, 2.0, 401)
+    sigma_eff = max(task.noise_sigma, 1e-9)
+    x = -3.0
+    tail = (1.0 - 0.95) / 2.0
+
+    total = 0.0
+    for n in range(1, task.step_cap + 1):
+        total += task.true_slope * x + task.noise_sigma * rng.standard_normal()
+        scale = sigma_eff * math.sqrt(2.0 / n)
+        log_post = -np.square(total / n / scale - grid * x / scale)
+        log_post -= log_post.max()
+        probs = np.exp(log_post)
+        probs /= probs.sum()
+        cdf = np.cumsum(probs)
+        lo = grid[int(np.searchsorted(cdf, tail, side="left"))]
+        hi = grid[int(np.searchsorted(cdf, 1.0 - tail, side="left"))]
+        if float(hi - lo) <= task.success_resolution:
+            return AgentTrace(steps=n, final_estimate=float(probs @ grid), completed=True)
+    return AgentTrace(steps=task.step_cap, final_estimate=float(probs @ grid), completed=False)
 
 
 class TestTaskValidation:
@@ -114,7 +142,7 @@ class TestAgent:
 
 
 class TestLockstepEngine:
-    """The batched engine against the per-step reference, field for field."""
+    """The batched engine against the one-trial reference of its arithmetic, field for field."""
 
     @staticmethod
     def _check(slopes, sigma, resolution, step_cap, seeds):
@@ -127,7 +155,7 @@ class TestLockstepEngine:
             SlopeTask(true_slope=a, noise_sigma=sigma, success_resolution=resolution, step_cap=step_cap)
             for a in slopes
         ]
-        assert traces == [_reference_run_slope_agent(t, s) for t, s in zip(tasks, seeds)]
+        assert traces == [_reference_mean_agent(t, s) for t, s in zip(tasks, seeds)]
         return traces
 
     @settings(max_examples=40, deadline=None)
@@ -157,6 +185,19 @@ class TestLockstepEngine:
         traces = self._check([0.2 * i - 2.0 for i in range(20)], 1.0, 0.1, 200, range(20))
         assert len({t.steps for t in traces}) > 5
         assert max(t.steps for t in traces) > NORMAL_ROUND
+
+    def test_agrees_with_sequential_bayes(self):
+        # the sufficient statistic changes no stop and moves no estimate past rounding
+        for sigma, cap in [(0.0, 200), (0.05, 200), (0.3, 200), (1.0, 2000), (3.0, 2000), (5.0, 1500)]:
+            rng = np.random.default_rng(int(sigma * 100))
+            slopes = [-2.0, 2.0, *rng.uniform(-2.0, 2.0, 8).tolist()]
+            seeds = range(10)
+            found = _lockstep(slopes, sigma, 0.1, cap, [np.random.default_rng(s) for s in seeds])
+            for a, seed, steps, completed, estimate in zip(slopes, seeds, *found):
+                task = SlopeTask(true_slope=a, noise_sigma=sigma, step_cap=cap)
+                oracle = _reference_run_slope_agent(task, seed)
+                assert (steps, completed) == (oracle.steps, oracle.completed)
+                assert estimate == pytest.approx(oracle.final_estimate, abs=1e-12, rel=0)
 
     def test_stops_around_round_end(self):
         # picked so that the trials stop one step before, at and after the end of the first round
@@ -222,9 +263,12 @@ class TestNoiseSweep:
             run_noise_sweep(noise_levels=levels, trials_per_level=20)
 
     def test_parallel_matches_serial(self):
-        serial = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=1)
-        parallel = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=20, master_seed=4, workers=2)
-        assert serial == parallel
+        # two blocks per level, so the parallel run really starts a pool
+        assert 26 > SWEEP_BLOCK
+        serial = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=26, master_seed=4, workers=1)
+        parallel = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=26, master_seed=4, workers=2)
+        assert serial.levels == parallel.levels
+        assert np.array_equal(serial.trials, parallel.trials)
 
 
 class TestPredictionTask:
