@@ -417,8 +417,7 @@ def run_coloring(o: dict) -> int:
     write_csv(
         o["out"],
         ["instance_id", "n", "p", "seed", "agent", "expansions", "c_eff", "found"],
-        [[r.instance_id, r.n, r.p, r.seed, r.agent, r.expansions, r.c_eff, r.found]
-         for r in report.records],
+        report.records.tolist(),
     )
     summary = _summary_path(o["out"])
     write_csv(

@@ -37,7 +37,7 @@ from itertools import compress
 import numpy as np
 
 from .info import effective_cost
-from .seeding import map_indexed, rng_for
+from .seeding import _mean_se, map_indexed, rng_for
 
 AGENT_KINDS = ("random", "greedy", "acp")
 
@@ -51,6 +51,10 @@ DEFAULT_CONFIGS = (
 )
 
 _COUNT_GUARD = 20
+
+#: Most vertices a campaign graph may have. ``solve``'s search recurses once
+#: per vertex, so this keeps its depth well under Python's recursion limit.
+MAX_VERTICES = 512
 
 #: Most expansions one solve may make, about 1 s of search; a solve that
 #: would need more stops at the cap and reports no coloring found.
@@ -84,13 +88,6 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
 
 @dataclass(frozen=True)
 class ColoringInstance:
@@ -108,12 +105,11 @@ class ColoringInstance:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Result of one solve: expansion count, outcome, and the prediction."""
+    """Result of one solve: expansion count, outcome, and the coloring found."""
 
     expansions: int
     found: bool
     assignment: tuple[int, ...] | None
-    c_eff_predicted: float
 
     def __post_init__(self) -> None:
         if self.expansions < 0:
@@ -309,7 +305,6 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     g, k = instance.graph, instance.k
     n = g.n
     neighbors = g.neighbors()
-    degrees = g.degrees()
     rng = np.random.default_rng(seed) if agent == "random" else None
     full = (1 << k) - 1
     domains = [full] * n
@@ -327,8 +322,8 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
         if agent == "random":
             return uncolored[int(rng.integers(len(uncolored)))]
         if agent == "greedy":
-            return max(uncolored, key=lambda v: (degrees[v], -v))
-        return min(uncolored, key=lambda v: (bin(domains[v]).count("1"), -degrees[v], v))
+            return max(uncolored, key=lambda v: (len(neighbors[v]), -v))
+        return min(uncolored, key=lambda v: (bin(domains[v]).count("1"), -len(neighbors[v]), v))
 
     def order_colors(v: int) -> list[int]:
         colors = live_colors(v)
@@ -363,29 +358,13 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
             assignment[v] = -1
         return False
 
-    found = search(0)
-    prediction = predict_cost(instance)
-    if not found:
-        return SearchStats(expansions=expansions, found=False, assignment=None, c_eff_predicted=prediction)
+    if not search(0):
+        return SearchStats(expansions=expansions, found=False, assignment=None)
     result = tuple(assignment)
     for u, v in g.edges:
         if result[u] == result[v]:
             raise RuntimeError("internal error: returned assignment is not a proper coloring")
-    return SearchStats(expansions=expansions, found=True, assignment=result, c_eff_predicted=prediction)
-
-
-@dataclass(frozen=True)
-class InstanceRecord:
-    """One (instance, agent) outcome inside a campaign."""
-
-    instance_id: int
-    n: int
-    p: float
-    seed: int
-    agent: str
-    expansions: int
-    c_eff: float
-    found: bool
+    return SearchStats(expansions=expansions, found=True, assignment=result)
 
 
 @dataclass(frozen=True)
@@ -410,8 +389,10 @@ class ConfigSummary:
 
 @dataclass(frozen=True)
 class CampaignReport:
+    """Per-config summaries, and the runs as one record array of ``run_campaign``'s fields."""
+
     summaries: tuple[ConfigSummary, ...]
-    records: tuple[InstanceRecord, ...]
+    records: np.recarray
 
 
 def _feasible_instances(n: int, p: float, k: int, count: int, config_index: int, master_seed: int):
@@ -434,22 +415,13 @@ def _feasible_instances(n: int, p: float, k: int, count: int, config_index: int,
     return feasible, discarded
 
 
-def _solve_record(
-    flat_index: int,
-    jobs: tuple[tuple[int, ColoringInstance, str], ...],
-) -> InstanceRecord:
-    instance_id, instance, agent = jobs[flat_index]
-    stats = solve(instance, agent, seed=(instance.seed, AGENT_KINDS.index(agent)))
-    return InstanceRecord(
-        instance_id=instance_id,
-        n=instance.graph.n,
-        p=instance.p,
-        seed=instance.seed,
-        agent=agent,
-        expansions=stats.expansions,
-        c_eff=stats.c_eff_predicted,
-        found=stats.found,
-    )
+def _solve_job(flat_index: int, instances: tuple[ColoringInstance, ...]) -> tuple[int, bool]:
+    """(expansions, found) of run ``flat_index``: instance i under agent a for
+    (i, a) = divmod(flat_index, len(AGENT_KINDS)), seeded by (its seed, a)."""
+    i, a = divmod(flat_index, len(AGENT_KINDS))
+    instance = instances[i]
+    stats = solve(instance, AGENT_KINDS[a], seed=(instance.seed, a))
+    return stats.expansions, stats.found
 
 
 def run_campaign(
@@ -459,9 +431,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Full benchmark: generate, filter, solve with all agents, aggregate.
 
-    Each config row is (n, p, k, instance_count) with n >= 1, p in [0, 1],
-    k >= 2 and instance_count >= 50; every row is checked before any graph
-    is drawn.
+    Each config row is (n, p, k, instance_count) with 1 <= n <= MAX_VERTICES,
+    p in [0, 1], k >= 2 and instance_count >= 50; every row is checked
+    before any graph is drawn. Every config's instances are filtered first
+    and numbered in order; then all (instance, agent) runs go through one
+    ``map_indexed`` call, which ``workers`` may spread over processes, into
+    one record array with the fields instance_id, n, p, seed, agent,
+    expansions, c_eff (the instance's ``predict_cost``) and found.
     Bound violations count feasible runs of the acp agent whose expansions
     fell below the predicted cost; the expected value is zero.
     """
@@ -472,28 +448,38 @@ def run_campaign(
         if k < 2:
             raise ValueError("k must be at least 2")
         _check_gnp(n, p)
+        if n > MAX_VERTICES:
+            raise ValueError(f"n must be at most {MAX_VERTICES}, got {n}")
+
+    drawn = [_feasible_instances(*config, ci, master_seed) for ci, config in enumerate(configs)]
+    instances = tuple(inst for kept, _ in drawn for inst in kept)
+    predictions = [predict_cost(kept[0]) for kept, _ in drawn]
+    agents = len(AGENT_KINDS)
+    runs = map_indexed(partial(_solve_job, instances=instances), len(instances) * agents, workers=workers)
+    expansions, found = np.array(runs, dtype=np.int64).reshape(-1, 2).T
+    records = np.rec.fromarrays(
+        (
+            np.arange(len(instances)).repeat(agents),
+            np.repeat([inst.graph.n for inst in instances], agents),
+            np.repeat([inst.p for inst in instances], agents),
+            np.repeat([inst.seed for inst in instances], agents),
+            np.tile(AGENT_KINDS, len(instances)),
+            expansions,
+            np.repeat(predictions, [count * agents for *_, count in configs]),
+            found.astype(bool),
+        ),
+        names="instance_id,n,p,seed,agent,expansions,c_eff,found",
+    )
 
     summaries: list[ConfigSummary] = []
-    records: list[InstanceRecord] = []
-    next_instance_id = 0
-    for ci, (n, p, k, count) in enumerate(configs):
-        instances, discarded = _feasible_instances(n, p, k, count, ci, master_seed)
-        jobs = tuple(
-            (next_instance_id + ii, inst, agent)
-            for ii, inst in enumerate(instances)
-            for agent in AGENT_KINDS
-        )
-        next_instance_id += len(instances)
-        rows = map_indexed(partial(_solve_record, jobs=jobs), len(jobs), workers=workers)
-        records.extend(rows)
-
-        by_agent = {
-            agent: np.array([r.expansions for r in rows if r.agent == agent], dtype=float)
-            for agent in AGENT_KINDS
-        }
-        prediction = predict_cost(instances[0])
-        acp_exp = by_agent["acp"]
-        violations = int((acp_exp < prediction - 1e-9).sum())
+    by_instance = expansions.reshape(-1, agents).astype(float)
+    start = 0
+    for (n, p, k, count), (_, discarded), prediction in zip(configs, drawn, predictions):
+        random_exp, greedy_exp, acp_exp = by_instance[start:start + count].T
+        start += count
+        random_mean, random_se = _mean_se(random_exp)
+        greedy_mean, greedy_se = _mean_se(greedy_exp)
+        acp_mean, acp_se = _mean_se(acp_exp)
         summaries.append(
             ConfigSummary(
                 n=n,
@@ -501,15 +487,15 @@ def run_campaign(
                 k=k,
                 instance_count=count,
                 discarded=discarded,
-                random_mean=float(by_agent["random"].mean()),
-                greedy_mean=float(by_agent["greedy"].mean()),
-                acp_mean=float(acp_exp.mean()),
-                random_se=float(by_agent["random"].std(ddof=1) / math.sqrt(count)),
-                greedy_se=float(by_agent["greedy"].std(ddof=1) / math.sqrt(count)),
-                acp_se=float(acp_exp.std(ddof=1) / math.sqrt(count)),
+                random_mean=random_mean,
+                greedy_mean=greedy_mean,
+                acp_mean=acp_mean,
+                random_se=random_se,
+                greedy_se=greedy_se,
+                acp_se=acp_se,
                 acp_prediction=prediction,
-                bound_violations=violations,
+                bound_violations=int((acp_exp < prediction - 1e-9).sum()),
                 acp_overshoot_mean=float((acp_exp - prediction).mean()),
             )
         )
-    return CampaignReport(summaries=tuple(summaries), records=tuple(records))
+    return CampaignReport(summaries=tuple(summaries), records=records)

@@ -370,24 +370,18 @@ def a_priori_estimate(task: EstimationTask, budget: float, seed: int = 0) -> Est
     mc_err = monte_carlo_error(total_bits, task.n_outcome_samples, MC_DELTA)
 
     if step_bits < MIN_STEP_BITS:
-        return EstimationReport(
-            total_bits=total_bits,
-            step_bits=step_bits,
-            cost_predicted=INFINITE_COST,
-            predicted_steps=0,
-            mc_error_bits=mc_err,
-            cost_margin=INFINITE_COST,
-            solvable=False,
-        )
-
-    cost = effective_cost(total_bits, step_bits, 1.0)
-    # first-order margin from the step-bits error alone; total_bits is exact
-    margin = total_bits * mc_err / step_bits**2
+        cost = margin = INFINITE_COST
+        steps = 0
+    else:
+        cost = effective_cost(total_bits, step_bits, 1.0)
+        # first-order margin from the step-bits error alone; total_bits is exact
+        margin = total_bits * mc_err / step_bits**2
+        steps = math.ceil(total_bits / step_bits)
     return EstimationReport(
         total_bits=total_bits,
         step_bits=step_bits,
         cost_predicted=cost,
-        predicted_steps=math.ceil(total_bits / step_bits),
+        predicted_steps=steps,
         mc_error_bits=mc_err,
         cost_margin=margin,
         solvable=solvability_verdict(cost + margin, budget),

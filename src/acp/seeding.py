@@ -1,15 +1,20 @@
-"""Deterministic per-trial seed derivation and optional trial parallelism.
+"""Deterministic per-trial seed derivation, trial parallelism, and mean ± SE.
 
 Every experiment in this package derives its per-trial randomness from
 ``subseed(master_seed, *key)``, a pure function of the master seed and the
 trial's index path. Results are therefore independent of execution order:
 running trials serially, in a different order, or across worker processes
 produces identical aggregates.
+
+Each Monte Carlo experiment runs all its jobs through one ``map_indexed``
+call and reports its sample means with ``_mean_se``.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import os
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -32,13 +37,22 @@ def rng_for(master_seed: int, *key: int) -> np.random.Generator:
 def map_indexed(fn: Callable[[int], T], n_items: int, workers: int = 1) -> list[T]:
     """[fn(0), ..., fn(n_items-1)], optionally computed by worker processes.
 
-    ``fn`` must be picklable (module-level function or functools.partial of
-    one) when workers > 1. Output order is always index order, so the result
-    does not depend on scheduling.
+    At most min(workers, n_items, os.cpu_count()) processes start, and none
+    when that is 1. ``fn`` must be picklable (module-level function or
+    functools.partial of one) when they do. Output order is always index
+    order, so the result does not depend on scheduling or the pool's size.
     """
-    if workers <= 1 or n_items <= 1:
+    workers = min(workers, n_items, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(n_items)]
     ctx = multiprocessing.get_context()
     chunk = max(1, n_items // (workers * 8))
     with ctx.Pool(processes=workers) as pool:
         return pool.map(fn, range(n_items), chunksize=chunk)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """The sample mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1."""
+    n = len(values)
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), se

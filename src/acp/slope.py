@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .gp import ACTION_DOMAIN, THETA_DOMAIN, EstimationTask, _grid_posteriors, a_priori_estimate
-from .seeding import map_indexed, rng_for
+from .seeding import _mean_se, map_indexed, rng_for
 
 #: Default noise levels for the sweep.
 DEFAULT_NOISE_LEVELS = (0.1, 0.3, 1.0, 3.0)
@@ -219,17 +219,19 @@ class SweepReport:
 
 
 def _sweep_block(
-    block: int,
-    sigma: float,
-    level_index: int,
+    flat_block: int,
+    levels: tuple[float, ...],
     master_seed: int,
     resolution: float,
     step_cap: int,
     trials: int,
 ) -> np.recarray:
-    """One block of a level's trials as a record array: a row per trial with
+    """One block of one level's trials as a record array: a row per trial with
     the fields ``sigma``, ``trial``, ``steps_actual``, ``completed`` and
-    ``final_error`` (the distance of the estimate from the hidden slope)."""
+    ``final_error`` (the distance of the estimate from the hidden slope).
+    The block is block b of level l for (l, b) = divmod(flat_block, blocks per level)."""
+    level_index, block = divmod(flat_block, -(-trials // SWEEP_BLOCK))
+    sigma = levels[level_index]
     ids = np.arange(block * SWEEP_BLOCK, min(trials, (block + 1) * SWEEP_BLOCK))
     rngs = [rng_for(master_seed, level_index, t) for t in ids.tolist()]
     slopes = np.array([rng.uniform(*THETA_DOMAIN) for rng in rngs])
@@ -251,15 +253,17 @@ def run_noise_sweep(
     """Predicted vs. measured step counts across noise levels.
 
     Each trial draws its own hidden slope uniformly from the slope domain,
-    then its noise, from ``rng_for(master_seed, level, trial)``. A level's
-    trials run in lockstep blocks of SWEEP_BLOCK, which ``workers`` may
-    spread over processes; memory does not grow with ``step_cap``. A sweep
-    that ``sweep_cell_steps`` prices above MAX_CELL_STEPS, or with a level
-    whose estimation task is invalid, is refused before any trial runs.
+    then its noise, from ``rng_for(master_seed, level, trial)``. Every
+    level's estimate is computed first; then all levels' trials run in
+    lockstep blocks of SWEEP_BLOCK through one ``map_indexed`` call, which
+    ``workers`` may spread over processes; memory does not grow with
+    ``step_cap``. A sweep that ``sweep_cell_steps`` prices above
+    MAX_CELL_STEPS, or with a level whose estimation task is invalid, is
+    refused before any estimate or trial runs.
     Capped (incomplete) runs contribute their step count at the cap, which
     only raises the measured mean and never hides a lower-bound violation.
     """
-    levels = [float(s) for s in noise_levels]
+    levels = tuple(float(s) for s in noise_levels)
     if len(levels) < 2:
         raise ValueError("need at least two noise levels")
     if not all(0 < s < math.inf for s in levels):
@@ -278,25 +282,22 @@ def run_noise_sweep(
 
     # float ** raises OverflowError; * gives inf, which the task refuses
     tasks = [EstimationTask(noise_variance=sigma * sigma, resolution=resolution) for sigma in levels]
+    reports = [a_priori_estimate(task, budget=math.inf, seed=master_seed) for task in tasks]
 
-    level_rows: list[SweepLevelRow] = []
-    trial_rows: list[np.recarray] = []
-    for li, (sigma, task) in enumerate(zip(levels, tasks)):
-        report = a_priori_estimate(task, budget=math.inf, seed=master_seed)
-        fn = partial(
-            _sweep_block,
-            sigma=sigma,
-            level_index=li,
-            master_seed=master_seed,
-            resolution=resolution,
-            step_cap=step_cap,
-            trials=trials_per_level,
-        )
-        n_blocks = -(-trials_per_level // SWEEP_BLOCK)
-        rows = np.concatenate(map_indexed(fn, n_blocks, workers=workers))
-        steps = rows["steps_actual"].astype(float)
-        mean = float(steps.mean())
-        se = float(steps.std(ddof=1) / math.sqrt(trials_per_level))
+    fn = partial(
+        _sweep_block,
+        levels=levels,
+        master_seed=master_seed,
+        resolution=resolution,
+        step_cap=step_cap,
+        trials=trials_per_level,
+    )
+    n_blocks = len(levels) * -(-trials_per_level // SWEEP_BLOCK)
+    trials = np.concatenate(map_indexed(fn, n_blocks, workers=workers)).view(np.recarray)
+    steps = trials.steps_actual.reshape(len(levels), trials_per_level).astype(float)
+    level_rows = []
+    for sigma, report, level_steps in zip(levels, reports, steps):
+        mean, se = _mean_se(level_steps)
         level_rows.append(
             SweepLevelRow(
                 sigma=sigma,
@@ -306,5 +307,4 @@ def run_noise_sweep(
                 gap=mean - report.predicted_steps,
             )
         )
-        trial_rows.append(rows)
-    return SweepReport(levels=tuple(level_rows), trials=np.concatenate(trial_rows).view(np.recarray))
+    return SweepReport(levels=tuple(level_rows), trials=trials)

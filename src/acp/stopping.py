@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seeding import map_indexed, subseed
+from .seeding import _mean_se, map_indexed, subseed
 
 FAMILIES = ("deterministic", "exponential", "uniform", "truncated-gaussian")
 
@@ -634,9 +634,7 @@ def summarize_trials(
     n_trials = len(trials)
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    costs = step_cost * trials.n_steps
-    mean_cost = float(costs.mean())
-    se = float(costs.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+    mean_cost, se = _mean_se(step_cost * trials.n_steps)
     lower, upper = cost_bounds(spec, total_bits, step_cost)
     return BoundReport(
         lower=lower,

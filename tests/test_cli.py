@@ -198,6 +198,9 @@ class TestExitCodes:
             ("10", "nan", "p must lie in [0, 1]"),
             ("10", "1.5", "p must lie in [0, 1]"),
             ("10", "-0.1", "p must lie in [0, 1]"),
+            # the search recurses once per vertex: n = 990 used to end in a RecursionError, exit 1
+            ("990", "0.0005", "n must be at most 512, got 990"),
+            ("1100", "0.0005", "n must be at most 512, got 1100"),
         ],
     )
     def test_bad_graph_config_writes_nothing(self, tmp_path, capsys, n, p, message):

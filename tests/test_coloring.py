@@ -366,6 +366,7 @@ class TestCampaign:
             (10, math.nan, "p must lie in [0, 1]"),
             (10, 1.5, "p must lie in [0, 1]"),
             (10, -0.1, "p must lie in [0, 1]"),
+            (513, 0.0005, "n must be at most 512, got 513"),
         ],
     )
     def test_rejects_bad_graph_row_before_generating(self, monkeypatch, n, p, message):
@@ -379,4 +380,63 @@ class TestCampaign:
     def test_parallel_matches_serial(self):
         serial = run_campaign(configs=((8, 0.25, 3, 50),), master_seed=2, workers=1)
         parallel = run_campaign(configs=((8, 0.25, 3, 50),), master_seed=2, workers=2)
-        assert serial == parallel
+        assert serial.summaries == parallel.summaries
+        assert np.array_equal(serial.records, parallel.records)
+
+    def test_solve_at_vertex_cap(self):
+        # one recursion level per vertex, on top of pytest's own stack; a path
+        # never empties a domain of three colors, so no agent backtracks
+        n = acp.coloring.MAX_VERTICES
+        graph = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        assert is_k_colorable(graph, 3)
+        for a, agent in enumerate(AGENT_KINDS):
+            stats = solve(_instance(graph), agent, seed=(0, a))
+            assert (stats.found, stats.expansions) == (True, n)
+
+    def test_records_equal_one_solve_per_instance_and_agent(self):
+        # two configs of different sizes, so a wrong per-config offset shows
+        configs = ((8, 0.25, 3, 60), (10, 0.3, 3, 50))
+        report = run_campaign(configs=configs, master_seed=3)
+        rows = []
+        for ci, (n, p, k, count) in enumerate(configs):
+            kept, _ = acp.coloring._feasible_instances(n, p, k, count, ci, 3)
+            by_agent = {agent: [] for agent in AGENT_KINDS}
+            for inst in kept:
+                for a, agent in enumerate(AGENT_KINDS):
+                    stats = solve(inst, agent, seed=(inst.seed, a))
+                    rows.append((len(rows) // 3, n, p, inst.seed, agent, stats.expansions,
+                                 predict_cost(inst), stats.found))
+                    by_agent[agent].append(stats.expansions)
+            summary = report.summaries[ci]
+            assert (summary.random_mean, summary.greedy_mean, summary.acp_mean) == tuple(
+                float(np.mean(by_agent[agent])) for agent in AGENT_KINDS
+            )
+        assert report.records.dtype.names == (
+            "instance_id", "n", "p", "seed", "agent", "expansions", "c_eff", "found"
+        )
+        assert report.records.tolist() == rows
+
+    def test_configs_campaign_joins_per_config_campaigns(self):
+        # instance seeds are keyed by the config's position, so the second
+        # config is compared with a campaign where it is also second
+        first, second, other = (8, 0.25, 3, 50), (10, 0.3, 3, 50), (8, 0.3, 3, 60)
+        joined = run_campaign(configs=(first, second), master_seed=6)
+        alone = run_campaign(configs=(first,), master_seed=6)
+        after_other = run_campaign(configs=(other, second), master_seed=6)
+        assert joined.summaries == (alone.summaries[0], after_other.summaries[1])
+        head, tail = joined.records[:150], joined.records[150:]
+        assert np.array_equal(head, alone.records)
+        shifted = after_other.records[180:].copy()
+        shifted.instance_id -= 10
+        assert np.array_equal(tail, shifted)
+
+    def test_one_job_map_per_campaign(self, monkeypatch):
+        calls = []
+
+        def counting_map(fn, n_items, workers=1):
+            calls.append(n_items)
+            return [fn(i) for i in range(n_items)]
+
+        monkeypatch.setattr(acp.coloring, "map_indexed", counting_map)
+        run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, 3, 50)), master_seed=0)
+        assert calls == [2 * 50 * 3]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import acp.slope
 from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
 from acp.gp import ACTION_DOMAIN, THETA_DOMAIN
 from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _lockstep
@@ -269,6 +270,20 @@ class TestNoiseSweep:
         parallel = run_noise_sweep(noise_levels=(0.2, 0.6), trials_per_level=26, master_seed=4, workers=2)
         assert serial.levels == parallel.levels
         assert np.array_equal(serial.trials, parallel.trials)
+
+    def test_one_job_map_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting_map(fn, n_items, workers=1):
+            calls.append(n_items)
+            return [fn(i) for i in range(n_items)]
+
+        monkeypatch.setattr(acp.slope, "map_indexed", counting_map)
+        report = run_noise_sweep(noise_levels=(0.2, 0.6, 1.0), trials_per_level=26, master_seed=4)
+        # two blocks per level, every level's blocks in the one map
+        assert calls == [3 * 2]
+        assert report.trials.sigma.tolist() == [0.2] * 26 + [0.6] * 26 + [1.0] * 26
+        assert report.trials.trial.tolist() == list(range(26)) * 3
 
 
 class TestPredictionTask:
