@@ -12,8 +12,15 @@ Every run is a pure function of its flags and --seed: repeating a command
 reproduces its CSV output byte for byte, regardless of --workers. Options
 may also come from a key=value file via --config; explicit flags win.
 
-Exit codes: 0 success, 1 runtime failure (e.g. unwritable output),
-2 usage or configuration error.
+Every command takes the same steps in the same order:
+  1. parse the flags and the --config file; a bad one exits 2;
+  2. check that the directory of every output CSV exists; if not, exit 1;
+  3. check the option values (exit 2) and run the experiment;
+  4. write every CSV, print the report and one line naming each file written.
+A run refused before step 4 writes no file.
+
+Exit codes: 0 success, 1 runtime failure (a missing output directory, an
+unwritable file, an error inside the run), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -162,10 +169,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
             merged[dest] = given
     if merged.get("out") is None:
         merged["out"] = f"{args.command}.csv"
-    if merged["seed"] < 0:
-        raise ValueError("--seed must be non-negative")
-    if merged["workers"] < 1:
-        raise ValueError("--workers must be at least 1")
     return merged
 
 
@@ -176,6 +179,8 @@ def _format_cell(value) -> str:
         return f"{value:.6f}"
     if kind is int:
         return str(value)
+    if value is None:  # a missing value is an empty cell
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -330,9 +335,11 @@ def _check_output_dirs(o: dict) -> None:
 
 
 # -- subcommand runners ---------------------------------------------------
+# Each checks what only the CLI checks, runs its library and returns its
+# tables, the (path, header, rows) of every CSV, and its report lines.
 
 
-def run_bounds(o: dict) -> int:
+def run_bounds(o: dict) -> tuple[list, list[str]]:
     if not 0.0 < o["delta"] < 1.0:
         raise ValueError(f"--delta must lie strictly in (0, 1), got {o['delta']!r}")
     spec = stopping.GainSequenceSpec(tuple(o["mu"]), o["mu_inf"], o["family"], o["m"], o["scale"])
@@ -351,61 +358,45 @@ def run_bounds(o: dict) -> int:
             f"over the limit of {stopping.MAX_TOTAL_STEPS:.0e}"
         )
     trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
-    report = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
-    write_csv(
-        o["out"],
-        ["lower", "upper", "empirical_mean_cost", "n_trials", "standard_error", "within_bounds"],
-        [[report.lower, report.upper, report.empirical_mean_cost, report.n_trials,
-          report.standard_error, report.within_bounds]],
-    )
+    r = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
+    header = ["lower", "upper", "empirical_mean_cost", "n_trials", "standard_error", "within_bounds"]
+    tables = [(o["out"], header, [[r.lower, r.upper, r.empirical_mean_cost, r.n_trials, r.standard_error,
+                                   r.within_bounds]])]
     if o["dump_trials"]:
-        write_csv(
-            o["dump_trials"],
-            ["trial_id", "n_steps", "s_n", "overshoot"],
-            np.rec.fromarrays((np.arange(len(trials)), trials.n_steps, trials.accumulated, trials.overshoot),
-                              names="trial_id,n_steps,s_n,overshoot"),
-        )
-    print(f"{o['family']} gains, target {o['i_total']} bits, {report.n_trials} trials")
-    print(f"  bounds      [{report.lower:.4f}, {report.upper:.4f}]")
-    print(f"  mean cost   {report.empirical_mean_cost:.4f} +/- {report.standard_error:.4f} (se)")
-    print(f"  overshoot   {report.mean_overshoot:.4f} mean")
-    print(f"  within      {report.within_bounds}")
+        dump = np.rec.fromarrays((np.arange(len(trials)), trials.n_steps, trials.accumulated,
+                                  trials.overshoot), names="trial_id,n_steps,s_n,overshoot")
+        tables.append((o["dump_trials"], list(dump.dtype.names), dump))
+    lines = [
+        f"{o['family']} gains, target {o['i_total']} bits, {r.n_trials} trials",
+        f"  bounds      [{r.lower:.4f}, {r.upper:.4f}]",
+        f"  mean cost   {r.empirical_mean_cost:.4f} +/- {r.standard_error:.4f} (se)",
+        f"  overshoot   {r.mean_overshoot:.4f} mean",
+        f"  within      {r.within_bounds}",
+    ]
     if n_delta is not None:
-        print(f"  steps for completion w.p. {1 - o['delta']:.2%}: {n_delta}")
-    print(f"wrote {o['out']}")
-    return 0
+        lines.append(f"  steps for completion w.p. {1 - o['delta']:.2%}: {n_delta}")
+    return tables, lines
 
 
-def run_slope(o: dict) -> int:
-    report = slope.run_noise_sweep(
-        noise_levels=o["noise"],
-        trials_per_level=o["trials"],
-        master_seed=o["seed"],
-        resolution=o["resolution"],
-        step_cap=o["step_cap"],
-        workers=o["workers"],
-    )
-    write_csv(
-        o["out"],
-        ["sigma", "trial", "steps_actual", "completed", "final_error"],
-        report.trials.tolist(),
-    )
-    summary = _summary_path(o["out"])
-    write_csv(
-        summary,
-        ["sigma", "steps_predicted", "steps_actual_mean", "steps_actual_se", "gap"],
-        [[l.sigma, l.steps_predicted, l.steps_actual_mean, l.steps_actual_se, l.gap]
-         for l in report.levels],
-    )
-    print(f"{'sigma':>8} {'predicted':>10} {'actual':>10} {'se':>8} {'gap':>8}")
-    for l in report.levels:
-        print(f"{l.sigma:>8.2f} {l.steps_predicted:>10d} {l.steps_actual_mean:>10.2f} "
-              f"{l.steps_actual_se:>8.2f} {l.gap:>8.2f}")
-    print(f"wrote {o['out']} and {summary}")
-    return 0
+def run_slope(o: dict) -> tuple[list, list[str]]:
+    report = slope.run_noise_sweep(o["noise"], o["trials"], o["seed"], resolution=o["resolution"],
+                                   step_cap=o["step_cap"], workers=o["workers"])
+    summary = [[l.sigma, l.steps_predicted, l.steps_actual_mean, l.steps_actual_se, l.gap]
+               for l in report.levels]
+    tables = [
+        (o["out"], ["sigma", "trial", "steps_actual", "completed", "final_error"], report.trials.tolist()),
+        (_summary_path(o["out"]), ["sigma", "steps_predicted", "steps_actual_mean", "steps_actual_se", "gap"],
+         summary),
+    ]
+    lines = [f"{'sigma':>8} {'predicted':>10} {'actual':>10} {'se':>8} {'gap':>8}"]
+    for sigma, predicted, mean, se, gap in summary:
+        # a level the estimator cannot price has no prediction and no gap: its cells are empty
+        predicted, gap = ("-", "-") if gap is None else (predicted, f"{gap:.2f}")
+        lines.append(f"{sigma:>8.2f} {predicted:>10} {mean:>10.2f} {se:>8.2f} {gap:>8}")
+    return tables, lines
 
 
-def run_coloring(o: dict) -> int:
+def run_coloring(o: dict) -> tuple[list, list[str]]:
     explicit = [o["n"], o["p"], o["k"], o["instances"]]
     if any(v is not None for v in explicit):
         if any(v is None for v in explicit):
@@ -414,29 +405,23 @@ def run_coloring(o: dict) -> int:
     else:
         configs = coloring.DEFAULT_CONFIGS
     report = coloring.run_campaign(configs, master_seed=o["seed"], workers=o["workers"])
-    write_csv(
-        o["out"],
-        ["instance_id", "n", "p", "seed", "agent", "expansions", "c_eff", "found"],
-        report.records.tolist(),
-    )
-    summary = _summary_path(o["out"])
-    write_csv(
-        summary,
-        ["n", "p", "random_mean", "greedy_mean", "acp_mean", "acp_prediction", "bound_violations"],
-        [[s.n, s.p, s.random_mean, s.greedy_mean, s.acp_mean, s.acp_prediction, s.bound_violations]
-         for s in report.summaries],
-    )
-    print(f"{'(n,p)':>12} {'random':>8} {'greedy':>8} {'acp':>8} {'prediction':>11} "
-          f"{'violations':>11} {'discarded':>10}")
-    for s in report.summaries:
-        print(f"({s.n:>3},{s.p:.2f}) {s.random_mean:>8.2f} {s.greedy_mean:>8.2f} "
-              f"{s.acp_mean:>8.2f} {s.acp_prediction:>11.2f} {s.bound_violations:>11d} "
-              f"{s.discarded:>10d}")
-    print(f"wrote {o['out']} and {summary}")
-    return 0
+    tables = [
+        (o["out"], ["instance_id", "n", "p", "seed", "agent", "expansions", "c_eff", "found"],
+         report.records.tolist()),
+        (_summary_path(o["out"]),
+         ["n", "p", "random_mean", "greedy_mean", "acp_mean", "acp_prediction", "bound_violations"],
+         [[s.n, s.p, s.random_mean, s.greedy_mean, s.acp_mean, s.acp_prediction, s.bound_violations]
+          for s in report.summaries]),
+    ]
+    lines = [f"{'(n,p)':>12} {'random':>8} {'greedy':>8} {'acp':>8} {'prediction':>11} "
+             f"{'violations':>11} {'discarded':>10}"]
+    lines += [f"({s.n:>3},{s.p:.2f}) {s.random_mean:>8.2f} {s.greedy_mean:>8.2f} {s.acp_mean:>8.2f} "
+              f"{s.acp_prediction:>11.2f} {s.bound_violations:>11d} {s.discarded:>10d}"
+              for s in report.summaries]
+    return tables, lines
 
 
-def run_estimate(o: dict) -> int:
+def run_estimate(o: dict) -> tuple[list, list[str]]:
     task = gp.EstimationTask(
         # float ** raises OverflowError; * gives inf, which the task refuses
         noise_variance=o["noise"] * o["noise"],
@@ -444,46 +429,35 @@ def run_estimate(o: dict) -> int:
         theta_grid_size=o["grid"],
         n_outcome_samples=o["trials"],
     )
-    report = gp.a_priori_estimate(task, budget=o["budget"], seed=o["seed"])
-    write_csv(
-        o["out"],
-        ["i_total_bits", "i_s_bits", "c_eff", "predicted_steps", "mc_error_bits", "margin", "solvable"],
-        [[report.total_bits, report.step_bits, report.cost_predicted, report.predicted_steps,
-          report.mc_error_bits, report.cost_margin, report.solvable]],
-    )
-    print(f"total information   {report.total_bits:.4f} bits")
-    print(f"per-step estimate   {report.step_bits:.4f} bits")
-    print(f"predicted cost      {report.cost_predicted:.4f} (+ margin {report.cost_margin:.4f})")
-    print(f"predicted steps     {report.predicted_steps}")
-    print(f"solvable at budget {o['budget']}: {report.solvable}")
-    print(f"wrote {o['out']}")
-    return 0
+    r = gp.a_priori_estimate(task, budget=o["budget"], seed=o["seed"])
+    header = ["i_total_bits", "i_s_bits", "c_eff", "predicted_steps", "mc_error_bits", "margin", "solvable"]
+    tables = [(o["out"], header, [[r.total_bits, r.step_bits, r.cost_predicted, r.predicted_steps,
+                                   r.mc_error_bits, r.cost_margin, r.solvable]])]
+    lines = [
+        f"total information   {r.total_bits:.4f} bits",
+        f"per-step estimate   {r.step_bits:.4f} bits",
+        f"predicted cost      {r.cost_predicted:.4f} (+ margin {r.cost_margin:.4f})",
+        f"predicted steps     {r.predicted_steps}",
+        f"solvable at budget {o['budget']}: {r.solvable}",
+    ]
+    return tables, lines
 
 
-def run_approx(o: dict) -> int:
+def run_approx(o: dict) -> tuple[list, list[str]]:
     spec = approx.default_knapsack(o["items"], o["seed"])
     reports = approx.information_vs_epsilon(spec.to_instance(), o["eps"])
-    write_csv(
-        o["out"],
-        ["epsilon", "goal_count", "p_goal", "i_total_indicator_bits", "i_total_search_bits"],
-        [[r.epsilon, r.goal_count, r.p_goal, r.i_total_indicator, r.i_total_search]
-         for r in reports],
-    )
-    print(f"{o['items']}-item knapsack, capacity {spec.capacity}")
-    print(f"{'epsilon':>8} {'goals':>8} {'p_goal':>10} {'search bits':>12}")
-    for r in reports:
-        print(f"{r.epsilon:>8.3f} {r.goal_count:>8d} {r.p_goal:>10.6f} {r.i_total_search:>12.4f}")
-    print(f"wrote {o['out']}")
-    return 0
+    header = ["epsilon", "goal_count", "p_goal", "i_total_indicator_bits", "i_total_search_bits"]
+    tables = [(o["out"], header, [[r.epsilon, r.goal_count, r.p_goal, r.i_total_indicator, r.i_total_search]
+                                  for r in reports])]
+    lines = [f"{o['items']}-item knapsack, capacity {spec.capacity}",
+             f"{'epsilon':>8} {'goals':>8} {'p_goal':>10} {'search bits':>12}"]
+    lines += [f"{r.epsilon:>8.3f} {r.goal_count:>8d} {r.p_goal:>10.6f} {r.i_total_search:>12.4f}"
+              for r in reports]
+    return tables, lines
 
 
-_RUNNERS = {
-    "bounds": run_bounds,
-    "slope": run_slope,
-    "coloring": run_coloring,
-    "estimate": run_estimate,
-    "approx": run_approx,
-}
+_RUNNERS = {"bounds": run_bounds, "slope": run_slope, "coloring": run_coloring, "estimate": run_estimate,
+            "approx": run_approx}
 
 
 def main(argv=None) -> int:
@@ -498,9 +472,17 @@ def main(argv=None) -> int:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        # a missing output directory fails before any work, not after the first CSV
         _check_output_dirs(options)
-        return _RUNNERS[args.command](options)
+        if options["seed"] < 0:
+            raise ValueError("--seed must be non-negative")
+        if options["workers"] < 1:
+            raise ValueError("--workers must be at least 1")
+        tables, lines = _RUNNERS[args.command](options)
+        for path, header, rows in tables:
+            write_csv(path, header, rows)
+        print("\n".join(lines))
+        print("wrote " + " and ".join(path for path, _, _ in tables))
+        return 0
     except ValueError as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2

@@ -168,14 +168,18 @@ def is_k_colorable(graph: Graph, k: int) -> bool:
     holds such a clique is refuted before any search. In the search, each
     color keeps the mask of uncolored vertices that may still take it,
     so one pass over the k masks finds every vertex with no color left
-    (the node is refuted) or exactly one (it is colored next, before any
-    branching). Otherwise the search branches on the lowest uncolored
-    vertex. Forward checking only prunes colors a neighbor already holds,
-    and a forced vertex has no other choice, so neither loses a coloring.
-    Colors not yet used by any vertex are interchangeable, so a vertex
-    tries the used colors plus only the next unused one; any coloring maps
-    to one of these by renaming colors in order of first use. The search
-    is therefore complete, and False means no proper k-coloring exists.
+    (the node is refuted), exactly one (it is colored next, before any
+    branching) or exactly two. Otherwise the search branches on the lowest
+    uncolored vertex with two colors left, or on the lowest uncolored vertex
+    if none has two, so a sparse graph's long paths are colored along the
+    path rather than in index order. Forward checking only prunes colors a
+    neighbor already holds, and a forced vertex has no other choice, so
+    neither loses a coloring. Colors not yet used by any vertex keep equal
+    masks whichever vertex is colored, so they are interchangeable: the
+    branching vertex tries the used colors plus only the next unused one;
+    any coloring maps to one of these by renaming colors in order of first
+    use. The search is therefore complete, and False means no proper
+    k-coloring exists.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -196,8 +200,9 @@ def _colorable(n: int, edges, k: int) -> bool:
 
     def search(avail: list[int], uncolored: int, used: int) -> bool:
         while uncolored:
-            once = twice = 0
+            once = twice = thrice = 0
             for mask in avail:
+                thrice |= twice & mask
                 twice |= once & mask
                 once |= mask
             if uncolored & ~once:
@@ -215,7 +220,8 @@ def _colorable(n: int, edges, k: int) -> bool:
             uncolored ^= bit
         else:
             return True
-        bit = uncolored & -uncolored
+        pick = uncolored & twice & ~thrice or uncolored
+        bit = pick & -pick
         keep, drop = ~bit, ~nbr[bit.bit_length() - 1]
         for c in range(min(used + 1, k)):
             if avail[c] & bit:

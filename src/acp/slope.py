@@ -201,13 +201,17 @@ def run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
 
 @dataclass(frozen=True)
 class SweepLevelRow:
-    """Per-noise-level summary: prediction vs. measured mean steps."""
+    """Per-noise-level summary: prediction vs. measured mean steps.
+
+    ``steps_predicted`` and ``gap`` are None at a level the estimator cannot
+    price, where its per-step estimate is below ``gp.MIN_STEP_BITS``.
+    """
 
     sigma: float
-    steps_predicted: int
+    steps_predicted: int | None
     steps_actual_mean: float
     steps_actual_se: float
-    gap: float
+    gap: float | None
 
 
 @dataclass(frozen=True)
@@ -298,13 +302,15 @@ def run_noise_sweep(
     level_rows = []
     for sigma, report, level_steps in zip(levels, reports, steps):
         mean, se = _mean_se(level_steps)
+        # 0 is a_priori_estimate's "no progress" sentinel, not a prediction
+        predicted = report.predicted_steps or None
         level_rows.append(
             SweepLevelRow(
                 sigma=sigma,
-                steps_predicted=report.predicted_steps,
+                steps_predicted=predicted,
                 steps_actual_mean=mean,
                 steps_actual_se=se,
-                gap=mean - report.predicted_steps,
+                gap=None if predicted is None else mean - predicted,
             )
         )
     return SweepReport(levels=tuple(level_rows), trials=trials)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acp.cli import _format_cell, build_parser, main, resolve_options, write_csv
-from acp.cli import _CHUNK_ROWS
+from acp.cli import _CHUNK_ROWS, _RUNNERS
 from acp.stopping import TRIAL_BLOCK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -72,6 +72,16 @@ class TestExitCodes:
              "acp.coloring.run_campaign"),
             (("estimate",), "acp.gp.a_priori_estimate"),
             (("approx",), "acp.approx.default_knapsack"),
+            # a bad option value exits 2 only once the directory is known to exist
+            (("bounds", "--delta", "2"), "acp.stopping.run_trials"),
+            (("slope", "--trials", "5"), "acp.slope.run_noise_sweep"),
+            (("coloring", "--n", "10", "--p", "nan", "--k", "3", "--instances", "50"),
+             "acp.coloring.run_campaign"),
+            (("coloring", "--n", "10"), "acp.coloring.run_campaign"),
+            (("estimate", "--trials", "15"), "acp.gp.a_priori_estimate"),
+            (("approx", "--items", "21"), "acp.approx.default_knapsack"),
+            (("bounds", "--seed", "-1"), "acp.stopping.run_trials"),
+            (("slope", "--workers", "0"), "acp.slope.run_noise_sweep"),
         ],
     )
     def test_missing_output_directory_fails_before_work(self, tmp_path, capsys, monkeypatch, argv, harness):
@@ -86,6 +96,16 @@ class TestExitCodes:
         assert _run(*argv, "--out", str(out)) == 1
         assert called == [] and list(tmp_path.iterdir()) == []
         assert "no directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("bounds", "--seed", "-1"), "--seed must be non-negative"),
+         (("approx", "--workers", "0"), "--workers must be at least 1")],
+    )
+    def test_bad_seed_or_workers_writes_nothing(self, tmp_path, capsys, argv, message):
+        assert _run(*argv, "--out", str(tmp_path / "o.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert message in capsys.readouterr().err
 
     def test_missing_dump_directory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # refused before any trial runs, so the report CSV is not left behind either
@@ -253,6 +273,12 @@ class TestExitCodes:
         for row in rows:
             assert (row["steps_actual"], row["completed"]) == ("50", "false")
             assert np.isfinite(float(row["final_error"]))
+        # the estimator cannot price the level: no prediction and no gap, not a prediction of 0 steps
+        huge, unit = csv.DictReader(io.StringIO((tmp_path / "s_summary.csv").read_text()))
+        assert (huge["steps_predicted"], huge["steps_actual_mean"], huge["gap"]) == ("", "50.000000", "")
+        assert (unit["sigma"], unit["steps_predicted"], unit["gap"]) == ("1.000000", "4", "46.000000")
+        report = capsys.readouterr().out.splitlines()
+        assert report[1].split()[1:] == ["-", "50.00", "0.00", "-"]
 
     @pytest.mark.parametrize("flags", [("--trials", "10000000"), ("--grid", "1000000000")])
     def test_runaway_estimate_writes_nothing(self, tmp_path, capsys, flags):
@@ -298,6 +324,37 @@ class TestExitCodes:
         out = tmp_path / "b.csv"
         assert _run("bounds", "--trials", "200", "--out", str(out)) == 0
         assert out.exists()
+
+
+class TestRunners:
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "t.csv"), ["b.csv", "t.csv"]),
+            (("slope", "--noise", "0.1,0.3", "--trials", "20", "--step-cap", "20", "--out", "s.csv"),
+             ["s.csv", "s_summary.csv"]),
+            (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50", "--out", "c.csv"),
+             ["c.csv", "c_summary.csv"]),
+            (("estimate", "--out", "e.csv"), ["e.csv"]),
+            (("approx", "--out", "a.csv"), ["a.csv"]),
+        ],
+    )
+    def test_runner_returns_tables_and_lines_without_io(self, tmp_path, capsys, monkeypatch, argv, written):
+        monkeypatch.chdir(tmp_path)
+        tables, lines = _RUNNERS[argv[0]](resolve_options(build_parser().parse_args(argv)))
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+        assert [path for path, _, _ in tables] == written
+        assert all(len(header) == len(rows[0]) for _, header, rows in tables)
+        assert lines and all(isinstance(line, str) for line in lines)
+
+    def test_main_writes_tables_then_report_then_paths(self, tmp_path, capsys):
+        out, dump = tmp_path / "b.csv", tmp_path / "t.csv"
+        assert _run("bounds", "--trials", "100", "--out", str(out), "--dump-trials", str(dump)) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert report[0] == "exponential gains, target 10.0 bits, 100 trials"
+        assert report[-1] == f"wrote {out} and {dump}"
+        assert out.exists() and dump.exists()
 
 
 class TestBoundsOutput:
@@ -566,6 +623,8 @@ class TestCsvWriter:
             (float("inf"), b"inf"),
             (float("-inf"), b"-inf"),
             (-0.0, b"-0.000000"),
+            # csv quotes a row's only field when it is empty
+            (None, b'""'),
         ],
     )
     def test_cell_bytes(self, tmp_path, value, cell):

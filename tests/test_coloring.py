@@ -2,6 +2,8 @@
 
 import math
 import re
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +30,24 @@ K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 C5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
+# draw 22 of rng_for(0, 0) at n = 60, p = 0.05: one 57-vertex, 3-colorable component, which
+# branching on the lowest uncolored vertex did not decide in 60 s
+DRAW_22 = gen_erdos_renyi(60, 0.05, 4379886395524563040)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the block with TimeoutError, rather than hang, once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _instance(graph, k=3, p=0.5, seed=0):
@@ -203,6 +223,17 @@ class TestFeasibilityOracle:
             *config, 1, master_seed
         )
 
+    def test_decides_long_sparse_component(self):
+        # branching first on a vertex with two colors left colors the component along its paths
+        with _deadline(5):
+            assert is_k_colorable(DRAW_22, 3) is True
+
+    def test_filters_sparse_graphs_at_the_vertex_cap(self):
+        # this filter ran for over 5 minutes when the search branched in index order
+        with _deadline(20):
+            feasible, _ = acp.coloring._feasible_instances(512, 0.004, 3, 50, 0, 0)
+        assert len(feasible) == 50
+
 
 class TestCounting:
     def test_triangle(self):
@@ -274,9 +305,11 @@ class TestSolve:
 
     @settings(max_examples=50, deadline=None)
     @given(_graphs(), st.sampled_from([2, 3]), st.sampled_from(AGENT_KINDS), st.integers(0, 2**31))
+    @example(DRAW_22, 3, "acp", 0).via("a 57-vertex component the acp agent colors in 65 expansions")
     def test_found_coloring_is_proper(self, g, k, agent, seed):
         stats = solve(_instance(g, k=k), agent, seed=seed)
-        assert stats.found == is_k_colorable(g, k)
+        with _deadline(5):
+            assert stats.found == is_k_colorable(g, k)
         if stats.found:
             assert all(stats.assignment[u] != stats.assignment[v] for u, v in g.edges)
             assert stats.expansions >= g.n
