@@ -287,8 +287,15 @@ class EstimationTask:
     def __post_init__(self) -> None:
         if not 0 < self.noise_variance < math.inf:
             raise ValueError("noise_variance must be positive and finite")
-        if not 0 < self.resolution < THETA_DOMAIN[1] - THETA_DOMAIN[0]:
+        width = THETA_DOMAIN[1] - THETA_DOMAIN[0]
+        if not 0 < self.resolution < width:
             raise ValueError("resolution must be inside the theta domain width")
+        # one bin holds every hypothesis: there is nothing to identify, and no bits to price
+        if round(width / self.resolution) < 2:
+            raise ValueError(
+                f"resolution {self.resolution:g} leaves one bin of the theta domain of width "
+                f"{width:g}; it needs at least two"
+            )
         if self.n_outcome_samples < 16:
             raise ValueError("n_outcome_samples must be at least 16")
         cells = self.posterior_cells

@@ -30,6 +30,15 @@ one-trial loop and draws its noise from its own generator, so a trial's
 trace does not depend on which trials share its batch. ``run_slope_agent``
 is a batch of one.
 
+Most steps of a trial cannot end it: the posterior is still wider than the
+resolution. The engine scores a posterior only where a row can stop. From a
+row's mean and step count alone, ``_could_stop`` bounds its credible width
+from below (a proof in ``_lockstep``'s docstring), and a step runs the
+kernel on the rows that bound leaves as candidates, skipping steps with
+none; every row is still scored at its step cap. The sums, the noise and
+each scored row's arithmetic are unchanged, so every trace is the one the
+unscreened engine gives.
+
 ``run_noise_sweep`` pairs the agent's empirical step counts with the
 a-priori predictions from the estimation pipeline, per noise level. The
 point of the experiment is the lower-bound behaviour: predictions should
@@ -108,9 +117,46 @@ MAX_CELL_STEPS = 10**10
 
 def sweep_cell_steps(n_levels: int, trials_per_level: int, step_cap: int) -> int:
     """The price of a noise sweep: per level, the agent's posterior cell updates
-    if every trial runs to its cap, plus the level estimate's posterior cells."""
+    if every trial runs to its cap, plus the level estimate's posterior cells.
+
+    The price counts a full posterior for every trial at every step, an upper
+    bound on what the screened engine scores, so what MAX_CELL_STEPS refuses
+    does not depend on the screen."""
     estimate_cells = EstimationTask().posterior_cells
     return n_levels * (trials_per_level * step_cap * _GRID.size + estimate_cells)
+
+
+def _could_stop(means: np.ndarray, seen: np.ndarray, sigma: float, resolution: float) -> np.ndarray:
+    """The screen of ``_lockstep``: False where a row provably cannot stop.
+
+    ``means`` holds each row's mean observation after each of k steps, an
+    (rows, k) array, and ``seen`` those k step counts. Returns the (rows, k)
+    mask of rows that may stop there; the bounds are derived in
+    ``_lockstep``'s docstring.
+    """
+    h = (THETA_DOMAIN[1] - THETA_DOMAIN[0]) / (_GRID.size - 1)
+    half = (THETA_DOMAIN[1] - THETA_DOMAIN[0]) / 2 + h
+    eps = 1e-9
+    with np.errstate(over="ignore"):
+        s = sigma / (abs(_QUERY) * np.sqrt(seen))
+        w = (resolution + 2 * h + 1e-12) / s
+        far = np.exp(-0.5 * (half / s) ** 2)
+        z = 2 * math.pi**2 * (s / h) ** 2
+        alias = 2 * np.exp(-z) / -np.expm1(-z)
+        # 2 Q(W/2), the mass outside the best window of width W
+        centred = np.array([math.erfc(v / math.sqrt(8)) for v in w.tolist()])
+        interior = centred - (1 - CREDIBLE_MASS) - CREDIBLE_MASS * far / 2 - alias / 20 - eps
+        rho = (1 - CREDIBLE_MASS) + eps + CREDIBLE_MASS * far + alias / 10
+        edge = (-np.log(rho) - w * w / 2) / w
+
+        x = (np.abs(means / _QUERY - sum(THETA_DOMAIN) / 2) - half) / s
+        inside = np.maximum(-x, 0.0)
+        beyond = np.maximum(x, 0.0)
+        q_bound = math.sqrt(2 / math.pi) * np.exp(-inside * inside / 2) / (
+            inside + np.sqrt(inside * inside + 8 / math.pi)
+        )
+        hazard_bound = ((math.pi - 1) * beyond + np.sqrt(beyond * beyond + 2 * math.pi)) / math.pi
+    return np.where(x <= -w / 2, CREDIBLE_MASS * q_bound >= interior, hazard_bound >= edge)
 
 
 def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs):
@@ -127,6 +173,67 @@ def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs
     at a time (fewer in the round that reaches ``step_cap``), so step t uses
     the t-th normal of its generator. A trial that stops inside a round
     leaves its generator past the normals it used.
+
+    Only candidate rows are scored. At the start of a round ``_could_stop``
+    marks, from each row's mean after each step of the round, where the row
+    could stop; a step scores its candidate rows, every running row at
+    ``step_cap`` (for ``final_estimate``), and is skipped when there are
+    none. A skipped posterior leaves nothing behind and a scored row's
+    arithmetic does not depend on the other rows, so every trace is the
+    unscreened engine's, provided the screen never clears a row that could
+    stop. The proof that it does not follows.
+
+    After n steps a row's posterior is g(t) = exp(-(t - m)^2 / (2 s^2))
+    on the grid cells t_i = -2 + i h (h = 0.01, 401 cells), normalised,
+    with m = ybar_n / -3 (-3 is the query) and s = sigma / (3 sqrt(n)). Let
+    L = 2 + h, D = [-L, L], P the normal law N(m, s^2), Q the normal upper
+    tail, phi its density, and r the resolution.
+
+    1. A window holds 0.95. The stop reads cells lo..hi off the cumsum with
+       at most 0.025 of the mass on either side, so those K = hi - lo + 1
+       cells hold at least 0.95 of it, with (K - 1) h <= r. Then so does a
+       K-window of largest mass. Sliding a window towards the mode never
+       loses mass, so that window has m in J = [t_lo - h, t_hi + h], or,
+       when |m| > L, lies flush with the nearer end of the grid.
+    2. From cells to integrals. On either side of m, g is monotone, so a
+       cell outside the window carries at least the integral of g over the
+       cell-width interval beside it on the side away from m: h times the
+       mass outside the window is at least the integral of g over D minus J.
+       By Poisson summation the sum of g over the whole lattice {-2 + i h}
+       is s sqrt(2 pi) / h times 1 +- eta, eta = 2 e^-z / (1 - e^-z),
+       z = 2 pi^2 s^2 / h^2. Lattice points outside the window, in or
+       beyond the grid, are bounded below the same way, so h times the
+       window's mass is at most the integral over J plus eta s sqrt(2 pi).
+       (When |m| > L every cell rises towards m: the window is at most the
+       integral over J, with no eta.) Dividing by s sqrt(2 pi), a stop needs
+       P(J) >= 0.95 P(D) - eta / 20, J an interval in D of width
+       (K + 1) h <= r + 2h.
+    3. Normal bounds. Measure in units of s from m: W = (r + 2h) / s and
+       x = (|m| - L) / s, how far m lies beyond the nearer end of D. Then
+       P(D) >= Q(x) - Q(x + 2L/s), and Q(x + 2L/s) <= Q(L/s) <= f / 2 with
+       f = exp(-L^2 / (2 s^2)). Two cases:
+       - x <= -W/2: the centred window is best, P(J) <= 1 - 2 Q(W/2), and
+         Q(x) = 1 - Q(-x). A stop needs
+         0.95 Q(-x) >= 2 Q(W/2) - 0.05 - 0.95 f / 2 - eta / 20.
+       - x > -W/2: the window flush with the near end is best,
+         P(J) <= Q(x) - Q(x + W). Divided by Q(x) (at least 1/2 for
+         x <= 0; for x > 0 there is no eta and Q(x + 2L/s) / Q(x) <=
+         exp(-2 L^2 / s^2) <= f), a stop needs
+         Q(x + W) / Q(x) <= rho = 0.05 + 0.95 f + eta / 10. Now
+         Q(x + W) / Q(x) = E[exp(-W U - W^2 / 2) | U > x] for U normal, and
+         by Jensen that is at least exp(-W lambda(x) - W^2 / 2), where
+         lambda = phi / Q is the normal hazard. A stop needs
+         lambda(x) >= (-ln rho - W^2 / 2) / W.
+       The screen replaces Q(y), y >= 0, by its upper bound
+       2 phi(y) / (y + sqrt(y^2 + 8 / pi)), and lambda(x) by its upper
+       bound (pi - 1) x + sqrt(x^2 + 2 pi), over pi, at max(x, 0) (lambda
+       rises, and lambda(0) is that bound). Both Mills-ratio bounds are
+       equalities at 0; ``test_mills_ratio_bounds`` checks them.
+    4. Rounding. Grid values are within 1e-15 of the lattice and the
+       kernel's exp, normalisation and cumsum are exact to about 1e-12 in
+       mass. The screen clears rows only where W < 3.92 (so s > 0.005),
+       where those errors move a window's mass by under 1e-10; it allows
+       1e-9 in mass and 1e-12 in width.
 
     Returns (steps, completed, final_estimate): three arrays indexed by slope.
     """
@@ -152,12 +259,19 @@ def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs
         ys = slopes[active, None] * _QUERY + noise_sigma * noise
         ys[:, 0] += sums[active]
         np.cumsum(ys, axis=1, out=ys)  # column j: the sum after step done + j + 1
+        seen_k = np.arange(done + 1, done + k + 1)
+        could = _could_stop(ys / seen_k, seen_k, sigma, resolution)
+        if done + k == step_cap:
+            could[:, -1] = True
         live = np.arange(active.size)  # round row of each running slope
-        for j in range(k):
+        for j in np.flatnonzero(could.any(axis=0)).tolist():
+            rows = live[could[live, j]]  # round rows scored at this step
+            if not rows.size:
+                continue
             seen = done + j + 1
             scale = sigma * math.sqrt(2.0 / seen)
             post = _grid_posteriors(
-                _LOG_PRIOR, grid_x / scale, ys[live, j, None] / seen / scale, buf[: live.size]
+                _LOG_PRIOR, grid_x / scale, ys[rows, j, None] / seen / scale, buf[: rows.size]
             )
             post /= post.sum(axis=1, keepdims=True)
             cdf = np.cumsum(post, axis=1)
@@ -167,12 +281,12 @@ def _lockstep(slopes, noise_sigma: float, resolution: float, step_cap: int, rngs
             stop = _GRID[hi] - _GRID[lo] <= resolution
             ends = stop | (seen == step_cap)
             if ends.any():
-                rows = np.flatnonzero(ends)
-                ids = active[live[rows]]
+                ended = np.flatnonzero(ends)
+                ids = active[rows[ended]]
                 steps[ids] = seen
-                completed[ids] = stop[rows]
-                estimate[ids] = [post[r] @ _GRID for r in rows]
-                live = live[~ends]
+                completed[ids] = stop[ended]
+                estimate[ids] = [post[r] @ _GRID for r in ended]
+                live = np.setdiff1d(live, rows[ended], assume_unique=True)
                 if not live.size:
                     break
         sums[active[live]] = ys[live, -1]

@@ -107,6 +107,15 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [("estimate", "--resolution", "3"), ("slope", "--resolution", "3.99")]
+    )
+    def test_one_bin_resolution_is_refused(self, tmp_path, capsys, argv):
+        # 4 / r rounds to one bin: refused when the estimation task is built, naming the resolution
+        assert _run(*argv, "--out", str(tmp_path / "o.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert f"resolution {argv[-1]} leaves one bin" in capsys.readouterr().err
+
     def test_missing_dump_directory_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # refused before any trial runs, so the report CSV is not left behind either
         simulated = []

@@ -407,3 +407,11 @@ class TestBlockedEstimator:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="fewer than the 40 requested bins"):
             a_priori_estimate(EstimationTask(theta_grid_size=39), budget=1.0)
+
+    @pytest.mark.parametrize("resolution", [2.7, 3.0, 3.99])
+    def test_one_bin_resolution_is_refused(self, resolution):
+        # round(4 / r) = 1 bin would price -3e-16 bits; the smallest resolution of two bins still builds
+        with pytest.raises(ValueError, match=f"resolution {resolution:g} leaves one bin"):
+            EstimationTask(resolution=resolution)
+        assert round(4.0 / 2.6) == 2
+        EstimationTask(resolution=2.6)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import acp.slope
 from acp import EstimationTask, SlopeTask, run_noise_sweep, run_slope_agent
 from acp.gp import ACTION_DOMAIN, THETA_DOMAIN
-from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _lockstep
+from acp.slope import CREDIBLE_MASS, NORMAL_ROUND, AgentTrace, _could_stop, _lockstep
 from acp.slope import DEFAULT_NOISE_LEVELS, MAX_CELL_STEPS, SWEEP_BLOCK, sweep_cell_steps
 
 
@@ -44,28 +44,41 @@ def _reference_run_slope_agent(task: SlopeTask, seed) -> AgentTrace:
     return AgentTrace(steps=steps, final_estimate=float(probs @ grid), completed=completed)
 
 
+def _reference_posterior(mean, n, sigma):
+    """The engine's grid posterior after n steps whose observations average ``mean``."""
+    grid = np.linspace(-2.0, 2.0, 401)
+    scale = max(sigma, 1e-9) * math.sqrt(2.0 / n)
+    x = -3.0
+    log_post = -np.square(mean / scale - grid * x / scale)
+    log_post -= log_post.max()
+    probs = np.exp(log_post)
+    probs /= probs.sum()
+    return probs
+
+
+def _credible_width(probs):
+    """Width of the central 95% credible interval, read off the cumsum as the agent reads it."""
+    grid = np.linspace(-2.0, 2.0, 401)
+    tail = (1.0 - 0.95) / 2.0
+    cdf = np.cumsum(probs)
+    lo = grid[int(np.searchsorted(cdf, tail, side="left"))]
+    hi = grid[int(np.searchsorted(cdf, 1.0 - tail, side="left"))]
+    return float(hi - lo)
+
+
 def _reference_mean_agent(task: SlopeTask, seed) -> AgentTrace:
     """The engine's arithmetic for one trial, one step at a time: the running
     sum of the observations, and at step n the posterior of their mean at
     scale sigma * sqrt(2 / n). The lockstep engine must equal it bit for bit."""
     rng = np.random.default_rng(seed)
     grid = np.linspace(-2.0, 2.0, 401)
-    sigma_eff = max(task.noise_sigma, 1e-9)
     x = -3.0
-    tail = (1.0 - 0.95) / 2.0
 
     total = 0.0
     for n in range(1, task.step_cap + 1):
         total += task.true_slope * x + task.noise_sigma * rng.standard_normal()
-        scale = sigma_eff * math.sqrt(2.0 / n)
-        log_post = -np.square(total / n / scale - grid * x / scale)
-        log_post -= log_post.max()
-        probs = np.exp(log_post)
-        probs /= probs.sum()
-        cdf = np.cumsum(probs)
-        lo = grid[int(np.searchsorted(cdf, tail, side="left"))]
-        hi = grid[int(np.searchsorted(cdf, 1.0 - tail, side="left"))]
-        if float(hi - lo) <= task.success_resolution:
+        probs = _reference_posterior(total / n, n, task.noise_sigma)
+        if _credible_width(probs) <= task.success_resolution:
             return AgentTrace(steps=n, final_estimate=float(probs @ grid), completed=True)
     return AgentTrace(steps=task.step_cap, final_estimate=float(probs @ grid), completed=False)
 
@@ -172,6 +185,25 @@ class TestLockstepEngine:
     def test_matches_reference(self, slopes, sigma, resolution, step_cap, seed):
         self._check(slopes, sigma, resolution, step_cap, [seed + i for i in range(len(slopes))])
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        slopes=st.lists(
+            st.one_of(st.floats(1.95, 2.0), st.floats(-2.0, -1.95), st.sampled_from([-2.0, 2.0]), st.floats(-2.0, 2.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        sigma=st.sampled_from([0.3, 1.0, 3.0]),
+        resolution=st.one_of(st.sampled_from([0.05, 0.1, 0.2]), st.floats(0.02, 1.0)),
+        step_cap=st.integers(150, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(slopes=[2.0, -1.97, 0.4, -1.2], sigma=1.0, resolution=0.1, step_cap=400, seed=3)
+    @example(slopes=[-2.0, 1.96, 1.99, -0.3], sigma=3.0, resolution=0.1, step_cap=2000, seed=5)
+    def test_matches_reference_through_stops(self, slopes, sigma, resolution, step_cap, seed):
+        # caps past where the rows stop (sigma = 1 stops near step 161, sigma = 3 near 1540),
+        # slopes at and near the domain edges: the screen's boundary, where rows become candidates
+        self._check(slopes, sigma, resolution, step_cap, [seed + i for i in range(len(slopes))])
+
     def test_noise_free_batch_finishes_at_step_one(self):
         traces = self._check([-0.7, 0.0, 1.9], 0.0, 0.1, 200, [4, 5, 6])
         assert [t.steps for t in traces] == [1, 1, 1]
@@ -205,6 +237,53 @@ class TestLockstepEngine:
         assert NORMAL_ROUND == 64
         traces = self._check([-1.34, -1.8, -1.94], 0.6, 0.1, 200, [33, 10, 3])
         assert [t.steps for t in traces] == [63, 64, 65]
+
+
+class TestScreen:
+    """``_could_stop`` on its own: a row it clears must not be able to stop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mode=st.one_of(
+            st.floats(-2.5, 2.5),
+            st.sampled_from([-2.0, 2.0, -2.01, 2.01]),
+            st.floats(1.9, 2.4),
+            st.floats(-2.4, -1.9),
+        ),
+        n=st.integers(1, 5000),
+        sigma=st.floats(0.0, 10.0),
+        resolution=st.floats(0.02, 1.0),
+    )
+    # a mode outside the grid, cleared only by the edge rule's hazard bound
+    @example(mode=2.339, n=10, sigma=1.0, resolution=0.1)
+    @example(mode=-2.3, n=100, sigma=3.0, resolution=0.1)
+    # rows that stop within the two cells of slack the screen allows; the last needs both cells
+    @example(mode=2.03, n=100, sigma=1.0, resolution=0.05)
+    @example(mode=1.98, n=500, sigma=1.0, resolution=0.05)
+    @example(mode=1.9551497945953489, n=42, sigma=0.3, resolution=0.05)
+    # a nearly flat posterior narrower than a wide resolution stops at once
+    @example(mode=0.5, n=1, sigma=10.0, resolution=3.9)
+    def test_cleared_rows_cannot_stop(self, mode, n, sigma, resolution):
+        mean = mode * -3.0
+        could = _could_stop(np.array([[mean]]), np.array([n]), max(sigma, 1e-9), resolution)
+        if not could[0, 0]:
+            assert _credible_width(_reference_posterior(mean, n, sigma)) > resolution
+
+    def test_clears_rows_far_from_their_stop(self):
+        # at sigma = 3, step 200 and resolution 0.1 no row inside the grid can stop yet,
+        # while a mode far outside it can: its posterior piles up against the edge
+        means = np.array([[-3.0 * m] for m in (0.0, 1.5, 1.99, 2.0, 2.02, 2.6)])
+        could = _could_stop(means, np.array([200]), 3.0, 0.1)[:, 0]
+        assert could.tolist() == [False, False, False, False, False, True]
+        assert _credible_width(_reference_posterior(-3.0 * 2.6, 200, 3.0)) <= 0.1
+
+    def test_mills_ratio_bounds(self):
+        # the two bounds the screen's proof uses, against math.erfc, from x = 0 to where Q underflows
+        for x in np.linspace(0.0, 37.0, 3701).tolist():
+            q = 0.5 * math.erfc(x / math.sqrt(2.0))
+            phi = math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+            assert q <= 2 * phi / (x + math.sqrt(x * x + 8 / math.pi)) * (1 + 1e-12)
+            assert phi / q <= ((math.pi - 1) * x + math.sqrt(x * x + 2 * math.pi)) / math.pi * (1 + 1e-12)
 
 
 @pytest.fixture(scope="module")
