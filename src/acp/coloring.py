@@ -7,15 +7,16 @@ backtracking search over vertex bitmasks. The search refutes a node as soon
 as some vertex has no color left, colors forced vertices before it branches,
 and tries only one unused color per vertex, since unused colors are
 interchangeable. None of these loses a coloring, so the oracle answers
-exactly. The filter works on bare edge sets and builds a validated `Graph`
-only for the instances it keeps.
+exactly. The filter reads each draw's edges straight from its pair mask and
+builds an edge tuple and a validated `Graph` only for the instances it keeps.
 
 Three agents solve each feasible instance with backtracking search plus
 forward checking, differing only in how they order vertices and colors:
 
   random  uniformly random uncolored vertex, random order over live colors
-  greedy  highest-degree uncolored vertex, colors that constrain the fewest
-          neighbor domains first
+  greedy  vertices in one order fixed by degree for the whole search
+          (highest first, lowest index on ties), colors that constrain the
+          fewest neighbor domains first
   acp     uncolored vertex with the smallest live domain (the most
           information per committed assignment when every assignment costs
           one expansion), same least-constraining color order
@@ -131,11 +132,14 @@ def _check_gnp(n: int, p: float) -> None:
         raise ValueError("p must lie in [0, 1]")
 
 
+def _gnp_mask(n: int, p: float, seed) -> list[bool]:
+    """Which of the row-major vertex pairs G(n, p) joins, for an n and p already checked."""
+    return (np.random.default_rng(seed).random(n * (n - 1) // 2) < p).tolist()
+
+
 def _gnp_edges(n: int, p: float, seed) -> tuple[tuple[int, int], ...]:
     """The edges of G(n, p) in row-major order, for an n and p already checked."""
-    pairs = _vertex_pairs(n)
-    mask = np.random.default_rng(seed).random(len(pairs)) < p
-    return tuple(compress(pairs, mask.tolist()))
+    return tuple(compress(_vertex_pairs(n), _gnp_mask(n, p, seed)))
 
 
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
@@ -312,36 +316,46 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     n = g.n
     neighbors = g.neighbors()
     rng = np.random.default_rng(seed) if agent == "random" else None
-    full = (1 << k) - 1
-    domains = [full] * n
+    domains = [(1 << k) - 1] * n
     assignment = [-1] * n
     expansions = 0
+    # highest degree first, lowest index on ties: greedy's order for the whole
+    # search, and acp's tie-break among vertices with equally many live colors
+    order = sorted(range(n), key=lambda v: (-len(neighbors[v]), v))
 
-    def live_colors(v: int) -> list[int]:
-        return [c for c in range(k) if domains[v] >> c & 1]
-
-    def constraint_count(v: int, c: int) -> int:
-        return sum(1 for u in neighbors[v] if assignment[u] == -1 and domains[u] >> c & 1)
-
-    def pick_vertex() -> int:
-        uncolored = [v for v in range(n) if assignment[v] == -1]
-        if agent == "random":
-            return uncolored[int(rng.integers(len(uncolored)))]
+    def pick_vertex(depth: int) -> int:
         if agent == "greedy":
-            return max(uncolored, key=lambda v: (len(neighbors[v]), -v))
-        return min(uncolored, key=lambda v: (bin(domains[v]).count("1"), -len(neighbors[v]), v))
+            # the search colors one vertex per depth and undoes it on backtrack
+            return order[depth]
+        if agent == "random":
+            uncolored = [v for v in range(n) if assignment[v] == -1]
+            return uncolored[int(rng.integers(len(uncolored)))]
+        best, fewest = -1, k + 1
+        for v in order:
+            if assignment[v] == -1 and domains[v].bit_count() < fewest:
+                best, fewest = v, domains[v].bit_count()
+                if fewest == 1:  # no uncolored vertex has fewer
+                    break
+        return best
 
     def order_colors(v: int) -> list[int]:
-        colors = live_colors(v)
+        live = domains[v]
+        colors = [c for c in range(k) if live >> c & 1]
+        if len(colors) == 1:
+            return colors
         if agent == "random":
-            return [colors[i] for i in rng.permutation(len(colors))]
-        return sorted(colors, key=lambda c: (constraint_count(v, c), c))
+            rng.shuffle(colors)
+            return colors
+        # least constraining first: fewest uncolored neighbors that could take the
+        # color; the sort is stable, so ties keep ascending color order
+        near = [domains[u] for u in neighbors[v] if assignment[u] == -1]
+        return sorted(colors, key=lambda c: sum(d >> c & 1 for d in near))
 
     def search(depth: int) -> bool:
         nonlocal expansions
         if depth == n:
             return True
-        v = pick_vertex()
+        v = pick_vertex(depth)
         for c in order_colors(v):
             if expansions == SOLVE_CAP:
                 return False
@@ -405,19 +419,24 @@ def _feasible_instances(n: int, p: float, k: int, count: int, config_index: int,
     """Draw G(n, p) edge sets, discarding infeasible ones, until count are kept.
 
     n and p are checked by the caller. Each draw is the edge set
-    `gen_erdos_renyi` gives for its seed, but only a kept one is built into
-    a `Graph`, so edge validation skips the discards.
+    `gen_erdos_renyi` gives for its seed, read by the oracle straight from
+    the pair mask; only a kept one is built into an edge tuple and a `Graph`.
+    Seeds are drawn count at a time, the same sequence as one at a time.
     """
     seed_rng = rng_for(master_seed, config_index)
+    pairs = _vertex_pairs(n)
     feasible: list[ColoringInstance] = []
     discarded = 0
     while len(feasible) < count:
-        gen_seed = int(seed_rng.integers(2**63))
-        edges = _gnp_edges(n, p, gen_seed)
-        if _colorable(n, edges, k):
-            feasible.append(ColoringInstance(graph=Graph(n, edges), k=k, seed=gen_seed, p=p))
-        else:
-            discarded += 1
+        for gen_seed in seed_rng.integers(2**63, size=count).tolist():
+            mask = _gnp_mask(n, p, gen_seed)
+            if _colorable(n, compress(pairs, mask), k):
+                graph = Graph(n, tuple(compress(pairs, mask)))
+                feasible.append(ColoringInstance(graph=graph, k=k, seed=gen_seed, p=p))
+                if len(feasible) == count:
+                    break
+            else:
+                discarded += 1
     return feasible, discarded
 
 
@@ -445,7 +464,9 @@ def run_campaign(
     one record array with the fields instance_id, n, p, seed, agent,
     expansions, c_eff (the instance's ``predict_cost``) and found.
     Bound violations count feasible runs of the acp agent whose expansions
-    fell below the predicted cost; the expected value is zero.
+    fell below the predicted cost. The count is 0 by construction: the
+    prediction is n, a found coloring commits all n vertices, and a capped
+    solve stops at SOLVE_CAP = 10**5 expansions, above MAX_VERTICES = 512.
     """
     configs = tuple(configs)
     for n, p, k, count in configs:

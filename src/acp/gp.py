@@ -232,7 +232,10 @@ def _bin_starts(n_cells: int, resolution: float, domain_width: float) -> np.ndar
     """First cell of each bin of width ``resolution`` over ``n_cells`` equal-width cells."""
     if not 0 < resolution < domain_width:
         raise ValueError("resolution must lie strictly between 0 and domain_width")
-    n_bins = max(1, int(round(domain_width / resolution)))
+    n_bins = int(round(domain_width / resolution))
+    # one bin holds the whole domain: its entropy is zero up to rounding, and can read negative
+    if n_bins < 2:
+        raise ValueError(f"resolution {resolution:g} leaves one bin of the domain of width {domain_width:g}")
     if n_cells < n_bins:
         raise ValueError(f"prior has {n_cells} cells, fewer than the {n_bins} requested bins")
     # with at least one cell per bin, every bin starts at some cell
@@ -246,7 +249,7 @@ def estimate_total_information(prior_probs, resolution: float, domain_width: flo
     ``prior_probs`` holds the prior masses of equal-width cells spanning the
     domain, in order. They are coarsened to bins of the requested width and
     the entropy of the bin masses returned; a uniform prior gives
-    log2(width / resolution).
+    log2(width / resolution). A resolution that leaves one bin is refused.
     """
     probs = np.asarray(prior_probs, dtype=float)
     starts = _bin_starts(probs.shape[-1], resolution, domain_width)

@@ -535,6 +535,13 @@ class TestDeterminism:
             (("--n", "10", "--p", "0.3", "--k", "3", "--instances", "50", "--seed", "11"),
              "6dc41fe62eecffd1636993bfa1ef71a5b2ec9d83d007dd478d6b9bb086f48372",
              "094b4721c3f6e3d7f91298bd411ef4db688e28ade9b849fdcd536d968c656098"),
+            (("--seed", "42"),
+             "47071fe46eb4dfddfe43e9efe50725e342aa032f4992d1d7d8220e7c7520d72c",
+             "cbdc0a64fc8ae394471f6533513867df13ae5ec8e9a73270d3443e1fed2b7902"),
+            # deep searches: the random agent averages about 2 900 expansions here
+            (("--n", "30", "--p", "0.15", "--k", "3", "--instances", "50", "--seed", "1"),
+             "53fcd9be9b5c4684b04ba358b44eacccc62bcd489d8dd395e9babc2c6cdb519f",
+             "1c24ce95cddbdb0f5032de19bcb9bca37d5946dfa82121ac5b1b0a754f09795e"),
         ],
     )
     def test_coloring_bytes_are_pinned(self, tmp_path, capsys, flags, detail_sha, summary_sha):

@@ -5,6 +5,7 @@ import re
 import signal
 from contextlib import contextmanager
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from acp import (
     AGENT_KINDS,
     ColoringInstance,
     Graph,
+    SearchStats,
     count_proper_colorings,
     gen_erdos_renyi,
     is_k_colorable,
@@ -33,6 +35,9 @@ PATH3 = Graph(3, ((0, 1), (1, 2)))
 # draw 22 of rng_for(0, 0) at n = 60, p = 0.05: one 57-vertex, 3-colorable component, which
 # branching on the lowest uncolored vertex did not decide in 60 s
 DRAW_22 = gen_erdos_renyi(60, 0.05, 4379886395524563040)
+# the first feasible G(40, 0.1) of master seed 0: the random agent needs
+# 447 271 expansions uncapped, the acp agent 40
+CAPPED_40 = gen_erdos_renyi(40, 0.1, 8697063857760222071)
 
 
 @contextmanager
@@ -105,6 +110,79 @@ def _reference_feasible_instances(n, p, k, count, config_index, master_seed):
         else:
             discarded += 1
     return feasible, discarded
+
+
+def _reference_solve(instance, agent, seed):
+    """The agents with their per-node work spelled out: each node rebuilds
+    the uncolored list, greedy and acp take its max and min under per-vertex
+    keys, and each color's constraint count walks the neighbors again. The
+    oracle ``solve`` must equal, random draws included. Only the cap is read
+    from ``acp.coloring``, so that patching it there moves both."""
+    if agent not in AGENT_KINDS:
+        raise ValueError(f"unknown agent {agent!r}; expected one of {AGENT_KINDS}")
+    g, k = instance.graph, instance.k
+    n = g.n
+    neighbors = g.neighbors()
+    rng = np.random.default_rng(seed) if agent == "random" else None
+    full = (1 << k) - 1
+    domains = [full] * n
+    assignment = [-1] * n
+    expansions = 0
+
+    def live_colors(v: int) -> list[int]:
+        return [c for c in range(k) if domains[v] >> c & 1]
+
+    def constraint_count(v: int, c: int) -> int:
+        return sum(1 for u in neighbors[v] if assignment[u] == -1 and domains[u] >> c & 1)
+
+    def pick_vertex() -> int:
+        uncolored = [v for v in range(n) if assignment[v] == -1]
+        if agent == "random":
+            return uncolored[int(rng.integers(len(uncolored)))]
+        if agent == "greedy":
+            return max(uncolored, key=lambda v: (len(neighbors[v]), -v))
+        return min(uncolored, key=lambda v: (bin(domains[v]).count("1"), -len(neighbors[v]), v))
+
+    def order_colors(v: int) -> list[int]:
+        colors = live_colors(v)
+        if agent == "random":
+            return [colors[i] for i in rng.permutation(len(colors))]
+        return sorted(colors, key=lambda c: (constraint_count(v, c), c))
+
+    def search(depth: int) -> bool:
+        nonlocal expansions
+        if depth == n:
+            return True
+        v = pick_vertex()
+        for c in order_colors(v):
+            if expansions == acp.coloring.SOLVE_CAP:
+                return False
+            assignment[v] = c
+            expansions += 1
+            bit = 1 << c
+            pruned = []
+            dead = False
+            for u in neighbors[v]:
+                if assignment[u] == -1 and domains[u] & bit:
+                    domains[u] ^= bit
+                    pruned.append(u)
+                    if domains[u] == 0:
+                        dead = True
+                        break
+            if not dead and search(depth + 1):
+                return True
+            for u in pruned:
+                domains[u] |= bit
+            assignment[v] = -1
+        return False
+
+    if not search(0):
+        return SearchStats(expansions=expansions, found=False, assignment=None)
+    result = tuple(assignment)
+    for u, v in g.edges:
+        if result[u] == result[v]:
+            raise RuntimeError("internal error: returned assignment is not a proper coloring")
+    return SearchStats(expansions=expansions, found=True, assignment=result)
 
 
 def _neighbor_masks(graph):
@@ -314,16 +392,32 @@ class TestSolve:
             assert all(stats.assignment[u] != stats.assignment[v] for u, v in g.edges)
             assert stats.expansions >= g.n
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _graphs(max_n=12),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from(AGENT_KINDS),
+        st.integers(0, 2**63 - 1),
+        st.sampled_from([1, 5, 40, acp.coloring.SOLVE_CAP]),
+    )
+    @example(DRAW_22, 3, "greedy", 0, acp.coloring.SOLVE_CAP).via("57 vertices, ties in degree")
+    @example(DRAW_22, 3, "acp", 0, acp.coloring.SOLVE_CAP).via("57 vertices, ties in live colors")
+    @example(CAPPED_40, 3, "random", 2, 1000).via("backtracks until the cap")
+    def test_matches_reference_agents(self, g, k, agent, seed, cap):
+        # same vertex, same color order and same random draws at every node, so the
+        # same expansions, outcome and coloring, also where the cap stops the search
+        instance = _instance(g, k=k)
+        with patch.object(acp.coloring, "SOLVE_CAP", cap):
+            assert solve(instance, agent, seed) == _reference_solve(instance, agent, seed)
+
     def test_infeasible_instance_reports_not_found(self):
         stats = solve(_instance(K4, k=3), "greedy", seed=0)
         assert stats.found is False
         assert stats.assignment is None
 
     def test_capped_solve_reports_not_found_at_the_cap(self, monkeypatch):
-        # the first feasible G(40, 0.1) of master seed 0: the random agent needs
-        # 447 271 expansions uncapped, the acp agent 40
         seed = 8697063857760222071
-        instance = ColoringInstance(graph=gen_erdos_renyi(40, 0.1, seed), k=3, seed=seed, p=0.1)
+        instance = ColoringInstance(graph=CAPPED_40, k=3, seed=seed, p=0.1)
         monkeypatch.setattr(acp.coloring, "SOLVE_CAP", 1000)
         stats = solve(instance, "random", seed=(seed, AGENT_KINDS.index("random")))
         assert (stats.expansions, stats.found, stats.assignment) == (1000, False, None)
@@ -388,7 +482,7 @@ class TestCampaign:
         def no_graphs(*args):
             raise AssertionError("a graph was generated")
 
-        monkeypatch.setattr(acp.coloring, "_gnp_edges", no_graphs)
+        monkeypatch.setattr(acp.coloring, "_gnp_mask", no_graphs)
         with pytest.raises(ValueError, match="k must be at least 2"):
             run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, k, 50)), master_seed=0)
 
@@ -406,7 +500,7 @@ class TestCampaign:
         def no_graphs(*args):
             raise AssertionError("a graph was generated")
 
-        monkeypatch.setattr(acp.coloring, "_gnp_edges", no_graphs)
+        monkeypatch.setattr(acp.coloring, "_gnp_mask", no_graphs)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, 3, 50), (n, p, 3, 50)), master_seed=0)
 

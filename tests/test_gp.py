@@ -294,6 +294,12 @@ class TestTotalInformation:
         with pytest.raises(ValueError):
             estimate_total_information(np.full(10, 0.1), 5.0, 4.0)
 
+    @pytest.mark.parametrize("resolution", [2.7, 3.0, 3.99])
+    def test_rejects_one_bin_resolution(self, resolution):
+        # round(4 / r) = 1 bin priced -3.2e-16 bits at r = 3 before it was refused
+        with pytest.raises(ValueError, match="leaves one bin"):
+            estimate_total_information(np.full(401, 1 / 401), resolution, 4.0)
+
 
 class TestErrorBounds:
     def test_monte_carlo_error_value(self):
