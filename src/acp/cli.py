@@ -226,8 +226,8 @@ def _split_column(values: np.ndarray):
         up = (b > t) | ((b == t) & (n & 1).astype(bool))
         n += yi.astype(np.int64) * 10**6
         n += up
-        whole, millionths = np.divmod(n, 10**6)
-        return whole.view(np.uint64), np.signbit(x), millionths
+        whole = n // 10**6
+        return whole.view(np.uint64), np.signbit(x), n - whole * 10**6
     if values.dtype.kind == "u":
         return values.astype(np.uint64), None, None
     signed = values.astype(np.int64)
@@ -240,10 +240,14 @@ def _put_digits(out: np.ndarray, end: int, q: np.ndarray, width: int, pad: bool)
     """Decimal digits of ``q`` in the ``width`` columns before ``end``.
 
     With ``pad`` False the leading zeros stay NUL, and a value of 0 is one '0'.
+    ``q`` is non-negative, so each digit is q - (q // 10) * 10: numpy's
+    floor division by a scalar is several times faster than ``np.divmod``.
     """
     for col in range(end - 1, end - 1 - width, -1):
         nonzero = None if pad or col == end - 1 else q != 0
-        q, r = np.divmod(q, 10)
+        d = q // 10
+        r = q - d * 10
+        q = d
         r += ord("0")
         if nonzero is not None:
             r *= nonzero
@@ -254,7 +258,8 @@ def _format_chunk(columns: list[np.ndarray]) -> str | None:
     """The CSV text of one chunk of rows, or None if a float is out of range.
 
     Each field is right-aligned in a fixed-width slot of NUL bytes, followed
-    by its ',' or '\\n' column; dropping the NULs leaves the text.
+    by its ',' or '\\n' column; dropping the NULs, with ``bytes.translate``,
+    leaves the text.
     """
     parts = [_split_column(values) for values in columns]
     if any(part is None for part in parts):
@@ -283,7 +288,7 @@ def _format_chunk(columns: list[np.ndarray]) -> str | None:
         out[:, end] = ord(",")
         end += 1
     out[:, -1] = ord("\n")
-    return out[out != 0].tobytes().decode("ascii")
+    return out.tobytes().translate(None, b"\x00").decode("ascii")
 
 
 def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> None:

@@ -67,6 +67,11 @@ TRIAL_BLOCK = 1024
 #: holds 8 trials, enough that numpy's fixed cost per call is a small share.
 ROUND_ELEMENTS = 1 << 15
 
+#: One trial's record: stopping time, sum at the stop and overshoot past the target.
+_TRIAL_DTYPE = np.dtype(
+    (np.record, [("n_steps", np.int64), ("accumulated", np.float64), ("overshoot", np.float64)])
+)
+
 
 class StepCapExceeded(RuntimeError):
     """A trial failed to reach its target within the step cap."""
@@ -447,8 +452,8 @@ def _simulate_block(
     n: int,
     seed,
     step_cap: int = STEP_CAP,
-) -> np.recarray:
-    """n trials that share one generator, as the record array run_trials returns.
+) -> np.ndarray:
+    """n trials that share one generator, as rows of _TRIAL_DTYPE.
 
     Trials advance together in rounds of a fixed column width (a function of
     spec and target only); each round draws a (rows, width) matrix of
@@ -458,19 +463,21 @@ def _simulate_block(
     allocated per block: the uniforms, their gains and the partial sums
     within the round overwrite each other in place. A round that starts at
     or past the end of the mean prefix passes the scalar mean_tail to
-    draw_gains, which gives the same bits as a row of it. Gains are >= 0, so partial sums never
-    decrease and a row crossed total_bits exactly when its running sum plus
-    its last partial sum did; only in chunks where some row crossed is the
-    running sum added to every cell and the first crossing column searched
-    for. Raises StepCapExceeded if a trial is still short of total_bits
-    after ``step_cap`` steps.
+    draw_gains, which gives the same bits as a row of it. Gains are >= 0, so partial sums never decrease and a row crossed
+    total_bits exactly when its running sum plus its last partial sum did;
+    only in chunks where some row crossed is the running sum added to every
+    cell and the first crossing column searched for. In the first round
+    every running sum is 0.0, so that add is skipped. The records are
+    filled in place: ``n_steps`` and ``accumulated`` as rows cross, and
+    ``overshoot`` once all have. Raises StepCapExceeded if a trial is still
+    short of total_bits after ``step_cap`` steps.
     """
     if not 0 < total_bits < math.inf:
         raise ValueError("total_bits must be positive and finite")
     rng = np.random.default_rng(seed)
     width = int(min(4096, max(16, math.ceil(total_bits / spec.mean_tail) + 8)))
-    n_steps = np.zeros(n, dtype=np.int64)
-    accumulated = np.zeros(n)
+    trials = np.empty(n, _TRIAL_DTYPE)
+    n_steps, accumulated = trials["n_steps"], trials["accumulated"]
     running = np.zeros(n)
     active = np.arange(n)
     buffer = np.empty(max(width, ROUND_ELEMENTS))
@@ -494,7 +501,8 @@ def _simulate_block(
             last = csum[:, -1] + running[rows]
             crossed = last >= total_bits
             if crossed.any():
-                csum += running[rows, None]
+                if done:
+                    csum += running[rows, None]
                 first = (csum >= total_bits).argmax(axis=1)[crossed]
                 ended = rows[crossed]
                 n_steps[ended] = done + first + 1
@@ -503,9 +511,8 @@ def _simulate_block(
             still.append(rows[~crossed])
         active = np.concatenate(still)
         done += k
-    return np.rec.fromarrays(
-        (n_steps, accumulated, accumulated - total_bits), names="n_steps,accumulated,overshoot"
-    )
+    np.subtract(accumulated, total_bits, out=trials["overshoot"])
+    return trials
 
 
 def simulate_stopping(

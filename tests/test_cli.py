@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acp.cli import _format_cell, build_parser, main, resolve_options, write_csv
@@ -754,6 +754,11 @@ class TestCsvWriter:
             )
         )
     )
+    @example(((np.uint64, np.int64), [(2**64 - 1, -(2**63))]))
+    # 9.9999995 rounds down to 9.999999; 9.9999996 carries into the whole part
+    @example(((np.float64,), [(9.9999995,), (9.9999996,)]))
+    @example(((np.float64,), [(0.999999,), (3.0,)]))
+    @example(((np.float64,), [(-0.0,)]))
     def test_structured_bytes_match_template(self, tmp_path_factory, table):
         dtypes, rows = table
         header = [f"c{j}" for j in range(len(dtypes))]

@@ -472,6 +472,8 @@ class TestTrialBlocks:
     @example(case=(SPECS["deterministic"], 5000.0, 2, 0, 4999))
     # the sum meets the target exactly at the last step of the first round
     @example(case=(GainSequenceSpec.deterministic([2.0] * 4096, 1.0), 8192.0, 3, 0, STEP_CAP))
+    # the benchmark's shape: nearly every row crosses in the first round, the rest in the second
+    @example(case=(SPECS["exponential"], 10.0, TRIAL_BLOCK, 7, STEP_CAP))
     def test_engine_equals_reference_bit_for_bit(self, case):
         spec, total_bits, n, seed, step_cap = case
         try:
@@ -509,6 +511,12 @@ class TestTrialBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 2**10
+
+    def test_records_layout(self):
+        got = stopping._simulate_block(SPECS["exponential"], 10.0, 5, 0)
+        assert got.dtype == np.dtype([("n_steps", "<i8"), ("accumulated", "<f8"), ("overshoot", "<f8")])
+        assert got.flags.c_contiguous
+        assert type(run_trials(SPECS["exponential"], 10.0, 5, master_seed=0)) is np.recarray
 
     @settings(max_examples=25, deadline=None)
     @given(
