@@ -7,8 +7,11 @@ backtracking search over vertex bitmasks. The search refutes a node as soon
 as some vertex has no color left, colors forced vertices before it branches,
 and tries only one unused color per vertex, since unused colors are
 interchangeable. None of these loses a coloring, so the oracle answers
-exactly. The filter reads each draw's edges straight from its pair mask and
-builds an edge tuple and a validated `Graph` only for the instances it keeps.
+exactly. The filter decides its draws a block at a time: one vectorised
+SeedSequence hash gives every draw's PCG64 state, so each graph's stream is
+still `np.random.default_rng(seed)`, and one `np.packbits` over the block's
+adjacency gives every draw's neighbor masks. It builds an edge tuple and a
+validated `Graph` only for the instances it keeps.
 
 Three agents solve each feasible instance with backtracking search plus
 forward checking, differing only in how they order vertices and colors:
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress
 
 import numpy as np
 
@@ -119,10 +121,100 @@ class SearchStats:
             raise ValueError("found solutions must carry an assignment")
 
 
+#: Most 8-byte cells the feasibility filter holds at once. A draw takes one
+#: per vertex pair for its uniforms and one per 8 bytes of its adjacency,
+#: whose rows are padded to 64-bit words; 4 MiB at this cap.
+FILTER_CELLS = 2**19
+
+# numpy's SeedSequence, O'Neill's seed_seq hash over a pool of four 32-bit
+# words; numpy's stream-compatibility policy fixes these constants.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, size: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i < size: the hash constant of each round, as a column."""
+    consts = [init]
+    for _ in range(size - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# 4 rounds fill the pool and 12 mix it; 8 give the state's 32-bit halves
+_MIX_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+_STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)
+
+
+def _hashmix(values: np.ndarray, round_: int) -> np.ndarray:
+    """SeedSequence's hashmix of each row of uint32 values, row i in round round_ + i."""
+    end = round_ + len(values)
+    values = values ^ _MIX_CONSTS[round_:end]
+    values *= _MIX_CONSTS[round_ + 1:end + 1]
+    return values ^ values >> 16
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """`np.random.SeedSequence(s).generate_state(4, np.uint64)` for every s in seeds.
+
+    One vectorised uint32 pass over the block: row i of the (len(seeds), 4)
+    result is the PCG64 state `np.random.default_rng(seeds[i])` starts from.
+    A seed below 2**64 fills at most two of the pool's four words, and the
+    hash reads an absent entropy word as 0, so the pool starts from both
+    32-bit halves and two zeros.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, 0)
+    for src in range(4):
+        # each other word takes in a hashmix of pool[src], one round each, in word order
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[[src] * 3], 4 + 3 * src) * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    halves = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_CONSTS[:8]
+    halves *= _STATE_CONSTS[1:]
+    halves = (halves ^ halves >> 16).astype(np.uint64)
+    return np.ascontiguousarray((halves[0::2] | halves[1::2] << 32).T)
+
+
+@lru_cache(maxsize=1)
+def _generator_from_words():
+    """A function from a row of `_seed_words` to the `Generator` that
+    `np.random.default_rng` builds for that row's seed: PCG64 seeded with
+    the row's words.
+
+    Built on first use, so that importing the package leaves numpy.random
+    unloaded.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """One row of `_seed_words`, handed to PCG64 as its seed state."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for its state as generate_state(4, np.uint64)
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
 @lru_cache(maxsize=8)
-def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The n(n-1)/2 pairs u < v in row-major order, built once per n."""
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the n(n-1)/2 pairs u < v in row-major order, built once per n."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False  # shared by every caller
+    return rows, cols
+
+
+def _mask_edges(n: int, mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The row-major pairs a pair mask selects, as an edge tuple."""
+    rows, cols = _pair_index(n)
+    return tuple(zip(rows[mask].tolist(), cols[mask].tolist()))
 
 
 def _check_gnp(n: int, p: float) -> None:
@@ -132,14 +224,41 @@ def _check_gnp(n: int, p: float) -> None:
         raise ValueError("p must lie in [0, 1]")
 
 
-def _gnp_mask(n: int, p: float, seed) -> list[bool]:
-    """Which of the row-major vertex pairs G(n, p) joins, for an n and p already checked."""
-    return (np.random.default_rng(seed).random(n * (n - 1) // 2) < p).tolist()
-
-
 def _gnp_edges(n: int, p: float, seed) -> tuple[tuple[int, int], ...]:
     """The edges of G(n, p) in row-major order, for an n and p already checked."""
-    return tuple(compress(_vertex_pairs(n), _gnp_mask(n, p, seed)))
+    return _mask_edges(n, np.random.default_rng(seed).random(n * (n - 1) // 2) < p)
+
+
+def _gnp_draws(n: int, p: float, words: np.ndarray):
+    """Pair mask and neighbor masks of each G(n, p) draw seeded by a row of words, in order.
+
+    Draw i's pair mask is the one `gen_erdos_renyi` draws for the seed whose
+    `_seed_words` row is words[i]. Draws are made a block of at most
+    FILTER_CELLS cells at a time, and only when asked for. Each block's
+    neighbor masks come from one `np.packbits` over its adjacency, as
+    little-endian 64-bit words: a word's `tolist` where one suffices, else
+    each vertex's words joined into one int.
+    """
+    rows, cols = _pair_index(n)
+    width = -(-n // 64)
+    step = max(1, FILTER_CELLS // (len(rows) + 8 * n * width))
+    generator = _generator_from_words()
+    for start in range(0, len(words), step):
+        block = words[start:start + step]
+        uniforms = np.empty((len(block), len(rows)))
+        for row, seed_words in zip(uniforms, block):
+            generator(seed_words).random(out=row)
+        masks = uniforms < p
+        adjacency = np.zeros((len(block), n, 64 * width), dtype=bool)
+        adjacency[:, rows, cols] = masks
+        adjacency[:, cols, rows] = masks
+        packed = np.packbits(adjacency, axis=2, bitorder="little")
+        if width == 1:
+            yield from zip(masks, packed.view("<u8").reshape(len(block), n).tolist())
+            continue
+        for mask, draw in zip(masks, packed):
+            flat = draw.tobytes()
+            yield mask, [int.from_bytes(flat[i:i + 8 * width], "little") for i in range(0, len(flat), 8 * width)]
 
 
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
@@ -187,17 +306,18 @@ def is_k_colorable(graph: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _colorable(graph.n, graph.edges, k)
-
-
-def _colorable(n: int, edges, k: int) -> bool:
-    """`is_k_colorable` on a bare vertex count and edge list, for k >= 1."""
-    if k >= n:  # one color per vertex
-        return True
-    nbr = [0] * n
-    for u, v in edges:
+    nbr = [0] * graph.n
+    for u, v in graph.edges:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
+    return _colorable(nbr, k)
+
+
+def _colorable(nbr: list[int], k: int) -> bool:
+    """`is_k_colorable` on each vertex's neighbor mask, for k >= 1."""
+    n = len(nbr)
+    if k >= n:  # one color per vertex
+        return True
     everyone = (1 << n) - 1
     if _has_clique(nbr, everyone, k + 1):
         return False
@@ -418,20 +538,21 @@ class CampaignReport:
 def _feasible_instances(n: int, p: float, k: int, count: int, config_index: int, master_seed: int):
     """Draw G(n, p) edge sets, discarding infeasible ones, until count are kept.
 
-    n and p are checked by the caller. Each draw is the edge set
-    `gen_erdos_renyi` gives for its seed, read by the oracle straight from
-    the pair mask; only a kept one is built into an edge tuple and a `Graph`.
-    Seeds are drawn count at a time, the same sequence as one at a time.
+    n and p are checked by the caller. Seeds are drawn count at a time, the
+    same sequence as one at a time, and hashed into PCG64 states at once;
+    `_gnp_draws` then draws their masks a block at a time, and the oracle
+    decides each draw from its neighbor masks. Each draw is the edge set
+    `gen_erdos_renyi` gives for its seed; only a kept one is built into an
+    edge tuple and a `Graph`.
     """
     seed_rng = rng_for(master_seed, config_index)
-    pairs = _vertex_pairs(n)
     feasible: list[ColoringInstance] = []
     discarded = 0
     while len(feasible) < count:
-        for gen_seed in seed_rng.integers(2**63, size=count).tolist():
-            mask = _gnp_mask(n, p, gen_seed)
-            if _colorable(n, compress(pairs, mask), k):
-                graph = Graph(n, tuple(compress(pairs, mask)))
+        seeds = seed_rng.integers(2**63, size=count)
+        for gen_seed, (mask, nbr) in zip(seeds.tolist(), _gnp_draws(n, p, _seed_words(seeds))):
+            if _colorable(nbr, k):
+                graph = Graph(n, _mask_edges(n, mask))
                 feasible.append(ColoringInstance(graph=graph, k=k, seed=gen_seed, p=p))
                 if len(feasible) == count:
                     break

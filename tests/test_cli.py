@@ -542,6 +542,10 @@ class TestDeterminism:
             (("--n", "30", "--p", "0.15", "--k", "3", "--instances", "50", "--seed", "1"),
              "53fcd9be9b5c4684b04ba358b44eacccc62bcd489d8dd395e9babc2c6cdb519f",
              "1c24ce95cddbdb0f5032de19bcb9bca37d5946dfa82121ac5b1b0a754f09795e"),
+            # 70 vertices: two-word neighbor masks in the filter
+            (("--n", "70", "--p", "0.04", "--k", "3", "--instances", "50", "--seed", "3"),
+             "04682b9adc6c03efa29343df0192b5cc6f54d98a09cd1c4d178adfb7a1fc9823",
+             "805f257388d31676c8b0df7da621d26786794caf0c975d2e778c55c66a964eca"),
         ],
     )
     def test_coloring_bytes_are_pinned(self, tmp_path, capsys, flags, detail_sha, summary_sha):

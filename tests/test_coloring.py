@@ -3,6 +3,7 @@
 import math
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 from unittest.mock import patch
@@ -35,6 +36,8 @@ PATH3 = Graph(3, ((0, 1), (1, 2)))
 # draw 22 of rng_for(0, 0) at n = 60, p = 0.05: one 57-vertex, 3-colorable component, which
 # branching on the lowest uncolored vertex did not decide in 60 s
 DRAW_22 = gen_erdos_renyi(60, 0.05, 4379886395524563040)
+# seeds at the edges of SeedSequence's 32-bit entropy words
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
 # the first feasible G(40, 0.1) of master seed 0: the random agent needs
 # 447 271 expansions uncapped, the acp agent 40
 CAPPED_40 = gen_erdos_renyi(40, 0.1, 8697063857760222071)
@@ -238,11 +241,43 @@ class TestGenerator:
     def test_edges_match_row_major_draw(self, n, p, seed):
         assert gen_erdos_renyi(n, p, seed).edges == _reference_edges(n, p, seed)
 
+    @pytest.mark.parametrize(
+        "n, p", [(1, 0.5), (2, 0.5), (12, 1.0), (63, 0.1), (64, 0.1), (65, 0.1), (128, 0.05), (130, 0.05)]
+    )
+    def test_block_masks_match_public_generator(self, n, p):
+        seeds = rng_for(0, 9).integers(2**63, size=7)
+        draws = list(acp.coloring._gnp_draws(n, p, acp.coloring._seed_words(seeds)))
+        assert len(draws) == len(seeds)
+        for seed, (mask, nbr) in zip(seeds.tolist(), draws):
+            graph = gen_erdos_renyi(n, p, seed)
+            assert acp.coloring._mask_edges(n, mask) == graph.edges
+            assert nbr == _neighbor_masks(graph)
+
     def test_binomial_edge_count(self):
         # 105 candidate pairs at p = 0.35: mean edges 36.75
         counts = [len(gen_erdos_renyi(15, 0.35, seed=s).edges) for s in range(10_000)]
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert np.mean(counts) == pytest.approx(36.75, abs=3 * se)
+
+
+class TestSeedWords:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=50), st.integers(0, 40))
+    @example(seeds=[], m=5)
+    @example(seeds=[0], m=5)
+    @example(seeds=[1], m=5)
+    @example(seeds=[2**32 - 1], m=5)
+    @example(seeds=[2**32], m=5)
+    @example(seeds=[2**63 - 1], m=5)
+    @example(seeds=[2**64 - 1], m=5)
+    @example(seeds=(EDGE_SEEDS * 9)[:50], m=20)
+    def test_block_generators_match_default_rng(self, seeds, m):
+        words = acp.coloring._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4)
+        generator = acp.coloring._generator_from_words()
+        for seed, row in zip(seeds, words):
+            assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+            assert generator(row).random(m).tolist() == np.random.default_rng(seed).random(m).tolist()
 
 
 class TestFeasibilityOracle:
@@ -293,13 +328,37 @@ class TestFeasibilityOracle:
         )
         assert acp.coloring._has_clique(nbr, (1 << g.n) - 1, r) is expected
 
-    @pytest.mark.parametrize("config", [(10, 0.3, 3, 30), (15, 0.41, 3, 20), (9, 0.2, 2, 20)])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            (10, 0.3, 3, 30),
+            (15, 0.41, 3, 20),
+            (9, 0.2, 2, 20),
+            (1, 0.5, 2, 5),  # no vertex pairs
+            (2, 0.5, 2, 5),
+            # the widest one-word neighbor masks, the narrowest two-word ones and three words,
+            # where index-order backtracking stays fast
+            (64, 0.05, 4, 5),
+            (65, 0.05, 4, 5),
+            (130, 0.01, 3, 3),
+            (10, 0.0, 2, 5),
+            (4, 1.0, 4, 5),
+        ],
+    )
     @pytest.mark.parametrize("master_seed", [0, 5])
     def test_campaign_filter_matches_public_loop(self, config, master_seed):
-        # the filter draws bare edge sets; the reference builds every Graph and refutes without cliques
+        # the filter draws blocks of seeds and masks; the reference builds every Graph
+        # from its own generator and refutes without cliques
         assert acp.coloring._feasible_instances(*config, 1, master_seed) == _reference_feasible_instances(
             *config, 1, master_seed
         )
+
+    @pytest.mark.parametrize("cells", [1, 1000])
+    def test_filter_blocks_do_not_move_draws(self, monkeypatch, cells):
+        # one draw a block, and 4 draws of 105 pairs and 120 adjacency cells
+        monkeypatch.setattr(acp.coloring, "FILTER_CELLS", cells)
+        config = (15, 0.41, 3, 20)
+        assert acp.coloring._feasible_instances(*config, 1, 0) == _reference_feasible_instances(*config, 1, 0)
 
     def test_decides_long_sparse_component(self):
         # branching first on a vertex with two colors left colors the component along its paths
@@ -311,6 +370,18 @@ class TestFeasibilityOracle:
         with _deadline(20):
             feasible, _ = acp.coloring._feasible_instances(512, 0.004, 3, 50, 0, 0)
         assert len(feasible) == 50
+
+    def test_filter_memory_at_the_vertex_cap_is_bounded(self):
+        # the filter peaked at about 14 MiB drawing one graph at a time; a block of all 50
+        # draws' uniforms and adjacency holds about 65 MB
+        acp.coloring._pair_index.cache_clear()
+        tracemalloc.start()
+        try:
+            acp.coloring._feasible_instances(512, 0.004, 3, 50, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestCounting:
@@ -482,7 +553,7 @@ class TestCampaign:
         def no_graphs(*args):
             raise AssertionError("a graph was generated")
 
-        monkeypatch.setattr(acp.coloring, "_gnp_mask", no_graphs)
+        monkeypatch.setattr(acp.coloring, "_gnp_draws", no_graphs)
         with pytest.raises(ValueError, match="k must be at least 2"):
             run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, k, 50)), master_seed=0)
 
@@ -500,7 +571,7 @@ class TestCampaign:
         def no_graphs(*args):
             raise AssertionError("a graph was generated")
 
-        monkeypatch.setattr(acp.coloring, "_gnp_mask", no_graphs)
+        monkeypatch.setattr(acp.coloring, "_gnp_draws", no_graphs)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_campaign(configs=((8, 0.25, 3, 50), (10, 0.3, 3, 50), (n, p, 3, 50)), master_seed=0)
 

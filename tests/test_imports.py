@@ -76,3 +76,9 @@ def test_runs_load_no_scipy(tmp_path):
 def test_subcommands_run_with_scipy_blocked(tmp_path):
     proc = _run(BLOCKED_SCRIPT, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_numpy_random_unloaded(tmp_path):
+    # the coloring filter builds its numpy.random adapter on first use
+    proc = _run("import acp.cli, sys\nassert 'numpy.random' not in sys.modules\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
