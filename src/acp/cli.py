@@ -482,6 +482,11 @@ def main(argv=None) -> int:
             raise ValueError("--seed must be non-negative")
         if options["workers"] < 1:
             raise ValueError("--workers must be at least 1")
+        if not options["out"]:
+            raise ValueError("--out must name a file")
+        dump = options.get("dump_trials")
+        if dump and os.path.abspath(dump) == os.path.abspath(options["out"]):
+            raise ValueError(f"--dump-trials and --out name the same file, {options['out']}")
         tables, lines = _RUNNERS[args.command](options)
         for path, header, rows in tables:
             write_csv(path, header, rows)

@@ -1,11 +1,19 @@
-"""Command-line behaviour: exit codes, CSV contracts, config files."""
+"""Command-line behaviour: exit codes, CSV contracts, config files.
+
+Two tables hold the CLI's end-to-end contract. Every ``REFUSALS`` row must
+exit 1 or 2 and write nothing; every ``PINNED`` row must write the same
+pinned bytes at ``--workers 1`` and ``--workers 2``.
+"""
 
 import csv
 import hashlib
 import io
 import shlex
+import signal
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,120 +38,138 @@ def _run(*argv) -> int:
     return main(list(argv))
 
 
-def _read(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+@contextmanager
+def _time_limit(seconds: int):
+    """Fail the test once ``seconds`` pass: a hung run fails its row instead of stalling the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")  # a BaseException: main does not catch it
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-class TestExitCodes:
-    def test_unknown_subcommand(self, capsys):
-        assert _run("frobnicate") == 2
+class Refusal(NamedTuple):
+    """A run that exits ``code``, says ``stderr`` and writes nothing, without calling ``harness``."""
 
-    def test_unknown_flag(self, capsys):
-        assert _run("bounds", "--no-such-flag", "1") == 2
+    argv: tuple
+    stderr: str = ""
+    code: int = 2
+    harness: str | None = None
 
-    def test_bad_family_value(self, capsys):
-        assert _run("bounds", "--family", "cauchy") == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("bounds", "--format", "csv"),
-            ("approx", "--trials", "1"),
-            ("estimate", "--lengthscale", "2.0"),
-            ("estimate", "--signal-var", "4"),
-            ("bounds", "--m2", "9"),
-        ],
-    )
-    def test_removed_flags_are_rejected(self, argv, capsys):
-        assert _run(*argv) == 2
+class Pinned(NamedTuple):
+    """A run whose CSVs hold ``pins`` (exact bytes or a sha256) and whose report holds ``stdout``."""
 
-    def test_unwritable_output(self, tmp_path, capsys):
-        missing_dir = tmp_path / "does" / "not" / "exist" / "x.csv"
-        code = _run("bounds", "--trials", "100", "--out", str(missing_dir))
-        assert code == 1
+    argv: tuple
+    pins: dict
+    stdout: str = ""
 
-    @pytest.mark.parametrize(
-        "argv, harness",
-        [
+
+def _check_refusal(row: Refusal, tmp_path, capsys, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    if row.harness:
+        monkeypatch.setattr(row.harness, lambda *a, **k: pytest.fail(f"{row.harness} ran before the refusal"))
+    with _time_limit(20):
+        assert main(list(row.argv)) == row.code
+    assert row.stderr in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _check_pinned(row: Pinned, tmp_path, capsys, monkeypatch) -> None:
+    for workers in ("1", "2"):
+        folder = tmp_path / f"workers{workers}"
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        with _time_limit(60):
+            assert main([*row.argv, "--workers", workers]) == 0
+        assert row.stdout in capsys.readouterr().out
+        for name, pin in row.pins.items():
+            data = (folder / name).read_bytes()
+            assert (data if isinstance(pin, bytes) else hashlib.sha256(data).hexdigest()) == pin, (workers, name)
+
+
+def _table(table: dict, check) -> type:
+    """A base class with one test per name in ``table``, which maps to one row or to rows by test id.
+
+    The names and ids are the ones these cases have always been reported under;
+    a new row joins ``test_refused`` or ``test_pinned``.
+    """
+    tests = {}
+    for name, rows in table.items():
+        if isinstance(rows, dict):
+            @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+            def test(self, tmp_path, capsys, monkeypatch, row):
+                check(row, tmp_path, capsys, monkeypatch)
+        else:
+            def test(self, tmp_path, capsys, monkeypatch, row=rows):
+                check(row, tmp_path, capsys, monkeypatch)
+        tests[name] = test
+    return type("Table", (), tests)
+
+
+DUMP = ("--out", "b.csv", "--dump-trials", "t.csv")
+BOUNDS_HEADER = b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n"
+ESTIMATE_HEADER = b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n"
+
+# Each row runs in an empty folder, which must stay empty.
+REFUSALS = {
+    "test_unknown_subcommand": Refusal(("frobnicate",)),
+    "test_unknown_flag": Refusal(("bounds", "--no-such-flag", "1")),
+    "test_bad_family_value": Refusal(("bounds", "--family", "cauchy")),
+    "test_removed_flags_are_rejected": {f"argv{i}": Refusal(argv) for i, argv in enumerate([
+        ("bounds", "--format", "csv"),
+        ("approx", "--trials", "1"),
+        ("estimate", "--lengthscale", "2.0"),
+        ("estimate", "--signal-var", "4"),
+        ("bounds", "--m2", "9"),
+    ])},
+    "test_unwritable_output": Refusal(("bounds", "--trials", "100", "--out", "does/not/exist/x.csv"), code=1),
+    "test_missing_output_directory_fails_before_work": {
+        f"argv{i}-{harness}": Refusal((*argv, "--out", "missing/o.csv"), "no directory", 1, harness)
+        for i, (argv, harness) in enumerate([
             (("bounds", "--trials", "100"), "acp.stopping.run_trials"),
             (("slope", "--trials", "20"), "acp.slope.run_noise_sweep"),
-            (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50"),
-             "acp.coloring.run_campaign"),
+            (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50"), "acp.coloring.run_campaign"),
             (("estimate",), "acp.gp.a_priori_estimate"),
             (("approx",), "acp.approx.default_knapsack"),
             # a bad option value exits 2 only once the directory is known to exist
             (("bounds", "--delta", "2"), "acp.stopping.run_trials"),
             (("slope", "--trials", "5"), "acp.slope.run_noise_sweep"),
-            (("coloring", "--n", "10", "--p", "nan", "--k", "3", "--instances", "50"),
-             "acp.coloring.run_campaign"),
+            (("coloring", "--n", "10", "--p", "nan", "--k", "3", "--instances", "50"), "acp.coloring.run_campaign"),
             (("coloring", "--n", "10"), "acp.coloring.run_campaign"),
             (("estimate", "--trials", "15"), "acp.gp.a_priori_estimate"),
             (("approx", "--items", "21"), "acp.approx.default_knapsack"),
             (("bounds", "--seed", "-1"), "acp.stopping.run_trials"),
             (("slope", "--workers", "0"), "acp.slope.run_noise_sweep"),
-        ],
-    )
-    def test_missing_output_directory_fails_before_work(self, tmp_path, capsys, monkeypatch, argv, harness):
-        called = []
-
-        def no_work(*args, **kwargs):
-            called.append(harness)
-            raise AssertionError("ran the experiment before checking the output directory")
-
-        monkeypatch.setattr(harness, no_work)
-        out = tmp_path / "missing" / "o.csv"
-        assert _run(*argv, "--out", str(out)) == 1
-        assert called == [] and list(tmp_path.iterdir()) == []
-        assert "no directory" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [(("bounds", "--seed", "-1"), "--seed must be non-negative"),
-         (("approx", "--workers", "0"), "--workers must be at least 1")],
-    )
-    def test_bad_seed_or_workers_writes_nothing(self, tmp_path, capsys, argv, message):
-        assert _run(*argv, "--out", str(tmp_path / "o.csv")) == 2
-        assert list(tmp_path.iterdir()) == []
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv", [("estimate", "--resolution", "3"), ("slope", "--resolution", "3.99")]
-    )
-    def test_one_bin_resolution_is_refused(self, tmp_path, capsys, argv):
-        # 4 / r rounds to one bin: refused when the estimation task is built, naming the resolution
-        assert _run(*argv, "--out", str(tmp_path / "o.csv")) == 2
-        assert list(tmp_path.iterdir()) == []
-        assert f"resolution {argv[-1]} leaves one bin" in capsys.readouterr().err
-
-    def test_missing_dump_directory_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # refused before any trial runs, so the report CSV is not left behind either
-        simulated = []
-        monkeypatch.setattr("acp.stopping.run_trials", lambda *a, **k: simulated.append(a))
-        out, dump = tmp_path / "b.csv", tmp_path / "missing" / "t.csv"
-        assert _run("bounds", "--trials", "100", "--out", str(out), "--dump-trials", str(dump)) == 1
-        assert not out.exists() and not dump.parent.exists()
-        assert simulated == []
-        assert "no directory" in capsys.readouterr().err
-
-    def test_trial_over_step_cap_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # one trial expects about 2e7 steps, past STEP_CAP: refused before it runs, not cut off by the cap
-        simulated = []
-        monkeypatch.setattr("acp.stopping.run_trials", lambda *a, **k: simulated.append(a))
-        out, dump = tmp_path / "b.csv", tmp_path / "t.csv"
-        argv = ("bounds", "--trials", "1", "--i-total", "2e7", "--out", str(out), "--dump-trials", str(dump))
-        assert _run(*argv) == 2
-        assert not out.exists() and not dump.exists()
-        assert simulated == []
-        assert "over the step cap" in capsys.readouterr().err
-
-    def test_invalid_domain_value_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "b.csv"
-        assert _run("bounds", "--i-total", "-5", "--out", str(out)) == 2
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
+        ])
+    },
+    "test_bad_seed_or_workers_writes_nothing": {
+        f"argv{i}-{message}": Refusal(argv, message)
+        for i, (argv, message) in enumerate([
+            (("bounds", "--seed", "-1"), "--seed must be non-negative"),
+            (("approx", "--workers", "0"), "--workers must be at least 1"),
+        ])
+    },
+    # 4 / r rounds to one bin: refused when the estimation task is built, naming the resolution
+    "test_one_bin_resolution_is_refused": {
+        f"argv{i}": Refusal(argv, f"resolution {argv[-1]} leaves one bin")
+        for i, argv in enumerate([("estimate", "--resolution", "3"), ("slope", "--resolution", "3.99")])
+    },
+    # refused before any trial runs, so the report CSV is not left behind either
+    "test_missing_dump_directory_writes_nothing": Refusal(
+        ("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "missing/t.csv"), "no directory", 1,
+        "acp.stopping.run_trials"),
+    # one trial expects about 2e7 steps, past STEP_CAP: refused before it runs, not cut off by the cap
+    "test_trial_over_step_cap_writes_nothing": Refusal(
+        ("bounds", "--trials", "1", "--i-total", "2e7", *DUMP), "over the step cap", harness="acp.stopping.run_trials"),
+    "test_invalid_domain_value_is_config_error": Refusal(("bounds", "--i-total", "-5")),
+    "test_bad_bounds_config_writes_nothing": {
+        f"flags{i}": Refusal(("bounds", *flags, "--trials", "1", *DUMP)) for i, flags in enumerate([
             ("--mu", "2,nan"),
             ("--i-total", "inf"),
             ("--family", "uniform", "--m", "inf"),
@@ -167,62 +193,30 @@ class TestExitCodes:
             ("--family", "exponential", "--scale", "0.5"),
             ("--family", "uniform", "--scale", "0.5"),
             ("--family", "deterministic", "--scale", "0.5"),
-        ],
-    )
-    def test_bad_bounds_config_writes_nothing(self, tmp_path, capsys, flags):
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        code = _run("bounds", *flags, "--trials", "1", "--out", str(out), "--dump-trials", str(dump))
-        assert code == 2
-        assert not out.exists() and not dump.exists()
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--m", "0.5", "--mu-inf", "0.005", "--scale", "5"),
-            ("--m", "1", "--mu-inf", "0.95", "--scale", "1"),
-        ],
-    )
-    def test_extreme_truncated_gaussian_writes_nothing(self, tmp_path, capsys, flags):
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        argv = ("bounds", "--family", "truncated-gaussian", *flags, "--trials", "1")
-        assert _run(*argv, "--out", str(out), "--dump-trials", str(dump)) == 2
-        assert not out.exists() and not dump.exists()
-        assert "too extreme to sample reliably" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            # (M / mu_tail)^2 overflows
-            ("--family", "uniform", "--mu", "1e150", "--mu-inf", "1e-10"),
-            ("--family", "truncated-gaussian", "--m", "1e300", "--scale", "1"),
-        ],
-    )
-    def test_overflowing_step_budget_writes_nothing(self, tmp_path, capsys, flags):
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        assert _run("bounds", *flags, "--trials", "10", "--out", str(out), "--dump-trials", str(dump)) == 2
-        assert not out.exists() and not dump.exists()
-        assert "overflows" in capsys.readouterr().err
-
-    def test_runaway_step_total_writes_nothing(self, tmp_path, capsys):
-        # 10^4 trials of about 10^6 expected steps each: refused before any trial runs
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        argv = ("bounds", "--family", "exponential", "--mu-inf", "1e-5", "--i-total", "10",
-                "--trials", "10000", "--out", str(out), "--dump-trials", str(dump))
-        assert _run(*argv) == 2
-        assert not out.exists() and not dump.exists()
-        assert "1e+10 steps" in capsys.readouterr().err
-
-    def test_single_color_writes_nothing(self, tmp_path, capsys):
-        # refused before any graph is drawn; the search for a 1-colorable G(10, 0.3) would not end
-        out = tmp_path / "c.csv"
-        argv = ("coloring", "--n", "10", "--p", "0.3", "--k", "1", "--instances", "50", "--out", str(out))
-        assert _run(*argv) == 2
-        assert not out.exists() and not (tmp_path / "c_summary.csv").exists()
-        assert "k must be at least 2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "n, p, message",
-        [
+        ])
+    },
+    "test_extreme_truncated_gaussian_writes_nothing": {
+        f"flags{i}": Refusal(("bounds", "--family", "truncated-gaussian", *flags, "--trials", "1", *DUMP),
+                             "too extreme to sample reliably")
+        for i, flags in enumerate([("--m", "0.5", "--mu-inf", "0.005", "--scale", "5"),
+                                   ("--m", "1", "--mu-inf", "0.95", "--scale", "1")])
+    },
+    # (M / mu_tail)^2 overflows
+    "test_overflowing_step_budget_writes_nothing": {
+        f"flags{i}": Refusal(("bounds", *flags, "--trials", "10", *DUMP), "overflows")
+        for i, flags in enumerate([("--family", "uniform", "--mu", "1e150", "--mu-inf", "1e-10"),
+                                   ("--family", "truncated-gaussian", "--m", "1e300", "--scale", "1")])
+    },
+    # 10^4 trials of about 10^6 expected steps each: refused before any trial runs
+    "test_runaway_step_total_writes_nothing": Refusal(
+        ("bounds", "--family", "exponential", "--mu-inf", "1e-5", "--i-total", "10", "--trials", "10000", *DUMP),
+        "1e+10 steps"),
+    # refused before any graph is drawn; the search for a 1-colorable G(10, 0.3) would not end
+    "test_single_color_writes_nothing": Refusal(
+        ("coloring", "--n", "10", "--p", "0.3", "--k", "1", "--instances", "50"), "k must be at least 2"),
+    "test_bad_graph_config_writes_nothing": {
+        f"{n}-{p}-{message}": Refusal(("coloring", "--n", n, "--p", p, "--k", "3", "--instances", "50"), message)
+        for n, p, message in [
             ("0", "0.3", "n must be at least 1"),
             ("10", "nan", "p must lie in [0, 1]"),
             ("10", "1.5", "p must lie in [0, 1]"),
@@ -230,33 +224,49 @@ class TestExitCodes:
             # the search recurses once per vertex: n = 990 used to end in a RecursionError, exit 1
             ("990", "0.0005", "n must be at most 512, got 990"),
             ("1100", "0.0005", "n must be at most 512, got 1100"),
-        ],
-    )
-    def test_bad_graph_config_writes_nothing(self, tmp_path, capsys, n, p, message):
-        out = tmp_path / "c.csv"
-        argv = ("coloring", "--n", n, "--p", p, "--k", "3", "--instances", "50", "--out", str(out))
-        assert _run(*argv) == 2
-        assert not out.exists() and not (tmp_path / "c_summary.csv").exists()
-        assert message in capsys.readouterr().err
+        ]
+    },
+    "test_non_finite_noise_writes_nothing": {f"argv{i}": Refusal(argv, "noise") for i, argv in enumerate([
+        ("estimate", "--noise", "inf"),
+        ("estimate", "--noise", "nan"),
+        ("slope", "--noise", "1,inf", "--trials", "20"),
+        ("slope", "--noise", "1,nan", "--trials", "20"),
+        # sigma is finite but sigma^2 overflows: a config error, not an OverflowError
+        ("estimate", "--noise", "1e160"),
+        ("slope", "--noise", "1e160,1", "--trials", "20"),
+        ("slope", "--noise", "1,1e160", "--trials", "20"),
+    ])},
+    # refused before the hypothesis grid is built: over 10^10 posterior cells
+    "test_runaway_estimate_writes_nothing": {
+        f"flags{i}": Refusal(("estimate", *flags), "posterior cells")
+        for i, flags in enumerate([("--trials", "10000000"), ("--grid", "1000000000")])
+    },
+    # refused when the task is built; 16 draws is the least the estimator takes
+    "test_too_few_estimate_draws_writes_nothing": Refusal(
+        ("estimate", "--trials", "15"), "n_outcome_samples must be at least 16"),
+    # refused before any estimate or trial runs: over 10^10 cell-steps
+    "test_runaway_slope_writes_nothing": {f"flags{i}": Refusal(("slope", *flags), "cell-steps") for i, flags in enumerate([
+        ("--noise", "0.1,0.2", "--trials", "100000000"),
+        ("--noise", "100,200", "--trials", "20", "--step-cap", "100000000"),
+        # 7000 levels x (20 x 1 x 401 + 1 565 504 estimate cells) = 1.1e10
+        ("--noise", ",".join(map(str, range(1, 7001))), "--trials", "20", "--step-cap", "1"),
+    ])},
+    "test_non_finite_epsilon_writes_nothing": {
+        eps: Refusal(("approx", "--eps", eps), "epsilon") for eps in ("nan", "0,inf")
+    },
+    "test_refused": {
+        # the dump would overwrite the report
+        "dump-is-out": Refusal(("bounds", "--trials", "100", "--out", "x.csv", "--dump-trials", "x.csv"),
+                               "name the same file", harness="acp.stopping.run_trials"),
+        "dump-is-out-by-path": Refusal(("bounds", "--trials", "100", "--out", "x.csv", "--dump-trials", "./x.csv"),
+                                       "name the same file", harness="acp.stopping.run_trials"),
+        "empty-out": Refusal(("slope", "--out", ""), "--out must name a file", harness="acp.slope.run_noise_sweep"),
+    },
+}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("estimate", "--noise", "inf"),
-            ("estimate", "--noise", "nan"),
-            ("slope", "--noise", "1,inf", "--trials", "20"),
-            ("slope", "--noise", "1,nan", "--trials", "20"),
-            # sigma is finite but sigma^2 overflows: a config error, not an OverflowError
-            ("estimate", "--noise", "1e160"),
-            ("slope", "--noise", "1e160,1", "--trials", "20"),
-            ("slope", "--noise", "1,1e160", "--trials", "20"),
-        ],
-    )
-    def test_non_finite_noise_writes_nothing(self, tmp_path, capsys, argv):
-        out = tmp_path / "o.csv"
-        assert _run(*argv, "--out", str(out)) == 2
-        assert not out.exists() and not (tmp_path / "o_summary.csv").exists()
-        assert "noise" in capsys.readouterr().err
+
+class TestExitCodes(_table(REFUSALS, _check_refusal)):
+    """Every ``REFUSALS`` row, and the edge values that must run cleanly instead."""
 
     @pytest.mark.parametrize(
         "argv", [("estimate", "--noise", "1e-155"), ("slope", "--noise", "1e-155,1", "--trials", "20")]
@@ -289,50 +299,196 @@ class TestExitCodes:
         report = capsys.readouterr().out.splitlines()
         assert report[1].split()[1:] == ["-", "50.00", "0.00", "-"]
 
-    @pytest.mark.parametrize("flags", [("--trials", "10000000"), ("--grid", "1000000000")])
-    def test_runaway_estimate_writes_nothing(self, tmp_path, capsys, flags):
-        # refused before the hypothesis grid is built: over 10^10 posterior cells
-        out = tmp_path / "e.csv"
-        assert _run("estimate", *flags, "--out", str(out)) == 2
-        assert not out.exists()
-        assert "posterior cells" in capsys.readouterr().err
-
-    def test_too_few_estimate_draws_writes_nothing(self, tmp_path, capsys):
-        # refused when the task is built; 16 draws is the least the estimator takes
-        out = tmp_path / "e.csv"
-        assert _run("estimate", "--trials", "15", "--out", str(out)) == 2
-        assert not out.exists()
-        assert "n_outcome_samples must be at least 16" in capsys.readouterr().err
-        assert _run("estimate", "--trials", "16", "--out", str(out)) == 0
-        assert out.exists()
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ("--noise", "0.1,0.2", "--trials", "100000000"),
-            ("--noise", "100,200", "--trials", "20", "--step-cap", "100000000"),
-            # 7000 levels x (20 x 1 x 401 + 1 565 504 estimate cells) = 1.1e10
-            ("--noise", ",".join(map(str, range(1, 7001))), "--trials", "20", "--step-cap", "1"),
-        ],
-    )
-    def test_runaway_slope_writes_nothing(self, tmp_path, capsys, flags):
-        # refused before any estimate or trial runs: over 10^10 cell-steps
-        out = tmp_path / "s.csv"
-        assert _run("slope", *flags, "--out", str(out)) == 2
-        assert not out.exists() and not (tmp_path / "s_summary.csv").exists()
-        assert "cell-steps" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("eps", ["nan", "0,inf"])
-    def test_non_finite_epsilon_writes_nothing(self, tmp_path, capsys, eps):
-        out = tmp_path / "a.csv"
-        assert _run("approx", "--eps", eps, "--out", str(out)) == 2
-        assert not out.exists()
-        assert "epsilon" in capsys.readouterr().err
-
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert _run("bounds", "--trials", "200", "--out", str(out)) == 0
         assert out.exists()
+
+
+PINNED = {
+    "test_rerun_is_byte_identical": Pinned(
+        ("slope", "--noise", "0.1,1.0", "--trials", "20", "--seed", "5", "--out", "s.csv"),
+        {"s.csv": "987bd14d5cc3d0587b9a01015a69d3b216f3c126fe0d819e1298feed1354d471",
+         "s_summary.csv": "0e75666645de198fe0b564b44990f7f29be3bd4107dcbd115f0e3400c074596e"}),
+    "test_estimate_bytes_are_pinned": Pinned(
+        ("estimate", "--seed", "11", "--out", "e.csv"),
+        {"e.csv": ESTIMATE_HEADER + b"5.321758,2.477488,2.148046,3,0.903436,0.783303,true\n"}),
+    # 2048 draws span several posterior blocks of the estimator
+    "test_large_estimate_bytes_are_pinned": {
+        f"flags{i}-{row.decode()}": Pinned(("estimate", *flags, "--out", "e.csv"), {"e.csv": ESTIMATE_HEADER + row})
+        for i, (flags, row) in enumerate([
+            (("--trials", "2048", "--seed", "3"), b"5.321758,2.469381,2.155098,3,0.159706,0.139380,true\n"),
+            (("--noise", "3", "--trials", "2048", "--seed", "0"),
+             b"5.321758,0.514378,10.346008,11,0.159706,3.212276,true\n"),
+        ])
+    },
+    "test_slope_summary_bytes_are_pinned": Pinned(
+        ("slope", "--noise", "0.1,0.5", "--trials", "20", "--seed", "11", "--out", "s.csv"),
+        {"s_summary.csv": b"sigma,steps_predicted,steps_actual_mean,steps_actual_se,gap\n"
+                          b"0.100000,2,2.000000,0.072548,0.000000\n"
+                          b"0.500000,3,40.050000,1.219307,37.050000\n"}),
+    # every sigma = 3 trial runs to the 200-step cap
+    "test_slope_bytes_are_pinned": Pinned(
+        ("slope", "--noise", "0.3,3", "--trials", "20", "--seed", "5", "--out", "s.csv"),
+        {"s.csv": "cc561a6209d58f9ac3c1623f09d0dbfe0c0685301faace47e6d06c0996dd6794",
+         "s_summary.csv": "81fff5308767e000d625a5d236b3741fdf2a359e42adb2c87cf54c7f607d36d8"}),
+    "test_bounds_bytes_are_pinned": Pinned(
+        ("bounds", "--trials", "2000", "--seed", "11", *DUMP),
+        {"b.csv": BOUNDS_HEADER + b"10.000000,12.000000,10.997500,2000,0.069833,true\n",
+         "t.csv": "b9aef3378a6b16a6c5b186e04eedd0f8caadc06359425c6295e5b6f7dfa024c9"}),
+    # the upper bound reads M2 and the step budget reads M, both the family's exact values;
+    # only the truncated-gaussian takes --m and --scale, which set its window, M2 and draws
+    "test_bounds_family_bytes_are_pinned": {
+        f"{family}-overrides{i}-{row.decode()}-{n_delta}-{dump_sha}": Pinned(
+            ("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "20", "--trials", "500",
+             "--seed", "3", *overrides, *DUMP),
+            {"b.csv": BOUNDS_HEADER + row, "t.csv": dump_sha}, f"steps for completion w.p. 95.00%: {n_delta}\n")
+        for i, (family, overrides, row, n_delta, dump_sha) in enumerate([
+            ("uniform", (), b"10.000000,25.333333,19.018000,500,0.131780,true\n", 66,
+             "5f26615904e7ec4cd5fd9d7fa510798c8d41fefd18a1a41b5151f99c6494342d"),
+            ("truncated-gaussian", ("--scale", "0.3"),
+             b"10.000000,24.090000,18.974000,500,0.059748,true\n", 160,
+             "e7cd28926aa6a72e2b1fefd9ac109c89b6239b2239393f23a4d5de39825674c9"),
+            ("deterministic", (), b"10.000000,24.000000,19.000000,500,0.000000,true\n", 37,
+             "08e5cda0b266f97a277bff1056b487953338c1cfccf32aed9865290a3a6694c9"),
+            ("truncated-gaussian", ("--m", "3", "--scale", "0.8"),
+             b"10.000000,24.379698,19.006000,500,0.127139,true\n", 50,
+             "3159acbd3858e7b1d08016e188f458f20c5589b07fc53dc0c252918f977266d2"),
+            ("truncated-gaussian", (), b"10.000000,24.249866,18.988000,500,0.096303,true\n", 160,
+             "b2100b1a1262a96b2437de11173c95eb22a08a625d9c5e1da7a6062a3346db77"),
+            ("truncated-gaussian", ("--m", "5"),
+             b"10.000000,24.249866,18.988000,500,0.096303,true\n", 85,
+             "854ea5c5d3e78a11aefde0ed5c06eb3212d41b43535d0687f8635f904416b508"),
+        ])
+    },
+    # about 9000 steps a trial: three rounds of up to 4096 steps, each in ten chunks of four trials
+    "test_long_trial_bytes_are_pinned": {
+        f"{family}-{row.decode()}-{dump_sha}": Pinned(
+            ("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "9000", "--trials", "40",
+             "--seed", "3", *DUMP),
+            {"b.csv": BOUNDS_HEADER + row, "t.csv": dump_sha})
+        for family, row, dump_sha in [
+            ("deterministic", b"4500.000000,9004.000000,8999.000000,40,0.000000,true\n",
+             "a8ee615e2bb22f76912a6eddfb3868e22bfef221cd0564a90643764bad2229c3"),
+            ("exponential", b"4500.000000,9008.000000,8990.575000,40,15.529578,true\n",
+             "36e69048c55ea658b8d12a8e95339ac92aa03d54dd02f439a5041175162d12b3"),
+            ("uniform", b"4500.000000,9005.333333,8990.300000,40,8.924196,true\n",
+             "4de3c6ba6f7d406fb586d24280a51544b50fb04e8e06e02b6955681376e15e56"),
+            ("truncated-gaussian", b"4500.000000,9004.249866,8993.475000,40,7.375200,true\n",
+             "7ac4244209264f2c1adf0185c0e999210b4171b749ee5643c220ceae09f3a59d"),
+        ]
+    },
+    "test_coloring_bytes_are_pinned": {
+        f"flags{i}-{detail_sha}-{summary_sha}": Pinned(
+            ("coloring", *flags, "--out", "c.csv"), {"c.csv": detail_sha, "c_summary.csv": summary_sha})
+        for i, (flags, detail_sha, summary_sha) in enumerate([
+            # the default campaign keeps 250 of about 3 800 drawn graphs
+            (("--seed", "0"),
+             "88fc1b1cf27fa32c2b754e3bd060479cc99aa99eef133ab394127352adfd80c5",
+             "d7ace1355e2818d4910e39c1dff03b3f4d70ddb6178c3f34e0418a278812d9eb"),
+            (("--n", "10", "--p", "0.3", "--k", "3", "--instances", "50", "--seed", "11"),
+             "6dc41fe62eecffd1636993bfa1ef71a5b2ec9d83d007dd478d6b9bb086f48372",
+             "094b4721c3f6e3d7f91298bd411ef4db688e28ade9b849fdcd536d968c656098"),
+            (("--seed", "42"),
+             "47071fe46eb4dfddfe43e9efe50725e342aa032f4992d1d7d8220e7c7520d72c",
+             "cbdc0a64fc8ae394471f6533513867df13ae5ec8e9a73270d3443e1fed2b7902"),
+            # deep searches: the random agent averages about 2 900 expansions here
+            (("--n", "30", "--p", "0.15", "--k", "3", "--instances", "50", "--seed", "1"),
+             "53fcd9be9b5c4684b04ba358b44eacccc62bcd489d8dd395e9babc2c6cdb519f",
+             "1c24ce95cddbdb0f5032de19bcb9bca37d5946dfa82121ac5b1b0a754f09795e"),
+            # 70 vertices: two-word neighbor masks in the filter
+            (("--n", "70", "--p", "0.04", "--k", "3", "--instances", "50", "--seed", "3"),
+             "04682b9adc6c03efa29343df0192b5cc6f54d98a09cd1c4d178adfb7a1fc9823",
+             "805f257388d31676c8b0df7da621d26786794caf0c975d2e778c55c66a964eca"),
+        ])
+    },
+    "test_approx_bytes_are_pinned": {
+        f"flags{i}-{sha}": Pinned(("approx", *flags, "--out", "a.csv"), {"a.csv": sha})
+        for i, (flags, sha) in enumerate([
+            (("--items", "20", "--seed", "3"), "8558084c9fcf77189c966a3f3d11812bc70ac2ac5d600eec07ab2f48d547fad6"),
+            (("--seed", "11"), "9ea140eb2ee7d9f88091014e1048b15823fedfad4db4e92aebf9cf92dd2cc595"),
+        ])
+    },
+    # two trial blocks, so the parallel run really starts a pool
+    "test_workers_do_not_change_output": Pinned(
+        ("bounds", "--trials", "2000", "--seed", "3", *DUMP),
+        {"b.csv": "14cbb5fd9dd4b766c612d3d8eab6515dc0be3eee0b6907bdbae7dc3a24e8a303",
+         "t.csv": "4f2d836dbee048cde5e4c83167164ea834b5e06021dfa611c7344a29852b0923"}),
+    "test_pinned": {
+        "coloring-n10": Pinned(
+            ("coloring", "--n", "10", "--p", "0.3", "--k", "3", "--instances", "50", "--out", "c.csv"),
+            {"c.csv": "5b83dee32dfa7fac76ca649ea74e7c6d1ba37e9a36813c0550703dd6d1ef1d5b",
+             "c_summary.csv": "bc2a4dfe3f759b28bc62ac4a296334e4d11c551e2332201c9ecc6fc223293ac9"}),
+        # deep searches: the random agent averages about 2 400 expansions an instance here
+        "coloring-deep": Pinned(
+            ("coloring", "--n", "30", "--p", "0.15", "--k", "3", "--instances", "50", "--out", "c.csv"),
+            {"c.csv": "5d8a419face94e9f056dcded82cffc30e2c3d04728e68df35c117574cd21b897",
+             "c_summary.csv": "eda299a4253bef13c03a7b19c0dbc91e51617c267496eba3bd8a8cac4b7e06ca"}),
+        # 26 trials are two sweep blocks per level, so --workers 2 starts a pool
+        "slope-two-blocks": Pinned(
+            ("slope", "--noise", "0.3,3", "--trials", "26", "--out", "s.csv"),
+            {"s.csv": "88b4521e37c4d448c8d83f426d3cbeea853dc6c34870f8263b03062fdd1a71cd",
+             "s_summary.csv": "1212ff63a9c4e80e9f6ffeddb6ccb9521459f7344bc56c663356e235255728d8"}),
+        # the slope agent's candidate screen at tiny sigma and up to the step cap
+        "slope-screen": Pinned(
+            ("slope", "--noise", "0.05,1,3", "--trials", "26", "--step-cap", "2000", "--out", "s.csv"),
+            {"s.csv": "69c1e95cd0db5cc2fc777424164cec2ee48fe86c394c97f2cff05f903d40e5f3",
+             "s_summary.csv": "39f163b91639eaca91bfe81d57a4df82802a66b397513b7eb196534da1b641b5"}),
+        # the mc-many-short benchmark command: 98 trial blocks and 7 chunks of the dump writer
+        "mc-many-short": Pinned(
+            ("bounds", "--family", "exponential", "--i-total", "10", "--trials", "100000", *DUMP),
+            {"b.csv": "5b4fea2a495f3c4422db5a3bed60a17668dade06d63daab9f8a64caf48d8341f",
+             "t.csv": "b5ca476cdda3bb139e1f8b9faa88b0df1ac179f2c2fff40647093714a0eb3597"}),
+        # about 9000 steps a trial: several rounds of the block engine, several chunks each;
+        # 1025 trials are two trial blocks, so --workers 2 starts a pool
+        **{f"long-{family}": Pinned(
+            ("bounds", "--family", family, "--mu", "2,1.5", "--i-total", "9000", "--trials", "1025", *DUMP),
+            {"b.csv": report_sha, "t.csv": dump_sha})
+           for family, report_sha, dump_sha in [
+               ("deterministic", "9f50ceb440cf10ade9ae4043543242e05db23b1a6198464f05e9e28314ced89f",
+                "f237fb1105405fc420b8d9700f2fc637be68bf6301f8386a2534c1be704da491"),
+               ("exponential", "076281b984279e5af99f6cc12c148114c1ad9ad0f1dd9c930dd44bc97e781b48",
+                "edcae9a96ae8d6d4f3430a6b89c6844318f1102e724bdd0185e91187683949b4"),
+               ("uniform", "54f833d03e2f48b7ca8ff769f7a28799b20387b7b9aa3cff806a09c2d739e0e8",
+                "28d3a4edaf3254363de14c448cff91e974e2c624a4f2c58947b2de557808e826"),
+               ("truncated-gaussian", "b62fd1f070cd73b6fa87c1c748be59b5e9dec7b852c71691d400fe9a7b70024b",
+                "85f36253b46d19190a9e9964de54aa31b6abf7e2cedeaf7aaf0351424c1d1e05"),
+           ]},
+        # a 5000-step prefix: the second round straddles its end, and every trial
+        # (about 9000 steps) runs into a third round drawn against the scalar tail mean
+        **{f"prefix-{family}": Pinned(
+            ("bounds", "--family", family, "--mu", ",".join(["2"] * 5000), "--mu-inf", "1.5", "--i-total", "16000",
+             "--trials", "1025", *DUMP),
+            {"b.csv": report_sha, "t.csv": dump_sha})
+           for family, report_sha, dump_sha in [
+               ("exponential", "c87b6997c464cfb30a80067c95e2fa56131057ba3a47f69c3a65ef82f3285e02",
+                "500182227b7b234d81ea8456d06b70a5af03db57845982fde266ff8e34b22789"),
+               ("truncated-gaussian", "dac13e7393d9732d967296284b31b9bc57d592e7329a23d5ac2e3dd5754bfdbd",
+                "f36ee05b5e0c16ccc1acb49714e206966dc506fd6898983880b605d6fdb9b66e"),
+           ]},
+        # s_n above 2^43 sends the dump through the row writer
+        "row-writer-dump": Pinned(
+            ("bounds", "--mu-inf", "1e12", "--i-total", "1e13", "--trials", "50", *DUMP),
+            {"b.csv": "bff63b3faf5ac9b888d08725e294a6bb7c30ce9babd0557357d5b2fcf1275d8b",
+             "t.csv": "d49825779488e67310b8cc036e9320aba640c47f16526a63cefd933b599f1577"}),
+        # 16 draws is the least the estimator takes
+        "estimate-16-draws": Pinned(
+            ("estimate", "--trials", "16", "--out", "e.csv"),
+            {"e.csv": "752f4d993cc2de003ed756a66ea5382ead46d17119e73d7d6868afa04e23b816"}),
+    },
+}
+
+
+class TestDeterminism(_table(PINNED, _check_pinned)):
+    """Every ``PINNED`` row, at ``--workers 1`` and ``--workers 2``."""
+
+
+def test_every_subcommand_has_refusal_and_pinned_rows():
+    for table in (REFUSALS, PINNED):
+        rows = [row for group in table.values() for row in (group.values() if isinstance(group, dict) else [group])]
+        assert {row.argv[0] for row in rows} >= set(_RUNNERS)
+    # the 2000-trial bounds rows span two trial blocks, so --workers 2 starts a pool
+    assert 2000 > TRIAL_BLOCK
 
 
 class TestRunners:
@@ -404,181 +560,6 @@ class TestApproxOutput:
         assert _run("approx", "--eps", "0,1000", "--out", str(out)) == 0
         last = out.read_text().strip().split("\n")[-1]
         assert last == "1000.000000,1024,1.000000,0.000000,0.000000"
-
-
-class TestDeterminism:
-    def test_rerun_is_byte_identical(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            assert _run("slope", "--noise", "0.1,1.0", "--trials", "20",
-                        "--seed", "5", "--out", str(out)) == 0
-        assert _read(a) == _read(b)
-        assert _read(tmp_path / "a_summary.csv") == _read(tmp_path / "b_summary.csv")
-
-    def test_estimate_bytes_are_pinned(self, tmp_path, capsys):
-        out = tmp_path / "e.csv"
-        assert _run("estimate", "--seed", "11", "--out", str(out)) == 0
-        assert _read(out) == (
-            b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n"
-            b"5.321758,2.477488,2.148046,3,0.903436,0.783303,true\n"
-        )
-
-    @pytest.mark.parametrize(
-        "flags, row",
-        [
-            # 2048 draws span several posterior blocks of the estimator
-            (("--trials", "2048", "--seed", "3"),
-             b"5.321758,2.469381,2.155098,3,0.159706,0.139380,true\n"),
-            (("--noise", "3", "--trials", "2048", "--seed", "0"),
-             b"5.321758,0.514378,10.346008,11,0.159706,3.212276,true\n"),
-        ],
-    )
-    def test_large_estimate_bytes_are_pinned(self, tmp_path, capsys, flags, row):
-        out = tmp_path / "e.csv"
-        assert _run("estimate", *flags, "--out", str(out)) == 0
-        assert _read(out) == (
-            b"i_total_bits,i_s_bits,c_eff,predicted_steps,mc_error_bits,margin,solvable\n" + row
-        )
-
-    def test_slope_summary_bytes_are_pinned(self, tmp_path, capsys):
-        out = tmp_path / "s.csv"
-        assert _run("slope", "--noise", "0.1,0.5", "--trials", "20", "--seed", "11",
-                    "--out", str(out)) == 0
-        assert _read(tmp_path / "s_summary.csv") == (
-            b"sigma,steps_predicted,steps_actual_mean,steps_actual_se,gap\n"
-            b"0.100000,2,2.000000,0.072548,0.000000\n"
-            b"0.500000,3,40.050000,1.219307,37.050000\n"
-        )
-
-    def test_slope_bytes_are_pinned(self, tmp_path, capsys):
-        # every sigma = 3 trial runs to the 200-step cap
-        out = tmp_path / "s.csv"
-        assert _run("slope", "--noise", "0.3,3", "--trials", "20", "--seed", "5",
-                    "--out", str(out)) == 0
-        assert hashlib.sha256(_read(out)).hexdigest() == (
-            "cc561a6209d58f9ac3c1623f09d0dbfe0c0685301faace47e6d06c0996dd6794"
-        )
-        assert hashlib.sha256(_read(tmp_path / "s_summary.csv")).hexdigest() == (
-            "81fff5308767e000d625a5d236b3741fdf2a359e42adb2c87cf54c7f607d36d8"
-        )
-
-    def test_bounds_bytes_are_pinned(self, tmp_path, capsys):
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        assert _run("bounds", "--trials", "2000", "--seed", "11", "--out", str(out),
-                    "--dump-trials", str(dump)) == 0
-        assert _read(out) == (
-            b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n"
-            b"10.000000,12.000000,10.997500,2000,0.069833,true\n"
-        )
-        assert hashlib.sha256(_read(dump)).hexdigest() == (
-            "b9aef3378a6b16a6c5b186e04eedd0f8caadc06359425c6295e5b6f7dfa024c9"
-        )
-
-    @pytest.mark.parametrize(
-        "family, overrides, row, n_delta, dump_sha",
-        [
-            ("uniform", (), b"10.000000,25.333333,19.018000,500,0.131780,true\n", 66,
-             "5f26615904e7ec4cd5fd9d7fa510798c8d41fefd18a1a41b5151f99c6494342d"),
-            ("truncated-gaussian", ("--scale", "0.3"),
-             b"10.000000,24.090000,18.974000,500,0.059748,true\n", 160,
-             "e7cd28926aa6a72e2b1fefd9ac109c89b6239b2239393f23a4d5de39825674c9"),
-            ("deterministic", (), b"10.000000,24.000000,19.000000,500,0.000000,true\n", 37,
-             "08e5cda0b266f97a277bff1056b487953338c1cfccf32aed9865290a3a6694c9"),
-            ("truncated-gaussian", ("--m", "3", "--scale", "0.8"),
-             b"10.000000,24.379698,19.006000,500,0.127139,true\n", 50,
-             "3159acbd3858e7b1d08016e188f458f20c5589b07fc53dc0c252918f977266d2"),
-            ("truncated-gaussian", (), b"10.000000,24.249866,18.988000,500,0.096303,true\n", 160,
-             "b2100b1a1262a96b2437de11173c95eb22a08a625d9c5e1da7a6062a3346db77"),
-            ("truncated-gaussian", ("--m", "5"),
-             b"10.000000,24.249866,18.988000,500,0.096303,true\n", 85,
-             "854ea5c5d3e78a11aefde0ed5c06eb3212d41b43535d0687f8635f904416b508"),
-        ],
-    )
-    def test_bounds_family_bytes_are_pinned(self, tmp_path, capsys, family, overrides, row, n_delta, dump_sha):
-        # the upper bound reads M2 and the step budget reads M, both the family's exact values;
-        # only the truncated-gaussian takes --m and --scale, which set its window, M2 and draws
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        assert _run("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "20",
-                    "--trials", "500", "--seed", "3", *overrides, "--out", str(out),
-                    "--dump-trials", str(dump)) == 0
-        assert _read(out) == b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n" + row
-        assert f"steps for completion w.p. 95.00%: {n_delta}\n" in capsys.readouterr().out
-        assert hashlib.sha256(_read(dump)).hexdigest() == dump_sha
-
-    @pytest.mark.parametrize(
-        "family, row, dump_sha",
-        [
-            ("deterministic", b"4500.000000,9004.000000,8999.000000,40,0.000000,true\n",
-             "a8ee615e2bb22f76912a6eddfb3868e22bfef221cd0564a90643764bad2229c3"),
-            ("exponential", b"4500.000000,9008.000000,8990.575000,40,15.529578,true\n",
-             "36e69048c55ea658b8d12a8e95339ac92aa03d54dd02f439a5041175162d12b3"),
-            ("uniform", b"4500.000000,9005.333333,8990.300000,40,8.924196,true\n",
-             "4de3c6ba6f7d406fb586d24280a51544b50fb04e8e06e02b6955681376e15e56"),
-            ("truncated-gaussian", b"4500.000000,9004.249866,8993.475000,40,7.375200,true\n",
-             "7ac4244209264f2c1adf0185c0e999210b4171b749ee5643c220ceae09f3a59d"),
-        ],
-    )
-    def test_long_trial_bytes_are_pinned(self, tmp_path, capsys, family, row, dump_sha):
-        # about 9000 steps a trial: three rounds of up to 4096 steps, each in ten chunks of four trials
-        out, dump = tmp_path / "b.csv", tmp_path / "trials.csv"
-        assert _run("bounds", "--family", family, "--mu", "2,1.5", "--mu-inf", "1", "--i-total", "9000",
-                    "--trials", "40", "--seed", "3", "--out", str(out), "--dump-trials", str(dump)) == 0
-        assert _read(out) == b"lower,upper,empirical_mean_cost,n_trials,standard_error,within_bounds\n" + row
-        assert hashlib.sha256(_read(dump)).hexdigest() == dump_sha
-
-    @pytest.mark.parametrize(
-        "flags, detail_sha, summary_sha",
-        [
-            (("--seed", "0"),
-             "88fc1b1cf27fa32c2b754e3bd060479cc99aa99eef133ab394127352adfd80c5",
-             "d7ace1355e2818d4910e39c1dff03b3f4d70ddb6178c3f34e0418a278812d9eb"),
-            (("--n", "10", "--p", "0.3", "--k", "3", "--instances", "50", "--seed", "11"),
-             "6dc41fe62eecffd1636993bfa1ef71a5b2ec9d83d007dd478d6b9bb086f48372",
-             "094b4721c3f6e3d7f91298bd411ef4db688e28ade9b849fdcd536d968c656098"),
-            (("--seed", "42"),
-             "47071fe46eb4dfddfe43e9efe50725e342aa032f4992d1d7d8220e7c7520d72c",
-             "cbdc0a64fc8ae394471f6533513867df13ae5ec8e9a73270d3443e1fed2b7902"),
-            # deep searches: the random agent averages about 2 900 expansions here
-            (("--n", "30", "--p", "0.15", "--k", "3", "--instances", "50", "--seed", "1"),
-             "53fcd9be9b5c4684b04ba358b44eacccc62bcd489d8dd395e9babc2c6cdb519f",
-             "1c24ce95cddbdb0f5032de19bcb9bca37d5946dfa82121ac5b1b0a754f09795e"),
-            # 70 vertices: two-word neighbor masks in the filter
-            (("--n", "70", "--p", "0.04", "--k", "3", "--instances", "50", "--seed", "3"),
-             "04682b9adc6c03efa29343df0192b5cc6f54d98a09cd1c4d178adfb7a1fc9823",
-             "805f257388d31676c8b0df7da621d26786794caf0c975d2e778c55c66a964eca"),
-        ],
-    )
-    def test_coloring_bytes_are_pinned(self, tmp_path, capsys, flags, detail_sha, summary_sha):
-        # the default campaign keeps 250 of about 3 800 drawn graphs
-        out = tmp_path / "c.csv"
-        assert _run("coloring", *flags, "--out", str(out)) == 0
-        assert hashlib.sha256(_read(out)).hexdigest() == detail_sha
-        assert hashlib.sha256(_read(tmp_path / "c_summary.csv")).hexdigest() == summary_sha
-
-    @pytest.mark.parametrize(
-        "flags, sha",
-        [
-            (("--items", "20", "--seed", "3"),
-             "8558084c9fcf77189c966a3f3d11812bc70ac2ac5d600eec07ab2f48d547fad6"),
-            (("--seed", "11"),
-             "9ea140eb2ee7d9f88091014e1048b15823fedfad4db4e92aebf9cf92dd2cc595"),
-        ],
-    )
-    def test_approx_bytes_are_pinned(self, tmp_path, capsys, flags, sha):
-        out = tmp_path / "a.csv"
-        assert _run("approx", *flags, "--out", str(out)) == 0
-        assert hashlib.sha256(_read(out)).hexdigest() == sha
-
-    def test_workers_do_not_change_output(self, tmp_path, capsys):
-        # two trial blocks, so the parallel run really starts a pool
-        assert 2000 > TRIAL_BLOCK
-        a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert _run("bounds", "--trials", "2000", "--seed", "3", "--out", str(a),
-                    "--dump-trials", str(tmp_path / "t1.csv"), "--workers", "1") == 0
-        assert _run("bounds", "--trials", "2000", "--seed", "3", "--out", str(b),
-                    "--dump-trials", str(tmp_path / "t2.csv"), "--workers", "2") == 0
-        assert _read(a) == _read(b)
-        assert _read(tmp_path / "t1.csv") == _read(tmp_path / "t2.csv")
 
 
 class TestConfigFile:
