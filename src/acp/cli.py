@@ -14,13 +14,15 @@ may also come from a key=value file via --config; explicit flags win.
 
 Every command takes the same steps in the same order:
   1. parse the flags and the --config file; a bad one exits 2;
-  2. check that the directory of every output CSV exists; if not, exit 1;
+  2. check that every output CSV's directory exists and that no output path
+     is itself a directory; if not, exit 1;
   3. check the option values (exit 2) and run the experiment;
   4. write every CSV, print the report and one line naming each file written.
 A run refused before step 4 writes no file.
 
 Exit codes: 0 success, 1 runtime failure (a missing output directory, an
-unwritable file, an error inside the run), 2 usage or configuration error.
+output path that is a directory, an unwritable file, an error inside the
+run), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -148,7 +150,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file entries, and explicit flags (flags win)."""
+    """Merge defaults, config-file entries, and explicit flags (flags win).
+
+    ``slope`` and ``coloring`` also get ``summary``, the path of their summary
+    CSV: ``--out`` with ``_summary`` before its extension.
+    """
     table = {opt.dest: opt for opt in _OPTIONS[args.command]}
     merged = {dest: opt.default for dest, opt in table.items()}
     if args.config is not None:
@@ -169,6 +175,9 @@ def resolve_options(args: argparse.Namespace) -> dict:
             merged[dest] = given
     if merged.get("out") is None:
         merged["out"] = f"{args.command}.csv"
+    if args.command in ("slope", "coloring"):
+        base, ext = os.path.splitext(merged["out"])
+        merged["summary"] = base + "_summary" + (ext or ".csv")
     return merged
 
 
@@ -192,48 +201,44 @@ def _format_cell(value) -> str:
 
 #: Rows of a structured array formatted per chunk by write_csv.
 _CHUNK_ROWS = 1 << 14
-#: Below this magnitude round(|x| * 10**6) is computed exactly and fits int64.
+#: Below this, a non-negative float's round(x * 10**6) is computed exactly in 64-bit integers.
 _FLOAT_LIMIT = 2.0**43
 
 
 def _split_column(values: np.ndarray):
-    """One chunk of a field as (whole, negative, millionths), or None.
+    """One chunk of a field as (whole, millionths), or None.
 
-    ``whole`` is the uint64 magnitude of the integer part and ``millionths``
-    the six decimals of a float field (None for an integer field). A float
-    chunk holding a non-finite value or one of magnitude 2**43 or more
-    gives None.
+    ``whole`` is the integer part and ``millionths`` the six decimals of a
+    float field (None for an integer field). A chunk holding a negative
+    value (-0.0 included), a non-finite float or one of 2**43 or more gives
+    None.
 
     A float rounds as '%.6f' does, half to even on the exact binary value:
-    with y = |x| = yi + f, f * 10**6 = z * 15625 for z = 64 f, and z splits
-    into zh (multiples of 2**-33) and zl, so A = zh * 15625 and B = zl * 15625
-    are exact wherever B decides a tie. N = yi * 10**6 + floor(A), plus one
+    with x = xi + f, f * 10**6 = z * 15625 for z = 64 f, and z splits into
+    zh (multiples of 2**-33) and zl, so A = zh * 15625 and B = zl * 15625
+    are exact wherever B decides a tie. N = xi * 10**6 + floor(A), plus one
     when B exceeds 0.5 - frac(A) or equals it with floor(A) odd.
     """
-    if values.dtype.kind == "f":
-        x = values.astype(np.float64, copy=False)
-        y = np.abs(x)
-        if not (y < _FLOAT_LIMIT).all():  # nan compares false
+    if values.dtype.kind != "f":
+        if (values < 0).any():
             return None
-        yi = np.floor(y)
-        z = (y - yi) * 64.0
-        zh = np.floor(z * 2.0**33) * 2.0**-33
-        a = zh * 15625.0
-        b = (z - zh) * 15625.0
-        ai = np.floor(a)
-        t = 0.5 - (a - ai)
-        n = ai.astype(np.int64)
-        up = (b > t) | ((b == t) & (n & 1).astype(bool))
-        n += yi.astype(np.int64) * 10**6
-        n += up
-        whole = n // 10**6
-        return whole.view(np.uint64), np.signbit(x), n - whole * 10**6
-    if values.dtype.kind == "u":
-        return values.astype(np.uint64), None, None
-    signed = values.astype(np.int64)
-    negative = signed < 0
-    whole = signed.view(np.uint64)
-    return np.where(negative, np.uint64(0) - whole, whole), negative, None
+        return values.astype(np.uint64), None
+    x = values.astype(np.float64, copy=False)
+    if np.signbit(x).any() or not (x < _FLOAT_LIMIT).all():  # nan compares false
+        return None
+    xi = np.floor(x)
+    z = (x - xi) * 64.0
+    zh = np.floor(z * 2.0**33) * 2.0**-33
+    a = zh * 15625.0
+    b = (z - zh) * 15625.0
+    ai = np.floor(a)
+    t = 0.5 - (a - ai)
+    n = ai.astype(np.uint64)
+    up = (b > t) | ((b == t) & (n & 1).astype(bool))
+    n += xi.astype(np.uint64) * 10**6
+    n += up
+    whole = n // 10**6
+    return whole, n - whole * 10**6
 
 
 def _put_digits(out: np.ndarray, end: int, q: np.ndarray, width: int, pad: bool) -> None:
@@ -255,7 +260,7 @@ def _put_digits(out: np.ndarray, end: int, q: np.ndarray, width: int, pad: bool)
 
 
 def _format_chunk(columns: list[np.ndarray]) -> str | None:
-    """The CSV text of one chunk of rows, or None if a float is out of range.
+    """The CSV text of one chunk of rows, or None if _split_column refuses a field.
 
     Each field is right-aligned in a fixed-width slot of NUL bytes, followed
     by its ',' or '\\n' column; dropping the NULs, with ``bytes.translate``,
@@ -264,27 +269,17 @@ def _format_chunk(columns: list[np.ndarray]) -> str | None:
     parts = [_split_column(values) for values in columns]
     if any(part is None for part in parts):
         return None
-    slots = []
-    for whole, negative, millionths in parts:
-        digits = len(str(int(whole.max())))
-        signed = negative is not None and bool(negative.any())
-        slots.append((digits, signed, signed + digits + (7 if millionths is not None else 0)))
-    out = np.zeros((len(columns[0]), sum(slot[2] + 1 for slot in slots)), dtype=np.uint8)
+    digits = [len(str(int(whole.max()))) for whole, _ in parts]
+    width = sum(digits) + sum(1 + 7 * (millionths is not None) for _, millionths in parts)
+    out = np.zeros((len(columns[0]), width), dtype=np.uint8)
     end = 0
-    for (whole, negative, millionths), (digits, signed, width) in zip(parts, slots):
-        end += width
-        stop = end
+    for (whole, millionths), whole_digits in zip(parts, digits):
+        end += whole_digits
+        _put_digits(out, end, whole, whole_digits, pad=False)
         if millionths is not None:
+            out[:, end] = ord(".")
+            end += 7
             _put_digits(out, end, millionths, 6, pad=True)
-            stop -= 7
-            out[:, stop] = ord(".")
-        _put_digits(out, stop, whole, digits, pad=False)
-        if signed:
-            rows = np.flatnonzero(negative)
-            start = stop - digits - 1
-            # the slot's first nonzero byte is the row's first digit; '-' goes just before it
-            first = (out[rows, start:stop] != 0).argmax(axis=1)
-            out[rows, start + first - 1] = ord("-")
         out[:, end] = ord(",")
         end += 1
     out[:, -1] = ord("\n")
@@ -300,9 +295,10 @@ def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> No
     chunk formatted by numpy into one ASCII string: integers as %d and
     floats as %.6f, correctly rounded half to even as Python rounds them,
     so the bytes are _format_cell's and never need quoting. A chunk holding
-    a non-finite float or one of magnitude 2**43 or more goes through
-    csv.writer and _format_cell row by row instead. A field of any other
-    kind raises TypeError before the file is opened.
+    a negative value (-0.0 included), a non-finite float or one of 2**43 or
+    more goes through csv.writer and _format_cell row by row instead, with
+    the same bytes. A field of any other kind raises TypeError before the
+    file is opened.
     """
     fields = None
     if isinstance(rows, np.ndarray) and rows.dtype.names:
@@ -325,18 +321,14 @@ def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> No
                 fh.write(text)
 
 
-def _summary_path(out: str) -> str:
-    base, ext = os.path.splitext(out)
-    return base + "_summary" + (ext or ".csv")
-
-
 def _check_output_dirs(o: dict) -> None:
-    """Fail on a missing directory for any CSV the run writes; a summary CSV
-    sits in the directory of ``--out``."""
-    for path in filter(None, (o["out"], o.get("dump_trials"))):
+    """Fail on a missing directory for any CSV the run writes, or on a path that is a directory."""
+    for path in filter(None, (o["out"], o.get("dump_trials"), o.get("summary"))):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise OSError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
 
 
 # -- subcommand runners ---------------------------------------------------
@@ -351,7 +343,9 @@ def run_bounds(o: dict) -> tuple[list, list[str]]:
     n_delta = None
     if spec.support_bound is not None:
         n_delta = stopping.high_prob_steps(o["i_total"], spec.mean_tail, spec.support_bound, o["delta"])
-    trial_steps = stopping.cost_bounds(spec, o["i_total"], o["cs"])[1] / o["cs"]
+    if not np.isfinite(stopping.cost_bounds(spec, o["i_total"], o["cs"])[1]):
+        raise ValueError(f"--cs {o['cs']!r} makes the upper cost bound overflow")
+    trial_steps = stopping.cost_bounds(spec, o["i_total"], 1.0)[1]
     if not trial_steps <= stopping.STEP_CAP:
         raise ValueError(
             f"a trial expects up to {trial_steps:.3g} steps, over the step cap of {stopping.STEP_CAP:.0e}"
@@ -389,9 +383,8 @@ def run_slope(o: dict) -> tuple[list, list[str]]:
     summary = [[l.sigma, l.steps_predicted, l.steps_actual_mean, l.steps_actual_se, l.gap]
                for l in report.levels]
     tables = [
-        (o["out"], ["sigma", "trial", "steps_actual", "completed", "final_error"], report.trials.tolist()),
-        (_summary_path(o["out"]), ["sigma", "steps_predicted", "steps_actual_mean", "steps_actual_se", "gap"],
-         summary),
+        (o["out"], list(report.trials.dtype.names), report.trials.tolist()),
+        (o["summary"], ["sigma", "steps_predicted", "steps_actual_mean", "steps_actual_se", "gap"], summary),
     ]
     lines = [f"{'sigma':>8} {'predicted':>10} {'actual':>10} {'se':>8} {'gap':>8}"]
     for sigma, predicted, mean, se, gap in summary:
@@ -411,9 +404,8 @@ def run_coloring(o: dict) -> tuple[list, list[str]]:
         configs = coloring.DEFAULT_CONFIGS
     report = coloring.run_campaign(configs, master_seed=o["seed"], workers=o["workers"])
     tables = [
-        (o["out"], ["instance_id", "n", "p", "seed", "agent", "expansions", "c_eff", "found"],
-         report.records.tolist()),
-        (_summary_path(o["out"]),
+        (o["out"], list(report.records.dtype.names), report.records.tolist()),
+        (o["summary"],
          ["n", "p", "random_mean", "greedy_mean", "acp_mean", "acp_prediction", "bound_violations"],
          [[s.n, s.p, s.random_mean, s.greedy_mean, s.acp_mean, s.acp_prediction, s.bound_violations]
           for s in report.summaries]),

@@ -641,7 +641,9 @@ def summarize_trials(
     n_trials = len(trials)
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    mean_cost, se = _mean_se(step_cost * trials.n_steps)
+    # priced after averaging: squares of step counts cannot overflow, squares of costs can
+    mean_steps, se_steps = _mean_se(trials.n_steps)
+    mean_cost, se = step_cost * mean_steps, step_cost * se_steps
     lower, upper = cost_bounds(spec, total_bits, step_cost)
     return BoundReport(
         lower=lower,

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acp.cli import _format_cell, build_parser, main, resolve_options, write_csv
+from acp import cli
+from acp.cli import _format_cell, _format_chunk, build_parser, main, resolve_options, write_csv
 from acp.cli import _CHUNK_ROWS, _RUNNERS
 from acp.stopping import TRIAL_BLOCK
 
@@ -261,6 +262,14 @@ REFUSALS = {
         "dump-is-out-by-path": Refusal(("bounds", "--trials", "100", "--out", "x.csv", "--dump-trials", "./x.csv"),
                                        "name the same file", harness="acp.stopping.run_trials"),
         "empty-out": Refusal(("slope", "--out", ""), "--out must name a file", harness="acp.slope.run_noise_sweep"),
+        # an output path that is a directory is refused before any work, not at write time
+        "dump-is-directory": Refusal(("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "."),
+                                     "is a directory", 1, "acp.stopping.run_trials"),
+        "out-is-directory": Refusal(("slope", "--trials", "20", "--out", "."), "is a directory", 1,
+                                    "acp.slope.run_noise_sweep"),
+        # 1e308 times the unit-cost upper bound of 12 steps overflows
+        "cs-overflows-upper-bound": Refusal(("bounds", "--trials", "100", "--i-total", "10", "--cs", "1e308", *DUMP),
+                                            "--cs 1e+308", harness="acp.stopping.run_trials"),
     },
 }
 
@@ -298,6 +307,18 @@ class TestExitCodes(_table(REFUSALS, _check_refusal)):
         assert (unit["sigma"], unit["steps_predicted"], unit["gap"]) == ("1.000000", "4", "46.000000")
         report = capsys.readouterr().out.splitlines()
         assert report[1].split()[1:] == ["-", "50.00", "0.00", "-"]
+
+    @pytest.mark.parametrize("argv, harness", [
+        (("slope", "--trials", "20"), "acp.slope.run_noise_sweep"),
+        (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50"), "acp.coloring.run_campaign"),
+    ])
+    def test_summary_path_is_directory_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, harness):
+        (tmp_path / "x_summary.csv").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, lambda *a, **k: pytest.fail(f"{harness} ran before the refusal"))
+        assert _run(*argv, "--out", "x.csv") == 1
+        assert "x_summary.csv: it is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x_summary.csv"]
 
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -471,6 +492,12 @@ PINNED = {
             ("bounds", "--mu-inf", "1e12", "--i-total", "1e13", "--trials", "50", *DUMP),
             {"b.csv": "bff63b3faf5ac9b888d08725e294a6bb7c30ce9babd0557357d5b2fcf1275d8b",
              "t.csv": "d49825779488e67310b8cc036e9320aba640c47f16526a63cefd933b599f1577"}),
+        # costs near the float range: the mean and SE are priced after averaging step counts,
+        # so the SE is 1e300 times the unit-cost SE of 0.3212 steps, finite and without an overflow warning
+        "cs-near-float-max": Pinned(
+            ("bounds", "--trials", "100", "--i-total", "10", "--cs", "1e300", "--out", "b.csv"),
+            {"b.csv": "864464baa465dff186d1cae9ff0004e9c6fa3715051a46143db5f8c26f8bf36d"},
+            "+/- 32118939313530623"),
         # 16 draws is the least the estimator takes
         "estimate-16-draws": Pinned(
             ("estimate", "--trials", "16", "--out", "e.csv"),
@@ -778,6 +805,51 @@ class TestCsvWriter:
         text = path.read_text()
         assert text == "a,b,c,d,e\n" + _reference_structured_text(rows)
         assert ",inf," in text and ",nan," in text and f",{1e300:.6f}," in text
+
+    @classmethod
+    def _non_negative_like(cls, n: int, seed: int) -> np.ndarray:
+        rows = cls._trial_like(n, seed)
+        for name in ("n", "x"):
+            rows[name] = np.abs(rows[name])
+        return rows
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_non_negative_chunk_edges_take_the_fast_path(self, tmp_path, monkeypatch, extra):
+        monkeypatch.setattr(cli, "_format_cell", lambda value: pytest.fail("a chunk took the row path"))
+        rows = self._non_negative_like(_CHUNK_ROWS + extra, seed=extra + 1)
+        path = tmp_path / "edge.csv"
+        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        assert path.read_bytes() == ("a,b,c,d,e\n" + _reference_structured_text(rows)).encode()
+
+    def test_row_path_chunk_between_fast_path_chunks(self, tmp_path, monkeypatch):
+        texts = []
+
+        def recorded(columns):
+            texts.append(_format_chunk(columns))
+            return texts[-1]
+
+        monkeypatch.setattr(cli, "_format_chunk", recorded)
+        rows = self._non_negative_like(3 * _CHUNK_ROWS, seed=4)
+        rows.x[_CHUNK_ROWS + np.array([0, 7, _CHUNK_ROWS - 1])] = [np.inf, np.nan, 1e300]
+        path = tmp_path / "mixed.csv"
+        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        assert [text is None for text in texts] == [False, True, False]
+        assert path.read_text() == "a,b,c,d,e\n" + _reference_structured_text(rows)
+
+    def test_mc_many_short_dump_takes_the_fast_path(self):
+        argv = ("bounds", "--family", "exponential", "--i-total", "10", "--trials", "100000", "--seed", "5",
+                "--dump-trials", "t.csv")
+        tables, _ = _RUNNERS["bounds"](resolve_options(build_parser().parse_args(argv)))
+        _, _, dump = tables[1]
+        chunks = [[dump[name][lo:lo + _CHUNK_ROWS] for name in dump.dtype.names]
+                  for lo in range(0, len(dump), _CHUNK_ROWS)]
+        assert len(chunks) == 7 and all(_format_chunk(columns) is not None for columns in chunks)
+        # a negative value, -0.0 included, sends its chunk to the row path
+        trial_id, n_steps, s_n, overshoot = (column.copy() for column in chunks[0])
+        s_n[3] = -0.0
+        assert _format_chunk([trial_id, n_steps, s_n, overshoot]) is None
+        s_n[3], trial_id[5] = 0.0, -1
+        assert _format_chunk([trial_id, n_steps, s_n, overshoot]) is None
 
     @pytest.mark.parametrize(
         "big", [2.0**43, -(2.0**43), float(np.nextafter(2.0**43, np.inf)), 1e13, 2.0**53, -(2.0**63)]
