@@ -18,7 +18,9 @@ Every command takes the same steps in the same order:
      is itself a directory; if not, exit 1;
   3. check the option values (exit 2) and run the experiment;
   4. write every CSV, print the report and one line naming each file written.
-A run refused before step 4 writes no file.
+A run refused before step 4 writes no file. ``bounds`` writes its
+--dump-trials CSV while its trials run, and a run that fails once writing
+has begun removes every file it wrote, so a failed run leaves no file.
 
 Exit codes: 0 success, 1 runtime failure (a missing output directory, an
 output path that is a directory, an unwritable file, an error inside the
@@ -28,11 +30,15 @@ run), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
+import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -286,44 +292,89 @@ def _format_chunk(columns: list[np.ndarray]) -> str | None:
     return out.tobytes().translate(None, b"\x00").decode("ascii")
 
 
-def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray) -> None:
+@dataclass(frozen=True)
+class _Stream:
+    """``n_rows`` rows that arrive as structured-array chunks, one pass only; len() is the row count."""
+
+    n_rows: int
+    chunks: Iterator[np.ndarray]
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.chunks
+
+
+def _structured_fields(rows: np.ndarray) -> tuple[str, ...]:
+    """The field names of structured ``rows``; TypeError unless every field is of an integer or float kind."""
+    if any(rows.dtype[name].kind not in "iuf" for name in rows.dtype.names):
+        raise TypeError(f"structured rows need integer or float fields, got dtype {rows.dtype}")
+    return rows.dtype.names
+
+
+def _write_records(fh, writer, records: np.ndarray) -> None:
+    fields = _structured_fields(records)
+    for lo in range(0, len(records), _CHUNK_ROWS):
+        columns = [records[name][lo:lo + _CHUNK_ROWS] for name in fields]
+        text = _format_chunk(columns)
+        if text is None:
+            cells = zip(*(c.tolist() for c in columns))
+            writer.writerows([_format_cell(v) for v in row] for row in cells)
+        else:
+            fh.write(text)
+
+
+def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray | _Stream) -> None:
     """Deterministic CSV: LF newlines, '.' decimal point, 6-decimal reals.
 
     ``rows`` is a list of rows, each written through csv.writer and
-    _format_cell, or a numpy structured array whose fields are all integer
-    or float kinds. The latter is written _CHUNK_ROWS rows at a time, each
-    chunk formatted by numpy into one ASCII string: integers as %d and
-    floats as %.6f, correctly rounded half to even as Python rounds them,
-    so the bytes are _format_cell's and never need quoting. A chunk holding
-    a negative value (-0.0 included), a non-finite float or one of 2**43 or
-    more goes through csv.writer and _format_cell row by row instead, with
-    the same bytes. A field of any other kind raises TypeError before the
-    file is opened.
+    _format_cell; a numpy structured array whose fields are all integer or
+    float kinds; or a _Stream of such arrays, each written as it arrives.
+    A structured array is written _CHUNK_ROWS rows at a time, each chunk
+    formatted by numpy into one ASCII string: integers as %d and floats as
+    %.6f, correctly rounded half to even as Python rounds them, so the bytes
+    are _format_cell's and never need quoting. A chunk holding a negative
+    value (-0.0 included), a non-finite float or one of 2**43 or more goes
+    through csv.writer and _format_cell row by row instead, with the same
+    bytes. A field of any other kind raises TypeError, before the file is
+    opened unless the array comes from a _Stream. A write that fails once
+    the file is open removes it (see _discard).
     """
-    fields = None
+    chunks = rows if isinstance(rows, _Stream) else None
     if isinstance(rows, np.ndarray) and rows.dtype.names:
-        fields = rows.dtype.names
-        if any(rows.dtype[name].kind not in "iuf" for name in fields):
-            raise TypeError(f"structured rows need integer or float fields, got dtype {rows.dtype}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if fields is None:
-            writer.writerows([_format_cell(cell) for cell in row] for row in rows)
-            return
-        for lo in range(0, len(rows), _CHUNK_ROWS):
-            columns = [rows[name][lo:lo + _CHUNK_ROWS] for name in fields]
-            text = _format_chunk(columns)
-            if text is None:
-                cells = zip(*(c.tolist() for c in columns))
-                writer.writerows([_format_cell(v) for v in row] for row in cells)
+        _structured_fields(rows)
+        chunks = (rows,)
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            if chunks is None:
+                writer.writerows([_format_cell(cell) for cell in row] for row in rows)
             else:
-                fh.write(text)
+                for records in chunks:
+                    _write_records(fh, writer, records)
+    except BaseException:
+        _discard(path)
+        raise
+
+
+def _discard(path: str) -> None:
+    """Remove ``path`` if it is a regular file; leave anything else, such as /dev/stdout, alone."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+
+
+def _outputs(o: dict) -> list[str]:
+    """Every CSV the run writes: --out, then --dump-trials or the summary."""
+    return [path for path in (o["out"], o.get("dump_trials"), o.get("summary")) if path]
 
 
 def _check_output_dirs(o: dict) -> None:
     """Fail on a missing directory for any CSV the run writes, or on a path that is a directory."""
-    for path in filter(None, (o["out"], o.get("dump_trials"), o.get("summary"))):
+    for path in _outputs(o):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise OSError(f"cannot write {path}: no directory {folder}")
@@ -332,13 +383,48 @@ def _check_output_dirs(o: dict) -> None:
 
 
 # -- subcommand runners ---------------------------------------------------
-# Each checks what only the CLI checks, runs its library and returns its
-# tables, the (path, header, rows) of every CSV, and its report lines.
+# Each is a generator: it checks what only the CLI checks, runs its library,
+# yields its tables, the (path, header, rows) of every CSV, in the order they
+# are to be written, and returns its report lines. It writes nothing: main
+# writes each table as it is yielded, so rows that arrive as a _Stream are
+# written while the run goes on.
+
+#: Per-trial columns a bounds run keeps for its summary: those summarize_trials reads.
+_KEPT_DTYPE = np.dtype([("n_steps", np.int64), ("overshoot", np.float64)])
+#: One row of the --dump-trials CSV; its field names are the header.
+_DUMP_DTYPE = np.dtype([("trial_id", np.int64), ("n_steps", np.int64), ("s_n", np.float64), ("overshoot", np.float64)])
+#: Trial blocks per chunk of the --dump-trials stream: 2**13 rows. Formatting one takes
+#: about 1.7 MiB at its peak, 3.2 MiB at 16 blocks; larger chunks alternate less often
+#: between the engine and the writer, which costs cache misses, and run a little faster.
+_DUMP_BLOCKS = 8
 
 
-def run_bounds(o: dict) -> tuple[list, list[str]]:
+def _dump_chunks(blocks: Iterator[np.ndarray], kept: np.recarray) -> Iterator[np.ndarray]:
+    """The --dump-trials records of ``blocks``, _DUMP_BLOCKS blocks to a chunk, each built as they arrive.
+
+    Each trial's n_steps and overshoot are copied into ``kept`` on the way,
+    so no block outlives its chunk.
+    """
+    lo = 0
+    for first in blocks:
+        trials = np.concatenate([first, *itertools.islice(blocks, _DUMP_BLOCKS - 1)])
+        hi = lo + len(trials)
+        kept.n_steps[lo:hi] = trials["n_steps"]
+        kept.overshoot[lo:hi] = trials["overshoot"]
+        records = np.empty(hi - lo, _DUMP_DTYPE)
+        records["trial_id"] = np.arange(lo, hi)
+        records["n_steps"] = trials["n_steps"]
+        records["s_n"] = trials["accumulated"]
+        records["overshoot"] = trials["overshoot"]
+        yield records
+        lo = hi
+
+
+def run_bounds(o: dict) -> Generator[tuple, None, list[str]]:
     if not 0.0 < o["delta"] < 1.0:
         raise ValueError(f"--delta must lie strictly in (0, 1), got {o['delta']!r}")
+    if not 0.0 < o["cs"] < math.inf:
+        raise ValueError(f"--cs must be positive and finite, got {o['cs']!r}")
     spec = stopping.GainSequenceSpec(tuple(o["mu"]), o["mu_inf"], o["family"], o["m"], o["scale"])
     n_delta = None
     if spec.support_bound is not None:
@@ -356,15 +442,18 @@ def run_bounds(o: dict) -> tuple[list, list[str]]:
             f"{o['trials']} trials expect up to {expected_steps:.3g} steps in all, "
             f"over the limit of {stopping.MAX_TOTAL_STEPS:.0e}"
         )
-    trials = stopping.run_trials(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
-    r = stopping.summarize_trials(spec, o["i_total"], o["cs"], trials)
+    kept = np.recarray(o["trials"], _KEPT_DTYPE)
+    blocks = stopping.run_trial_blocks(spec, o["i_total"], o["trials"], o["seed"], workers=o["workers"])
+    with contextlib.closing(blocks):  # a failure while the dump is written stops the workers
+        chunks = _dump_chunks(blocks, kept)
+        if o["dump_trials"]:
+            yield o["dump_trials"], list(_DUMP_DTYPE.names), _Stream(o["trials"], chunks)
+        for _ in chunks:  # the trials no dump took: all of them without --dump-trials
+            pass
+    r = stopping.summarize_trials(spec, o["i_total"], o["cs"], kept)
     header = ["lower", "upper", "empirical_mean_cost", "n_trials", "standard_error", "within_bounds"]
-    tables = [(o["out"], header, [[r.lower, r.upper, r.empirical_mean_cost, r.n_trials, r.standard_error,
-                                   r.within_bounds]])]
-    if o["dump_trials"]:
-        dump = np.rec.fromarrays((np.arange(len(trials)), trials.n_steps, trials.accumulated,
-                                  trials.overshoot), names="trial_id,n_steps,s_n,overshoot")
-        tables.append((o["dump_trials"], list(dump.dtype.names), dump))
+    yield o["out"], header, [[r.lower, r.upper, r.empirical_mean_cost, r.n_trials, r.standard_error,
+                              r.within_bounds]]
     lines = [
         f"{o['family']} gains, target {o['i_total']} bits, {r.n_trials} trials",
         f"  bounds      [{r.lower:.4f}, {r.upper:.4f}]",
@@ -374,27 +463,25 @@ def run_bounds(o: dict) -> tuple[list, list[str]]:
     ]
     if n_delta is not None:
         lines.append(f"  steps for completion w.p. {1 - o['delta']:.2%}: {n_delta}")
-    return tables, lines
+    return lines
 
 
-def run_slope(o: dict) -> tuple[list, list[str]]:
+def run_slope(o: dict) -> Generator[tuple, None, list[str]]:
     report = slope.run_noise_sweep(o["noise"], o["trials"], o["seed"], resolution=o["resolution"],
                                    step_cap=o["step_cap"], workers=o["workers"])
     summary = [[l.sigma, l.steps_predicted, l.steps_actual_mean, l.steps_actual_se, l.gap]
                for l in report.levels]
-    tables = [
-        (o["out"], list(report.trials.dtype.names), report.trials.tolist()),
-        (o["summary"], ["sigma", "steps_predicted", "steps_actual_mean", "steps_actual_se", "gap"], summary),
-    ]
+    yield o["out"], list(report.trials.dtype.names), report.trials.tolist()
+    yield o["summary"], ["sigma", "steps_predicted", "steps_actual_mean", "steps_actual_se", "gap"], summary
     lines = [f"{'sigma':>8} {'predicted':>10} {'actual':>10} {'se':>8} {'gap':>8}"]
     for sigma, predicted, mean, se, gap in summary:
         # a level the estimator cannot price has no prediction and no gap: its cells are empty
         predicted, gap = ("-", "-") if gap is None else (predicted, f"{gap:.2f}")
         lines.append(f"{sigma:>8.2f} {predicted:>10} {mean:>10.2f} {se:>8.2f} {gap:>8}")
-    return tables, lines
+    return lines
 
 
-def run_coloring(o: dict) -> tuple[list, list[str]]:
+def run_coloring(o: dict) -> Generator[tuple, None, list[str]]:
     explicit = [o["n"], o["p"], o["k"], o["instances"]]
     if any(v is not None for v in explicit):
         if any(v is None for v in explicit):
@@ -403,22 +490,20 @@ def run_coloring(o: dict) -> tuple[list, list[str]]:
     else:
         configs = coloring.DEFAULT_CONFIGS
     report = coloring.run_campaign(configs, master_seed=o["seed"], workers=o["workers"])
-    tables = [
-        (o["out"], list(report.records.dtype.names), report.records.tolist()),
-        (o["summary"],
-         ["n", "p", "random_mean", "greedy_mean", "acp_mean", "acp_prediction", "bound_violations"],
-         [[s.n, s.p, s.random_mean, s.greedy_mean, s.acp_mean, s.acp_prediction, s.bound_violations]
-          for s in report.summaries]),
-    ]
+    yield o["out"], list(report.records.dtype.names), report.records.tolist()
+    yield (o["summary"],
+           ["n", "p", "random_mean", "greedy_mean", "acp_mean", "acp_prediction", "bound_violations"],
+           [[s.n, s.p, s.random_mean, s.greedy_mean, s.acp_mean, s.acp_prediction, s.bound_violations]
+            for s in report.summaries])
     lines = [f"{'(n,p)':>12} {'random':>8} {'greedy':>8} {'acp':>8} {'prediction':>11} "
              f"{'violations':>11} {'discarded':>10}"]
     lines += [f"({s.n:>3},{s.p:.2f}) {s.random_mean:>8.2f} {s.greedy_mean:>8.2f} {s.acp_mean:>8.2f} "
               f"{s.acp_prediction:>11.2f} {s.bound_violations:>11d} {s.discarded:>10d}"
               for s in report.summaries]
-    return tables, lines
+    return lines
 
 
-def run_estimate(o: dict) -> tuple[list, list[str]]:
+def run_estimate(o: dict) -> Generator[tuple, None, list[str]]:
     task = gp.EstimationTask(
         # float ** raises OverflowError; * gives inf, which the task refuses
         noise_variance=o["noise"] * o["noise"],
@@ -428,8 +513,8 @@ def run_estimate(o: dict) -> tuple[list, list[str]]:
     )
     r = gp.a_priori_estimate(task, budget=o["budget"], seed=o["seed"])
     header = ["i_total_bits", "i_s_bits", "c_eff", "predicted_steps", "mc_error_bits", "margin", "solvable"]
-    tables = [(o["out"], header, [[r.total_bits, r.step_bits, r.cost_predicted, r.predicted_steps,
-                                   r.mc_error_bits, r.cost_margin, r.solvable]])]
+    yield o["out"], header, [[r.total_bits, r.step_bits, r.cost_predicted, r.predicted_steps, r.mc_error_bits,
+                              r.cost_margin, r.solvable]]
     lines = [
         f"total information   {r.total_bits:.4f} bits",
         f"per-step estimate   {r.step_bits:.4f} bits",
@@ -437,24 +522,47 @@ def run_estimate(o: dict) -> tuple[list, list[str]]:
         f"predicted steps     {r.predicted_steps}",
         f"solvable at budget {o['budget']}: {r.solvable}",
     ]
-    return tables, lines
+    return lines
 
 
-def run_approx(o: dict) -> tuple[list, list[str]]:
+def run_approx(o: dict) -> Generator[tuple, None, list[str]]:
     spec = approx.default_knapsack(o["items"], o["seed"])
     reports = approx.information_vs_epsilon(spec.to_instance(), o["eps"])
     header = ["epsilon", "goal_count", "p_goal", "i_total_indicator_bits", "i_total_search_bits"]
-    tables = [(o["out"], header, [[r.epsilon, r.goal_count, r.p_goal, r.i_total_indicator, r.i_total_search]
-                                  for r in reports])]
+    yield o["out"], header, [[r.epsilon, r.goal_count, r.p_goal, r.i_total_indicator, r.i_total_search]
+                             for r in reports]
     lines = [f"{o['items']}-item knapsack, capacity {spec.capacity}",
              f"{'epsilon':>8} {'goals':>8} {'p_goal':>10} {'search bits':>12}"]
     lines += [f"{r.epsilon:>8.3f} {r.goal_count:>8d} {r.p_goal:>10.6f} {r.i_total_search:>12.4f}"
               for r in reports]
-    return tables, lines
+    return lines
 
 
 _RUNNERS = {"bounds": run_bounds, "slope": run_slope, "coloring": run_coloring, "estimate": run_estimate,
             "approx": run_approx}
+
+
+def _write_tables(run: Generator[tuple, None, list[str]]) -> list[str]:
+    """Write each table a runner yields, as it is yielded, and return the runner's report lines.
+
+    On any failure, the runner is closed, which stops its worker processes,
+    and the files it wrote are removed, as write_csv removes one it fails
+    to finish: a failed run leaves no file.
+    """
+    written = []
+    try:
+        while True:
+            try:
+                path, header, rows = next(run)
+            except StopIteration as done:
+                return done.value
+            write_csv(path, header, rows)
+            written.append(path)
+    except BaseException:
+        run.close()
+        for path in written:
+            _discard(path)
+        raise
 
 
 def main(argv=None) -> int:
@@ -479,11 +587,9 @@ def main(argv=None) -> int:
         dump = options.get("dump_trials")
         if dump and os.path.abspath(dump) == os.path.abspath(options["out"]):
             raise ValueError(f"--dump-trials and --out name the same file, {options['out']}")
-        tables, lines = _RUNNERS[args.command](options)
-        for path, header, rows in tables:
-            write_csv(path, header, rows)
+        lines = _write_tables(_RUNNERS[args.command](options))
         print("\n".join(lines))
-        print("wrote " + " and ".join(path for path, _, _ in tables))
+        print("wrote " + " and ".join(_outputs(options)))
         return 0
     except ValueError as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)

@@ -6,8 +6,9 @@ trial's index path. Results are therefore independent of execution order:
 running trials serially, in a different order, or across worker processes
 produces identical aggregates.
 
-Each Monte Carlo experiment runs all its jobs through one ``map_indexed``
-call and reports its sample means with ``_mean_se``.
+Each Monte Carlo experiment runs all its jobs through one ``imap_indexed``
+iterator, most of them as a ``map_indexed`` list, and reports its sample
+means with ``_mean_se``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -34,21 +35,31 @@ def rng_for(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(subseed(master_seed, *key))
 
 
-def map_indexed(fn: Callable[[int], T], n_items: int, workers: int = 1) -> list[T]:
-    """[fn(0), ..., fn(n_items-1)], optionally computed by worker processes.
+def imap_indexed(fn: Callable[[int], T], n_items: int, workers: int = 1) -> Iterator[T]:
+    """fn(0), ..., fn(n_items-1), yielded in index order as each is ready.
 
     At most min(workers, n_items, os.cpu_count()) processes start, and none
-    when that is 1. ``fn`` must be picklable (module-level function or
-    functools.partial of one) when they do. Output order is always index
-    order, so the result does not depend on scheduling or the pool's size.
+    when that is 1: each call then runs when the iterator reaches it. ``fn``
+    must be picklable (module-level function or functools.partial of one)
+    when they do. Output order is always index order, so the items do not
+    depend on scheduling or the pool's size. The pool starts at the first
+    item and stops when the iterator ends, is closed or raises what ``fn``
+    raised; items that workers finish ahead of the caller wait in this
+    process.
     """
     workers = min(workers, n_items, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(i) for i in range(n_items)]
+        yield from map(fn, range(n_items))
+        return
     ctx = multiprocessing.get_context()
     chunk = max(1, n_items // (workers * 8))
     with ctx.Pool(processes=workers) as pool:
-        return pool.map(fn, range(n_items), chunksize=chunk)
+        yield from pool.imap(fn, range(n_items), chunksize=chunk)
+
+
+def map_indexed(fn: Callable[[int], T], n_items: int, workers: int = 1) -> list[T]:
+    """[fn(0), ..., fn(n_items-1)]: the items of ``imap_indexed`` as one list."""
+    return list(imap_indexed(fn, n_items, workers))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

@@ -15,20 +15,23 @@ the expected overshoot past the target, controlled by Lorden's inequality
 the bounds, and provides a Monte Carlo harness that checks them.
 
 Gains are drawn by inverse-CDF transform from one uniform variate per step.
-Trials are simulated in blocks that share one generator, and ``run_trials``
-cuts them into blocks of a fixed size, so a run is a pure function of
-(spec, total_bits, n_trials, master_seed) whatever the worker count. A block
-runs in one float64 buffer allocated once: each chunk of a round fills it
-with uniforms, turns them into gains in place and then into partial sums in
-place. Rounds past the mean prefix draw against the scalar ``mean_tail``
-rather than a row of it. Every family's gains are >= 0, so partial sums
-never decrease and a trial crosses its target within a round exactly when
-its last partial sum does: the running sum before the round is added to the
-last sum alone, and to the whole chunk only where some trial crossed and its
-first crossing step is searched for. Trials are kept as one
-``np.recarray`` with a row per trial and three columns: ``n_steps`` (int64
-stopping time), ``accumulated`` (float64 sum at the stop) and ``overshoot``
-(float64, ``accumulated - total_bits``).
+Trials are simulated in blocks that share one generator, and
+``run_trial_blocks`` cuts a run into blocks of a fixed size, so a run is a
+pure function of (spec, total_bits, n_trials, master_seed) whatever the
+worker count. ``run_trial_blocks`` yields the blocks in order as they
+finish, so a caller can consume a run without holding all of it;
+``run_trials`` concatenates them. A block runs in one float64 buffer
+allocated once: each chunk of a round fills it with uniforms, turns them
+into gains in place and then into partial sums in place. Rounds past the
+mean prefix draw against the scalar ``mean_tail`` rather than a row of it.
+Every family's gains are >= 0, so partial sums never decrease and a trial
+crosses its target within a round exactly when its last partial sum does:
+the running sum before the round is added to the last sum alone, and to the
+whole chunk only where some trial crossed and its first crossing step is
+searched for. A block's trials are one record array with a row per trial
+and three columns: ``n_steps`` (int64 stopping time), ``accumulated``
+(float64 sum at the stop) and ``overshoot`` (float64,
+``accumulated - total_bits``).
 
 The truncated-gaussian family's moments are closed-form (``math.erfc``,
 ``math.exp`` and ``math.expm1``), and its location parameters are found by
@@ -43,11 +46,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .seeding import _mean_se, map_indexed, subseed
+from .seeding import _mean_se, imap_indexed, subseed
 
 FAMILIES = ("deterministic", "exponential", "uniform", "truncated-gaussian")
 
@@ -601,6 +604,26 @@ def _trial_block(
     return _simulate_block(spec, total_bits, n, subseed(master_seed, block))
 
 
+def run_trial_blocks(
+    spec: GainSequenceSpec,
+    total_bits: float,
+    n_trials: int,
+    master_seed: int,
+    workers: int = 1,
+) -> Iterator[np.ndarray]:
+    """The trials of ``run_trials``, one record array per block, in block order.
+
+    Block b holds trials b*TRIAL_BLOCK onwards and draws from one generator
+    seeded by subseed(master_seed, b). Each block is yielded once it and
+    every block before it have finished; closing the iterator early stops
+    its worker processes.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
+    fn = partial(_trial_block, spec=spec, total_bits=total_bits, n_trials=n_trials, master_seed=master_seed)
+    return imap_indexed(fn, -(-n_trials // TRIAL_BLOCK), workers=workers)
+
+
 def run_trials(
     spec: GainSequenceSpec,
     total_bits: float,
@@ -608,19 +631,14 @@ def run_trials(
     master_seed: int,
     workers: int = 1,
 ) -> np.recarray:
-    """n_trials independent trials, simulated in blocks of TRIAL_BLOCK.
+    """n_trials independent trials: the blocks of ``run_trial_blocks`` concatenated.
 
     Returns one record array, a row per trial, with the columns ``n_steps``,
     ``accumulated`` and ``overshoot`` that the module docstring describes.
-    Block b holds trials b*TRIAL_BLOCK onwards and draws from one generator
-    seeded by subseed(master_seed, b). The block size is fixed, so the
-    result does not depend on ``workers``.
+    The block size is fixed, so the result does not depend on ``workers``.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    fn = partial(_trial_block, spec=spec, total_bits=total_bits, n_trials=n_trials, master_seed=master_seed)
-    blocks = map_indexed(fn, -(-n_trials // TRIAL_BLOCK), workers=workers)
-    return np.concatenate(blocks).view(np.recarray)
+    blocks = run_trial_blocks(spec, total_bits, n_trials, master_seed, workers=workers)
+    return np.concatenate(list(blocks)).view(np.recarray)
 
 
 def summarize_trials(
@@ -631,8 +649,8 @@ def summarize_trials(
 ) -> BoundReport:
     """Build a BoundReport from already-simulated trials.
 
-    ``trials`` is a record array from ``run_trials``; the report reads its
-    ``n_steps`` and ``overshoot`` columns.
+    ``trials`` is a record array from ``run_trials``, or any record array
+    with its ``n_steps`` and ``overshoot`` columns, the two the report reads.
 
     The report's flag allows 3 standard errors of slack on each side: both
     bounds hold for the expected cost, so a sample mean may stray past

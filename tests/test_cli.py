@@ -8,8 +8,11 @@ pinned bytes at ``--workers 1`` and ``--workers 2``.
 import csv
 import hashlib
 import io
+import multiprocessing
+import os
 import shlex
 import signal
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,10 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acp import cli
+from acp import cli, stopping
 from acp.cli import _format_cell, _format_chunk, build_parser, main, resolve_options, write_csv
 from acp.cli import _CHUNK_ROWS, _RUNNERS
-from acp.stopping import TRIAL_BLOCK
+from acp.stopping import TRIAL_BLOCK, StepCapExceeded
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,6 +40,23 @@ def _reference_structured_text(rows: np.ndarray) -> str:
 
 def _run(*argv) -> int:
     return main(list(argv))
+
+
+def _drain(run) -> tuple[list, list[str]]:
+    """A runner's tables in the order it yields them, and the report lines it returns.
+
+    A streamed table is cut to its first chunk of records, taken before the
+    runner goes on, as main's writer takes it.
+    """
+    tables = []
+    while True:
+        try:
+            path, header, rows = next(run)
+        except StopIteration as done:
+            return tables, done.value
+        if isinstance(rows, cli._Stream):
+            rows = next(iter(rows))
+        tables.append((path, header, rows))
 
 
 @contextmanager
@@ -133,19 +153,19 @@ REFUSALS = {
     "test_missing_output_directory_fails_before_work": {
         f"argv{i}-{harness}": Refusal((*argv, "--out", "missing/o.csv"), "no directory", 1, harness)
         for i, (argv, harness) in enumerate([
-            (("bounds", "--trials", "100"), "acp.stopping.run_trials"),
+            (("bounds", "--trials", "100"), "acp.stopping.run_trial_blocks"),
             (("slope", "--trials", "20"), "acp.slope.run_noise_sweep"),
             (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50"), "acp.coloring.run_campaign"),
             (("estimate",), "acp.gp.a_priori_estimate"),
             (("approx",), "acp.approx.default_knapsack"),
             # a bad option value exits 2 only once the directory is known to exist
-            (("bounds", "--delta", "2"), "acp.stopping.run_trials"),
+            (("bounds", "--delta", "2"), "acp.stopping.run_trial_blocks"),
             (("slope", "--trials", "5"), "acp.slope.run_noise_sweep"),
             (("coloring", "--n", "10", "--p", "nan", "--k", "3", "--instances", "50"), "acp.coloring.run_campaign"),
             (("coloring", "--n", "10"), "acp.coloring.run_campaign"),
             (("estimate", "--trials", "15"), "acp.gp.a_priori_estimate"),
             (("approx", "--items", "21"), "acp.approx.default_knapsack"),
-            (("bounds", "--seed", "-1"), "acp.stopping.run_trials"),
+            (("bounds", "--seed", "-1"), "acp.stopping.run_trial_blocks"),
             (("slope", "--workers", "0"), "acp.slope.run_noise_sweep"),
         ])
     },
@@ -164,10 +184,11 @@ REFUSALS = {
     # refused before any trial runs, so the report CSV is not left behind either
     "test_missing_dump_directory_writes_nothing": Refusal(
         ("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "missing/t.csv"), "no directory", 1,
-        "acp.stopping.run_trials"),
+        "acp.stopping.run_trial_blocks"),
     # one trial expects about 2e7 steps, past STEP_CAP: refused before it runs, not cut off by the cap
     "test_trial_over_step_cap_writes_nothing": Refusal(
-        ("bounds", "--trials", "1", "--i-total", "2e7", *DUMP), "over the step cap", harness="acp.stopping.run_trials"),
+        ("bounds", "--trials", "1", "--i-total", "2e7", *DUMP), "over the step cap",
+        harness="acp.stopping.run_trial_blocks"),
     "test_invalid_domain_value_is_config_error": Refusal(("bounds", "--i-total", "-5")),
     "test_bad_bounds_config_writes_nothing": {
         f"flags{i}": Refusal(("bounds", *flags, "--trials", "1", *DUMP)) for i, flags in enumerate([
@@ -258,18 +279,23 @@ REFUSALS = {
     "test_refused": {
         # the dump would overwrite the report
         "dump-is-out": Refusal(("bounds", "--trials", "100", "--out", "x.csv", "--dump-trials", "x.csv"),
-                               "name the same file", harness="acp.stopping.run_trials"),
+                               "name the same file", harness="acp.stopping.run_trial_blocks"),
         "dump-is-out-by-path": Refusal(("bounds", "--trials", "100", "--out", "x.csv", "--dump-trials", "./x.csv"),
-                                       "name the same file", harness="acp.stopping.run_trials"),
+                                       "name the same file", harness="acp.stopping.run_trial_blocks"),
         "empty-out": Refusal(("slope", "--out", ""), "--out must name a file", harness="acp.slope.run_noise_sweep"),
         # an output path that is a directory is refused before any work, not at write time
         "dump-is-directory": Refusal(("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "."),
-                                     "is a directory", 1, "acp.stopping.run_trials"),
+                                     "is a directory", 1, "acp.stopping.run_trial_blocks"),
         "out-is-directory": Refusal(("slope", "--trials", "20", "--out", "."), "is a directory", 1,
                                     "acp.slope.run_noise_sweep"),
         # 1e308 times the unit-cost upper bound of 12 steps overflows
         "cs-overflows-upper-bound": Refusal(("bounds", "--trials", "100", "--i-total", "10", "--cs", "1e308", *DUMP),
-                                            "--cs 1e+308", harness="acp.stopping.run_trials"),
+                                            "--cs 1e+308", harness="acp.stopping.run_trial_blocks"),
+        # named by the flag, not by the library's step_cost
+        **{f"cs-{value}": Refusal(("bounds", "--trials", "100", "--cs", value, *DUMP),
+                                  f"--cs must be positive and finite, got {float(value)!r}",
+                                  harness="acp.stopping.run_trial_blocks")
+           for value in ("0", "-1", "inf", "nan")},
     },
 }
 
@@ -522,7 +548,8 @@ class TestRunners:
     @pytest.mark.parametrize(
         "argv, written",
         [
-            (("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "t.csv"), ["b.csv", "t.csv"]),
+            # the dump is written while the trials run, before the report that sums them up
+            (("bounds", "--trials", "100", "--out", "b.csv", "--dump-trials", "t.csv"), ["t.csv", "b.csv"]),
             (("slope", "--noise", "0.1,0.3", "--trials", "20", "--step-cap", "20", "--out", "s.csv"),
              ["s.csv", "s_summary.csv"]),
             (("coloring", "--n", "8", "--p", "0.25", "--k", "3", "--instances", "50", "--out", "c.csv"),
@@ -533,7 +560,7 @@ class TestRunners:
     )
     def test_runner_returns_tables_and_lines_without_io(self, tmp_path, capsys, monkeypatch, argv, written):
         monkeypatch.chdir(tmp_path)
-        tables, lines = _RUNNERS[argv[0]](resolve_options(build_parser().parse_args(argv)))
+        tables, lines = _drain(_RUNNERS[argv[0]](resolve_options(build_parser().parse_args(argv))))
         assert capsys.readouterr() == ("", "")
         assert list(tmp_path.iterdir()) == []
         assert [path for path, _, _ in tables] == written
@@ -547,6 +574,88 @@ class TestRunners:
         assert report[0] == "exponential gains, target 10.0 bits, 100 trials"
         assert report[-1] == f"wrote {out} and {dump}"
         assert out.exists() and dump.exists()
+
+
+def _fail_in_block(monkeypatch, failing_block: int) -> None:
+    """Make trial block ``failing_block`` raise; forked workers inherit the patch."""
+    simulate = stopping._simulate_block
+
+    def fail(spec, total_bits, n, seed, *args):
+        if seed.spawn_key == (failing_block,):
+            raise StepCapExceeded(f"block {failing_block} failed")
+        return simulate(spec, total_bits, n, seed, *args)
+
+    monkeypatch.setattr(stopping, "_simulate_block", fail)
+
+
+class _ReportRecorder(io.StringIO):
+    """A stderr that notes which worker processes are alive when the failure is reported."""
+
+    children = None
+
+    def write(self, text):
+        self.children = multiprocessing.active_children()
+        return super().write(text)
+
+
+class TestFailedRun:
+    """A run that fails once its trial dump has begun leaves no file and no worker process.
+
+    The workers are stopped before the failure is reported, not when the
+    interpreter next collects the failed run.
+    """
+
+    @staticmethod
+    def _fails(tmp_path, monkeypatch, argv, message):
+        stderr = _ReportRecorder()
+        monkeypatch.setattr("sys.stderr", stderr)
+        monkeypatch.chdir(tmp_path)
+        assert _run(*argv, *DUMP) == 1
+        assert message in stderr.getvalue()
+        assert stderr.children == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("n_blocks, failing_block", [(5, 2), (20, 9)])
+    def test_failing_trial_block(self, tmp_path, monkeypatch, workers, n_blocks, failing_block):
+        _fail_in_block(monkeypatch, failing_block)
+        self._fails(tmp_path, monkeypatch, ("bounds", "--trials", str(n_blocks * TRIAL_BLOCK), "--workers", workers),
+                    f"StepCapExceeded: block {failing_block} failed")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_dump_write(self, tmp_path, monkeypatch, workers):
+        formatted = []
+
+        def fail_second(columns):
+            formatted.append(len(columns[0]))
+            if len(formatted) == 2:
+                raise OSError("no space left on the device")
+            return _format_chunk(columns)
+
+        monkeypatch.setattr(cli, "_format_chunk", fail_second)
+        self._fails(tmp_path, monkeypatch, ("bounds", "--trials", str(40 * TRIAL_BLOCK), "--workers", workers),
+                    "no space left on the device")
+
+    def test_failing_report_write_removes_the_dump(self, tmp_path, monkeypatch):
+        # the dump takes the fast path to the end; only the report's row goes through _format_cell
+        def fail(value):
+            raise OSError("no space left for the report")
+
+        monkeypatch.setattr(cli, "_format_cell", fail)
+        self._fails(tmp_path, monkeypatch, ("bounds", "--trials", str(2 * TRIAL_BLOCK)), "no space left for the report")
+
+    def test_only_regular_files_are_removed(self, tmp_path):
+        regular = tmp_path / "r.csv"
+        regular.write_text("x\n")
+        link = tmp_path / "stdout"  # like /dev/stdout, a link to what the run writes into
+        link.symlink_to(regular)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for path in (link, fifo, tmp_path / "missing.csv"):
+            cli._discard(str(path))
+        assert link.is_symlink() and fifo.exists() and regular.exists()
+        cli._discard(str(regular))
+        assert not regular.exists()
 
 
 class TestBoundsOutput:
@@ -569,6 +678,21 @@ class TestBoundsOutput:
         lines = dump.read_text().strip().split("\n")
         assert lines[0] == "trial_id,n_steps,s_n,overshoot"
         assert len(lines) == 151
+
+    @pytest.mark.parametrize("trials", [10**5, 10**6])
+    def test_dump_run_memory_per_trial(self, tmp_path, capsys, monkeypatch, trials):
+        # the dump is written as the trial blocks finish; the summary keeps n_steps and
+        # overshoot (16 bytes a trial) and its standard error takes 8 more for a moment
+        monkeypatch.chdir(tmp_path)
+        argv = ("bounds", "--family", "exponential", "--i-total", "10", "--seed", "5", *DUMP)
+        assert _run(*argv, "--trials", "100") == 0  # imports and lazy set-up, outside the trace
+        tracemalloc.start()
+        try:
+            assert _run(*argv, "--trials", str(trials)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20 + 24 * trials
 
 
 class TestEstimateOutput:
@@ -839,11 +963,14 @@ class TestCsvWriter:
     def test_mc_many_short_dump_takes_the_fast_path(self):
         argv = ("bounds", "--family", "exponential", "--i-total", "10", "--trials", "100000", "--seed", "5",
                 "--dump-trials", "t.csv")
-        tables, _ = _RUNNERS["bounds"](resolve_options(build_parser().parse_args(argv)))
-        _, _, dump = tables[1]
-        chunks = [[dump[name][lo:lo + _CHUNK_ROWS] for name in dump.dtype.names]
-                  for lo in range(0, len(dump), _CHUNK_ROWS)]
-        assert len(chunks) == 7 and all(_format_chunk(columns) is not None for columns in chunks)
+        run = _RUNNERS["bounds"](resolve_options(build_parser().parse_args(argv)))  # closing it ends the stream
+        path, _, dump = next(run)
+        assert path == "t.csv" and len(dump) == 100_000
+        # the pieces write_csv formats: each streamed chunk, cut at _CHUNK_ROWS
+        chunks = [[records[name][lo:lo + _CHUNK_ROWS] for name in records.dtype.names]
+                  for records in dump for lo in range(0, len(records), _CHUNK_ROWS)]
+        assert [len(columns[0]) for columns in chunks] == [2**13] * 12 + [100_000 - 12 * 2**13]
+        assert all(_format_chunk(columns) is not None for columns in chunks)
         # a negative value, -0.0 included, sends its chunk to the row path
         trial_id, n_steps, s_n, overshoot = (column.copy() for column in chunks[0])
         s_n[3] = -0.0

@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from acp.seeding import _mean_se, map_indexed
+from acp.seeding import _mean_se, imap_indexed, map_indexed
 
 
 class _FakePool:
@@ -21,8 +21,8 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return [fn(i) for i in items]
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
 
 
 @pytest.fixture
@@ -58,6 +58,30 @@ class TestMapIndexed:
     def test_no_items(self, pool_sizes):
         assert map_indexed(lambda i: i, 0, workers=8) == []
         assert pool_sizes == []
+
+
+class TestImapIndexed:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_yields_items_in_index_order(self, workers):
+        # str is picklable, so --workers 2 really starts a pool
+        items = imap_indexed(str, 200, workers=workers)
+        assert next(items) == "0"
+        assert list(items) == [str(i) for i in range(1, 200)]
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_calls_each_item_when_it_is_reached(self):
+        calls = []
+        items = imap_indexed(lambda i: calls.append(i) or -i, 5)
+        assert calls == []
+        assert next(items) == 0 and calls == [0]
+        assert list(items) == [-1, -2, -3, -4] and calls == [0, 1, 2, 3, 4]
+
+    def test_closing_early_stops_the_workers(self):
+        items = imap_indexed(str, 10_000, workers=2)
+        assert next(items) == "0"
+        assert multiprocessing.active_children() != []
+        items.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestMeanSe:
