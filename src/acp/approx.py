@@ -6,18 +6,19 @@ which drives the information needed to land in it down; the reports expose
 both readings of that requirement (the -log2(p) search information, which
 is monotone, and the indicator entropy, which peaks at p = 1/2).
 
-The bundled knapsack family is enumerated in full: an instance of n items
-holds one float64 per subset (8 MiB at n = 20), built from two half-subset
-tables (Horowitz & Sahni's meet-in-the-middle split) with at most one block
-of ``gp.BLOCK_CELLS`` int64 scratch cells, and goal sets are counted
-without building their index arrays.
+The bundled knapsack family is enumerated in full, from two half-subset
+tables (Horowitz & Sahni's meet-in-the-middle split), one block of at most
+``gp.BLOCK_CELLS`` int64 values at a time. ``information_vs_epsilon`` counts
+a spec's goal sets from those blocks, so it holds one block, not one value
+per subset; ``KnapsackSpec.to_instance`` still builds the whole table, one
+float64 per subset (8 MiB at n = 20).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .gp import BLOCK_CELLS
 from .info import binary_entropy, search_information
 
 _MAX_CANDIDATES = 1 << 20
+#: Most items a knapsack spec takes: 2^20 subsets, the candidate cap.
+MAX_ITEMS = 20
 #: Largest integer that float64 and int64 both hold exactly; knapsack objective
 #: values are summed in int64 and stored as float64, so none may exceed it.
 _MAX_EXACT = 1 << 53
@@ -58,6 +61,9 @@ class FiniteOptInstance:
     def optimum(self) -> float:
         return float(self.values.min())
 
+    def _blocks(self) -> Iterator[np.ndarray]:
+        yield self.values
+
 
 @dataclass(frozen=True)
 class EpsilonGoalReport:
@@ -74,14 +80,13 @@ class EpsilonGoalReport:
             raise ValueError("goal_count must be at least 1 (the optimum always qualifies)")
 
 
-def _goal_bound(instance: FiniteOptInstance, epsilon: float) -> float:
+def _goal_bound(optimum: float, epsilon: float) -> float:
     """The largest value in the goal set at relaxation ``epsilon``."""
     if not 0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
-    fstar = instance.optimum
-    if fstar < 0:
+    if optimum < 0:
         raise ValueError("multiplicative criterion undefined for negative optimum")
-    return (1.0 + epsilon) * fstar
+    return (1.0 + epsilon) * optimum
 
 
 def goal_set(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
@@ -90,25 +95,37 @@ def goal_set(instance: FiniteOptInstance, epsilon: float) -> np.ndarray:
     The multiplicative criterion needs a non-negative optimum; a negative
     one is an error. The set grows with epsilon and always holds the optimum.
     """
-    return np.flatnonzero(instance.values <= _goal_bound(instance, epsilon))
+    return np.flatnonzero(instance.values <= _goal_bound(instance.optimum, epsilon))
 
 
 def information_vs_epsilon(
-    instance: FiniteOptInstance, epsilons: Sequence[float]
+    source: FiniteOptInstance | KnapsackSpec, epsilons: Sequence[float]
 ) -> list[EpsilonGoalReport]:
     """Goal-set geometry across an ascending schedule of relaxations.
 
     Each goal set is counted, not listed: the count is ``goal_set``'s size.
+    The values are read a block at a time, twice: once for the optimum, then
+    once for every count, each block cut to the values within the largest
+    bound before it is counted against each bound. A spec is never built
+    into its instance.
     """
     eps = [float(e) for e in epsilons]
-    if any(e < 0 for e in eps):
-        raise ValueError("epsilons must be non-negative")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly ascending")
+    if not eps:
+        return []
+    optimum, size = math.inf, 0
+    for values in source._blocks():
+        optimum, size = min(optimum, float(values.min())), size + values.size
+    bounds = [_goal_bound(optimum, e) for e in eps]
+    counts = [0] * len(eps)
+    for values in source._blocks():
+        kept = values[values <= bounds[-1]]
+        for i, bound in enumerate(bounds):
+            counts[i] += int(np.count_nonzero(kept <= bound))
     reports = []
-    for e in eps:
-        count = int(np.count_nonzero(instance.values <= _goal_bound(instance, e)))
-        p = count / instance.size
+    for e, count in zip(eps, counts):
+        p = count / size
         reports.append(
             EpsilonGoalReport(
                 epsilon=e,
@@ -130,8 +147,8 @@ class KnapsackSpec:
     capacity: int
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.weights) <= 20:
-            raise ValueError("between 1 and 20 items supported")
+        if not 1 <= len(self.weights) <= MAX_ITEMS:
+            raise ValueError(f"between 1 and {MAX_ITEMS} items supported")
         if len(self.weights) != len(self.profits):
             raise ValueError("weights and profits must have the same length")
         if any(w < 1 for w in self.weights) or any(q < 1 for q in self.profits):
@@ -148,19 +165,27 @@ class KnapsackSpec:
             )
 
     def to_instance(self) -> FiniteOptInstance:
-        """Penalized minimization over all item subsets.
+        """Penalized minimization over all item subsets, one float64 per subset.
 
         f(S) = (total profit - profit(S)) + (total profit + 1) * excess
         weight, so f >= 0, minimizing f maximizes profit among feasible
         subsets, and (with integer weights) every overweight subset scores
-        worse than every feasible one.
+        worse than every feasible one. Candidate i is the subset of mask i.
+        """
+        values = np.empty(1 << len(self.weights))
+        end = 0
+        for block in self._blocks():
+            values[end : end + block.size] = block
+            end += block.size
+        return FiniteOptInstance(values=values, labels=range(values.size))
+
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """``to_instance``'s values in mask order, as int64 blocks of at most BLOCK_CELLS.
 
         Subset mask m has bit i set iff item i is in it. The first h = n // 2
         items give the low mask bits and the rest the high bits, each half
         with its own int64 weight and profit tables (2^h and 2^(n-h)
-        entries). The values, one float64 per subset, are filled a block of
-        high-mask rows by all low masks at a time, through at most
-        BLOCK_CELLS cells of int64 scratch.
+        entries). A block is a run of high-mask rows by all low masks.
         Every value is an exact integer below 2^53, so it does not depend on
         the order of the sums.
         """
@@ -172,12 +197,9 @@ class KnapsackSpec:
         penalty = total + 1
         # every subset fits a capacity above the total weight, which int64 may not hold
         capacity = min(self.capacity, int(sum(self.weights)))
-
-        values = np.empty(1 << n)
-        table = values.reshape(w_hi.size, w_lo.size)  # row r holds masks r << h | l
         rows = BLOCK_CELLS >> h  # at least 64, since h <= 10
         for r in range(0, w_hi.size, rows):
-            block = slice(r, r + rows)
+            block = slice(r, r + rows)  # row r holds masks r << h | l
             f = np.add(w_hi[block, None], w_lo)
             f -= capacity
             np.maximum(f, 0, out=f)
@@ -185,8 +207,7 @@ class KnapsackSpec:
             f += total
             f -= q_hi[block, None]
             f -= q_lo
-            table[block] = f
-        return FiniteOptInstance(values=values, labels=range(1 << n))
+            yield f.ravel()
 
 
 def _subset_sums(weights: Sequence[int], profits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -306,15 +306,10 @@ class _Stream:
         return self.chunks
 
 
-def _structured_fields(rows: np.ndarray) -> tuple[str, ...]:
-    """The field names of structured ``rows``; TypeError unless every field is of an integer or float kind."""
-    if any(rows.dtype[name].kind not in "iuf" for name in rows.dtype.names):
-        raise TypeError(f"structured rows need integer or float fields, got dtype {rows.dtype}")
-    return rows.dtype.names
-
-
 def _write_records(fh, writer, records: np.ndarray) -> None:
-    fields = _structured_fields(records)
+    fields = records.dtype.names
+    if any(records.dtype[name].kind not in "iuf" for name in fields):
+        raise TypeError(f"structured rows need integer or float fields, got dtype {records.dtype}")
     for lo in range(0, len(records), _CHUNK_ROWS):
         columns = [records[name][lo:lo + _CHUNK_ROWS] for name in fields]
         text = _format_chunk(columns)
@@ -325,36 +320,31 @@ def _write_records(fh, writer, records: np.ndarray) -> None:
             fh.write(text)
 
 
-def write_csv(path: str, header: list[str], rows: list[list] | np.ndarray | _Stream) -> None:
+def write_csv(path: str, header: list[str], rows: list[list] | _Stream) -> None:
     """Deterministic CSV: LF newlines, '.' decimal point, 6-decimal reals.
 
     ``rows`` is a list of rows, each written through csv.writer and
-    _format_cell; a numpy structured array whose fields are all integer or
-    float kinds; or a _Stream of such arrays, each written as it arrives.
-    A structured array is written _CHUNK_ROWS rows at a time, each chunk
-    formatted by numpy into one ASCII string: integers as %d and floats as
-    %.6f, correctly rounded half to even as Python rounds them, so the bytes
-    are _format_cell's and never need quoting. A chunk holding a negative
-    value (-0.0 included), a non-finite float or one of 2**43 or more goes
-    through csv.writer and _format_cell row by row instead, with the same
-    bytes. A field of any other kind raises TypeError, before the file is
-    opened unless the array comes from a _Stream. A write that fails once
-    the file is open removes it (see _discard).
+    _format_cell, or a _Stream of numpy structured arrays whose fields are
+    all integer or float kinds, each written as it arrives. A structured
+    array is written _CHUNK_ROWS rows at a time, each chunk formatted by
+    numpy into one ASCII string: integers as %d and floats as %.6f,
+    correctly rounded half to even as Python rounds them, so the bytes are
+    _format_cell's and never need quoting. A chunk holding a negative value
+    (-0.0 included), a non-finite float or one of 2**43 or more goes through
+    csv.writer and _format_cell row by row instead, with the same bytes. A
+    field of any other kind raises TypeError. A write that fails once the
+    file is open removes it (see _discard).
     """
-    chunks = rows if isinstance(rows, _Stream) else None
-    if isinstance(rows, np.ndarray) and rows.dtype.names:
-        _structured_fields(rows)
-        chunks = (rows,)
     fh = open(path, "w", encoding="utf-8", newline="")
     try:
         with fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            if chunks is None:
-                writer.writerows([_format_cell(cell) for cell in row] for row in rows)
-            else:
-                for records in chunks:
+            if isinstance(rows, _Stream):
+                for records in rows:
                     _write_records(fh, writer, records)
+            else:
+                writer.writerows([_format_cell(cell) for cell in row] for row in rows)
     except BaseException:
         _discard(path)
         raise
@@ -526,8 +516,15 @@ def run_estimate(o: dict) -> Generator[tuple, None, list[str]]:
 
 
 def run_approx(o: dict) -> Generator[tuple, None, list[str]]:
+    if not 1 <= o["items"] <= approx.MAX_ITEMS:
+        raise ValueError(f"--items must be between 1 and {approx.MAX_ITEMS}, got {o['items']}")
+    eps = o["eps"]
+    if not all(0.0 <= e < math.inf for e in eps):
+        raise ValueError(f"--eps must list finite, non-negative epsilons, got {_plain(eps)}")
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"--eps must list strictly ascending epsilons, got {_plain(eps)}")
     spec = approx.default_knapsack(o["items"], o["seed"])
-    reports = approx.information_vs_epsilon(spec.to_instance(), o["eps"])
+    reports = approx.information_vs_epsilon(spec, eps)
     header = ["epsilon", "goal_count", "p_goal", "i_total_indicator_bits", "i_total_search_bits"]
     yield o["out"], header, [[r.epsilon, r.goal_count, r.p_goal, r.i_total_indicator, r.i_total_search]
                              for r in reports]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from acp import (
     goal_set,
     information_vs_epsilon,
 )
+from acp import approx
 
 EPS_LADDER = (0.0, 0.05, 0.1, 0.2, 0.5)
 
@@ -64,6 +66,20 @@ def knapsack_specs(draw):
     # excess leaves room to spare
     excess = draw(st.integers(-total_w, (2**53 - total_q) // (total_q + 1)))
     return KnapsackSpec(tuple(weights), tuple(profits), max(1, total_w - excess))
+
+
+@st.composite
+def small_specs_with_ladders(draw):
+    """Specs of 1-12 items, a strictly ascending ladder and a block size from one row to the whole table."""
+    n = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+    profits = draw(st.lists(st.integers(1, 19), min_size=n, max_size=n))
+    capacity = draw(st.integers(1, sum(weights) + 2))
+    ladder = draw(st.lists(st.one_of(st.floats(0, 3), st.floats(0, 1e4), st.sampled_from([0.0, 0.5, 1e300])),
+                           min_size=1, max_size=6, unique=True))
+    # a run of high-mask rows by all 2^(n // 2) low masks; most row counts leave a partial last block
+    cells = draw(st.integers(1, 1 << (n - n // 2))) << (n // 2)
+    return KnapsackSpec(tuple(weights), tuple(profits), capacity), sorted(ladder), cells
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +156,24 @@ class TestInformationCurve:
         assert reports[0].i_total_indicator == pytest.approx(
             -(1 / 8) * math.log2(1 / 8) - (7 / 8) * math.log2(7 / 8)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_specs_with_ladders())
+    # f* = 3 and the full set scores 40: eps 13 takes the overweight set in, eps 12 does not
+    @example((KnapsackSpec((5, 5), (3, 4), 5), [0.0, 12.0, 13.0], 2))
+    @example((KnapsackSpec((5, 5), (3, 4), 5), [1.0, 1e300], 4))
+    # (1 + eps) f* lands exactly on a value: f* = 4, so 1.5 f* = 6 and 2 f* = 8
+    @example((KnapsackSpec((3, 3, 3), (2, 2, 4), 3), [0.5, 1.0], 2))
+    @example((KnapsackSpec((3, 3, 3), (2, 2, 4), 3), [0.0, 0.5, 1.0, 1e300], 6))
+    def test_streamed_counts_equal_dense(self, case):
+        spec, ladder, cells = case
+        with mock.patch.object(approx, "BLOCK_CELLS", cells):
+            streamed = information_vs_epsilon(spec, ladder)
+            inst = spec.to_instance()
+        assert streamed == information_vs_epsilon(inst, ladder)
+        counts = [goal_set(inst, e).size for e in ladder]
+        assert [r.goal_count for r in streamed] == counts
+        assert [r.p_goal for r in streamed] == [c / 2 ** len(spec.weights) for c in counts]
 
     def test_requires_ascending_epsilons(self):
         inst = FiniteOptInstance(np.array([1.0, 2.0]))

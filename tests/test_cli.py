@@ -38,6 +38,11 @@ def _reference_structured_text(rows: np.ndarray) -> str:
     return "".join(map(template.__mod__, zip(*(rows[name].tolist() for name in fields))))
 
 
+def _one_chunk(rows: np.ndarray) -> cli._Stream:
+    """Structured ``rows`` as a stream of one chunk, the form write_csv takes them in."""
+    return cli._Stream(len(rows), iter((rows,)))
+
+
 def _run(*argv) -> int:
     return main(list(argv))
 
@@ -291,6 +296,15 @@ REFUSALS = {
         # 1e308 times the unit-cost upper bound of 12 steps overflows
         "cs-overflows-upper-bound": Refusal(("bounds", "--trials", "100", "--i-total", "10", "--cs", "1e308", *DUMP),
                                             "--cs 1e+308", harness="acp.stopping.run_trial_blocks"),
+        # named by the flag, before the knapsack is drawn
+        **{f"approx-{flag[2:]}-{value}": Refusal(("approx", flag, value), message,
+                                                  harness="acp.approx.default_knapsack")
+           for flag, value, message in [
+               ("--items", "0", "--items must be between 1 and 20, got 0"),
+               ("--items", "30", "--items must be between 1 and 20, got 30"),
+               ("--eps", "0.5,0.1", "--eps must list strictly ascending epsilons, got 0.5,0.1"),
+               ("--eps", "-1", "--eps must list finite, non-negative epsilons, got -1.0"),
+           ]},
         # named by the flag, not by the library's step_cost
         **{f"cs-{value}": Refusal(("bounds", "--trials", "100", "--cs", value, *DUMP),
                                   f"--cs must be positive and finite, got {float(value)!r}",
@@ -712,6 +726,20 @@ class TestApproxOutput:
         last = out.read_text().strip().split("\n")[-1]
         assert last == "1000.000000,1024,1.000000,0.000000,0.000000"
 
+    def test_twenty_item_run_holds_one_block(self, tmp_path, capsys, monkeypatch):
+        # goal sets are counted a block of values at a time; a table of the
+        # 2^20 subsets' values alone would be 8 MiB
+        monkeypatch.chdir(tmp_path)
+        argv = ("approx", "--items", "20", "--out", "a.csv")
+        assert _run(*argv) == 0  # imports and lazy set-up, outside the trace
+        tracemalloc.start()
+        try:
+            assert _run(*argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
@@ -845,7 +873,7 @@ class TestCsvWriter:
         header = [f"c{j}" for j in range(len(kinds))]
         dtype = [(name, np.int64 if k == "i" else np.float64) for name, k in zip(header, kinds)]
         folder = tmp_path_factory.mktemp("typed")
-        write_csv(str(folder / "typed.csv"), header, np.array(rows, dtype=dtype))
+        write_csv(str(folder / "typed.csv"), header, _one_chunk(np.array(rows, dtype=dtype)))
         write_csv(str(folder / "list.csv"), header, [list(row) for row in rows])
         assert (folder / "typed.csv").read_bytes() == (folder / "list.csv").read_bytes()
 
@@ -900,7 +928,7 @@ class TestCsvWriter:
         header = [f"c{j}" for j in range(len(dtypes))]
         typed = np.array(rows, dtype=list(zip(header, dtypes)))
         path = tmp_path_factory.mktemp("typed") / "typed.csv"
-        write_csv(str(path), header, typed)
+        write_csv(str(path), header, _one_chunk(typed))
         assert path.read_bytes() == (",".join(header) + "\n" + _reference_structured_text(typed)).encode()
 
     @staticmethod
@@ -917,7 +945,7 @@ class TestCsvWriter:
         assert _CHUNK_ROWS == 2**14
         rows = self._trial_like(_CHUNK_ROWS + extra, seed=extra + 1)
         path = tmp_path / "edge.csv"
-        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        write_csv(str(path), ["a", "b", "c", "d", "e"], _one_chunk(rows))
         assert path.read_bytes() == ("a,b,c,d,e\n" + _reference_structured_text(rows)).encode()
 
     def test_out_of_range_chunk_between_in_range_chunks(self, tmp_path):
@@ -925,7 +953,7 @@ class TestCsvWriter:
         rows = self._trial_like(3 * _CHUNK_ROWS, seed=4)
         rows.x[_CHUNK_ROWS + np.array([0, 7, _CHUNK_ROWS - 1])] = [np.inf, np.nan, 1e300]
         path = tmp_path / "mixed.csv"
-        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        write_csv(str(path), ["a", "b", "c", "d", "e"], _one_chunk(rows))
         text = path.read_text()
         assert text == "a,b,c,d,e\n" + _reference_structured_text(rows)
         assert ",inf," in text and ",nan," in text and f",{1e300:.6f}," in text
@@ -942,7 +970,7 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "_format_cell", lambda value: pytest.fail("a chunk took the row path"))
         rows = self._non_negative_like(_CHUNK_ROWS + extra, seed=extra + 1)
         path = tmp_path / "edge.csv"
-        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        write_csv(str(path), ["a", "b", "c", "d", "e"], _one_chunk(rows))
         assert path.read_bytes() == ("a,b,c,d,e\n" + _reference_structured_text(rows)).encode()
 
     def test_row_path_chunk_between_fast_path_chunks(self, tmp_path, monkeypatch):
@@ -956,7 +984,7 @@ class TestCsvWriter:
         rows = self._non_negative_like(3 * _CHUNK_ROWS, seed=4)
         rows.x[_CHUNK_ROWS + np.array([0, 7, _CHUNK_ROWS - 1])] = [np.inf, np.nan, 1e300]
         path = tmp_path / "mixed.csv"
-        write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        write_csv(str(path), ["a", "b", "c", "d", "e"], _one_chunk(rows))
         assert [text is None for text in texts] == [False, True, False]
         assert path.read_text() == "a,b,c,d,e\n" + _reference_structured_text(rows)
 
@@ -985,7 +1013,7 @@ class TestCsvWriter:
         # int64 cannot hold round(|x| * 10**6) much past 2**43
         rows = np.rec.fromarrays((np.arange(3), np.array([0.5e-6, big, -1.5e-6])), names="i,x")
         path = tmp_path / "big.csv"
-        write_csv(str(path), ["i", "x"], rows)
+        write_csv(str(path), ["i", "x"], _one_chunk(rows))
         assert path.read_bytes() == ("i,x\n" + _reference_structured_text(rows)).encode()
 
     @pytest.mark.parametrize("bad", [np.bool_, "U3", object])
@@ -993,7 +1021,7 @@ class TestCsvWriter:
         path = tmp_path / "typed.csv"
         rows = np.zeros(2, dtype=[("n", np.int64), ("x", bad)])
         with pytest.raises(TypeError):
-            write_csv(str(path), ["n", "x"], rows)
+            write_csv(str(path), ["n", "x"], _one_chunk(rows))
         assert not path.exists()
 
     def test_lf_newlines_only(self, tmp_path):
