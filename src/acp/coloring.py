@@ -29,13 +29,26 @@ assignment counts, including assignments that are later undone and redone.
 A found coloring therefore costs at least n expansions, which is exactly
 the predicted cost n * log2(k) / log2(k) of a backtrack-free run, making
 the prediction a per-instance lower bound.
+
+The random agent draws as `np.random.default_rng(seed)` would, call for
+call, without a `Generator` call per node. numpy draws `integers(m)` for m
+up to 2**32 by Lemire's bounded-integer method (Lemire, ACM TOMACS 2019),
+and `shuffle` of a list by Fisher-Yates with masked-rejection swap indices,
+both on 32-bit words; PCG64 hands a `Generator` each 64-bit output as two
+such words, low half first, the high half held for the next word. So
+`_Draws` reads PCG64's raw output in buffered blocks (`random_raw`) as
+little-endian 32-bit halves and applies the same two methods to them. The
+agents search on an explicit stack rather than by recursion, and each graph
+builds its neighbor lists and degree order once, however many solves read
+them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -55,8 +68,9 @@ DEFAULT_CONFIGS = (
 
 _COUNT_GUARD = 20
 
-#: Most vertices a campaign graph may have. ``solve``'s search recurses once
-#: per vertex, so this keeps its depth well under Python's recursion limit.
+#: Most vertices a campaign graph may have. The feasibility oracle's search
+#: recurses once per branching vertex, so this keeps its depth well under
+#: Python's recursion limit; ``solve`` searches on an explicit stack.
 MAX_VERTICES = 512
 
 #: Most expansions one solve may make, about 1 s of search; a solve that
@@ -85,11 +99,29 @@ class Graph:
             seen.add((u, v))
 
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors in ascending order."""
+        return self._neighbors
+
+    # The cached tables below live in the instance __dict__, outside the
+    # dataclass fields, so equality, hash and repr never see them; pickles
+    # hold the fields only, and a pool worker rebuilds the tables on use.
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def _degree_order(self) -> tuple[int, ...]:
+        """Vertices by degree, highest first, lowest index on ties."""
+        neighbors = self._neighbors
+        return tuple(sorted(range(self.n), key=lambda v: (-len(neighbors[v]), v)))
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "edges": self.edges}
 
 
 @dataclass(frozen=True)
@@ -420,6 +452,56 @@ def predict_cost(instance: ColoringInstance) -> float:
     return effective_cost(instance.graph.n * k_bits, k_bits, 1.0)
 
 
+#: Raw 64-bit PCG64 outputs `_Draws` reads in its first block; each later
+#: block doubles, up to the second number. A random-agent solve of the
+#: default campaign takes 36 words on average, and a capped one millions.
+_RAW_BLOCKS = 16, 1024
+
+
+def _words(bit_generator):
+    """The 32-bit words a `Generator` on bit_generator consumes, in order:
+    each raw 64-bit output's low half, then its high half."""
+    size, most = _RAW_BLOCKS
+    while True:
+        yield from bit_generator.random_raw(size).astype("<u8").view("<u4").tolist()
+        size = min(2 * size, most)
+
+
+class _Draws:
+    """`np.random.default_rng(seed)`'s `integers(m)` and `shuffle(list)`, for
+    m and list lengths at most 2**32, on the words of `_words`.
+
+    `integers` multiplies a word by m and keeps the high 32 bits, unless
+    the low 32 fall below 2**32 mod m, and takes no word at m = 1.
+    `shuffle` swaps x[i] with x[j] for i from len(x) - 1 down to 1, j a
+    word masked to i's bit length and redrawn while above i. Each call
+    returns what the same call on the `Generator` returns and leaves the
+    stream where the `Generator` would.
+    """
+
+    def __init__(self, seed) -> None:
+        self._next = _words(np.random.PCG64(seed)).__next__
+
+    def integers(self, m: int) -> int:
+        if m == 1:  # numpy returns 0 without a draw
+            return 0
+        threshold = (1 << 32) % m
+        while True:
+            scaled = self._next() * m
+            if scaled & 0xFFFFFFFF >= threshold:
+                return scaled >> 32
+
+    def shuffle(self, x: list) -> None:
+        draw = self._next
+        i = len(x) - 1
+        while i > 0:
+            mask = (1 << i.bit_length()) - 1
+            while (j := draw() & mask) > i:
+                pass
+            x[i], x[j] = x[j], x[i]
+            i -= 1
+
+
 def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     """Backtracking search with forward checking under one agent's ordering.
 
@@ -429,27 +511,35 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     than SOLVE_CAP expansions stops there and returns found=False with
     expansions == SOLVE_CAP. Deterministic given (instance, agent, seed);
     only the random agent consumes randomness.
+
+    The random agent makes the draws `np.random.default_rng(seed)` would:
+    `integers(len(uncolored))` for its vertex and `shuffle` of the vertex's
+    live colors, both from `_Draws`, which equals the `Generator` call for
+    call (see the module docstring). Its uncolored vertices stay in one
+    ascending list: a picked vertex leaves it and goes back in its place
+    when the search backtracks past it.
     """
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent {agent!r}; expected one of {AGENT_KINDS}")
     g, k = instance.graph, instance.k
     n = g.n
     neighbors = g.neighbors()
-    rng = np.random.default_rng(seed) if agent == "random" else None
+    is_random = agent == "random"
+    draws = _Draws(seed) if is_random else None
+    uncolored = list(range(n)) if is_random else None
     domains = [(1 << k) - 1] * n
     assignment = [-1] * n
     expansions = 0
     # highest degree first, lowest index on ties: greedy's order for the whole
     # search, and acp's tie-break among vertices with equally many live colors
-    order = sorted(range(n), key=lambda v: (-len(neighbors[v]), v))
+    order = g._degree_order
 
     def pick_vertex(depth: int) -> int:
         if agent == "greedy":
             # the search colors one vertex per depth and undoes it on backtrack
             return order[depth]
-        if agent == "random":
-            uncolored = [v for v in range(n) if assignment[v] == -1]
-            return uncolored[int(rng.integers(len(uncolored)))]
+        if is_random:
+            return uncolored.pop(draws.integers(len(uncolored)))
         best, fewest = -1, k + 1
         for v in order:
             if assignment[v] == -1 and domains[v].bit_count() < fewest:
@@ -463,22 +553,25 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
         colors = [c for c in range(k) if live >> c & 1]
         if len(colors) == 1:
             return colors
-        if agent == "random":
-            rng.shuffle(colors)
+        if is_random:
+            draws.shuffle(colors)
             return colors
         # least constraining first: fewest uncolored neighbors that could take the
         # color; the sort is stable, so ties keep ascending color order
         near = [domains[u] for u in neighbors[v] if assignment[u] == -1]
         return sorted(colors, key=lambda c: sum(d >> c & 1 for d in near))
 
-    def search(depth: int) -> bool:
-        nonlocal expansions
-        if depth == n:
-            return True
-        v = pick_vertex(depth)
-        for c in order_colors(v):
-            if expansions == SOLVE_CAP:
-                return False
+    # depth-first on an explicit stack: one frame per colored vertex above the
+    # current one, holding its color order, how many of them it has tried,
+    # and the neighbors its current color pruned
+    frames = []
+    cap = SOLVE_CAP
+    v = pick_vertex(0)
+    colors, tried = order_colors(v), 0
+    while True:
+        if tried < len(colors) and expansions < cap:
+            c = colors[tried]
+            tried += 1
             assignment[v] = c
             expansions += 1
             bit = 1 << c
@@ -491,15 +584,25 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
                     if domains[u] == 0:
                         dead = True
                         break
-            if not dead and search(depth + 1):
-                return True
-            for u in pruned:
-                domains[u] |= bit
-            assignment[v] = -1
-        return False
+            if not dead:
+                if len(frames) + 1 == n:
+                    break
+                frames.append((v, colors, tried, pruned, bit))
+                v = pick_vertex(len(frames))
+                colors, tried = order_colors(v), 0
+                continue
+        else:
+            # every color of v failed, or the cap is reached: back to v's parent
+            if is_random:
+                insort(uncolored, v)
+            if not frames:
+                return SearchStats(expansions=expansions, found=False, assignment=None)
+            v, colors, tried, pruned, bit = frames.pop()
+        # undo v's current color before its next one
+        for u in pruned:
+            domains[u] |= bit
+        assignment[v] = -1
 
-    if not search(0):
-        return SearchStats(expansions=expansions, found=False, assignment=None)
     result = tuple(assignment)
     for u, v in g.edges:
         if result[u] == result[v]:

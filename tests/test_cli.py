@@ -8,10 +8,13 @@ pinned bytes at ``--workers 1`` and ``--workers 2``.
 import csv
 import hashlib
 import io
+import json
 import multiprocessing
 import os
 import shlex
 import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -29,6 +32,7 @@ from acp.cli import _CHUNK_ROWS, _RUNNERS
 from acp.stopping import TRIAL_BLOCK, StepCapExceeded
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _reference_structured_text(rows: np.ndarray) -> str:
@@ -248,7 +252,7 @@ REFUSALS = {
             ("10", "nan", "p must lie in [0, 1]"),
             ("10", "1.5", "p must lie in [0, 1]"),
             ("10", "-0.1", "p must lie in [0, 1]"),
-            # the search recurses once per vertex: n = 990 used to end in a RecursionError, exit 1
+            # solve used to recurse once per vertex: n = 990 ended in a RecursionError, exit 1
             ("990", "0.0005", "n must be at most 512, got 990"),
             ("1100", "0.0005", "n must be at most 512, got 1100"),
         ]
@@ -548,6 +552,67 @@ PINNED = {
 
 class TestDeterminism(_table(PINNED, _check_pinned)):
     """Every ``PINNED`` row, at ``--workers 1`` and ``--workers 2``."""
+
+
+#: ``PINNED`` rows whose bytes go through numpy kernels chosen per CPU: the estimator's exp,
+#: the truncated gaussian's ``_ndtri`` log and the exponential family's log1p.
+SIMD_ROWS = (
+    PINNED["test_estimate_bytes_are_pinned"],
+    next(row for row in PINNED["test_bounds_family_bytes_are_pinned"].values() if "truncated-gaussian" in row.argv),
+    next(row for row in PINNED["test_long_trial_bytes_are_pinned"].values() if "exponential" in row.argv),
+)
+
+#: Run in a fresh interpreter: print the dispatched CPU features numpy still uses, then
+#: run each (argv, file names) row of argv[1] and print its files' sha256, as one JSON line.
+_RERUN = """\
+import contextlib, hashlib, io, json, os, sys, tempfile
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+used = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+hashes = []
+if not used:
+    from acp.cli import main
+    for argv, names in json.loads(sys.argv[1]):
+        os.chdir(tempfile.mkdtemp(dir=sys.argv[2]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        hashes.append({name: hashlib.sha256(open(name, "rb").read()).hexdigest() for name in names})
+print(json.dumps({"used": used, "hashes": hashes}))
+"""
+
+
+def _dispatched_features() -> list[str]:
+    """The CPU features past its baseline that numpy dispatches to on this host."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def test_pins_hold_at_the_baseline_simd_level(tmp_path):
+    # tier-1 checks the pins at this host's SIMD level; this reruns SIMD_ROWS with
+    # numpy held to its baseline, so a kernel whose last bit differs by CPU shows here
+    features = _dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature past its baseline on this host")
+    setting = " ".join(features)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": setting,
+           "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    rows = [([*row.argv, "--workers", "1"], list(row.pins)) for row in SIMD_ROWS]
+    done = subprocess.run([sys.executable, "-W", "always::ImportWarning", "-c", _RERUN, json.dumps(rows), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    if "NPY_DISABLE_CPU_FEATURES" in done.stderr:
+        pytest.skip(f"numpy refused NPY_DISABLE_CPU_FEATURES={setting!r}: {done.stderr.strip()}")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    if result["used"]:
+        pytest.skip(f"numpy ignored NPY_DISABLE_CPU_FEATURES={setting!r} and still uses {result['used']}")
+    for row, hashes in zip(SIMD_ROWS, result["hashes"], strict=True):
+        for name, pin in row.pins.items():
+            assert hashes[name] == (pin if isinstance(pin, str) else hashlib.sha256(pin).hexdigest()), (row.argv, name)
 
 
 def test_every_subcommand_has_refusal_and_pinned_rows():

@@ -1,6 +1,7 @@
 """Graph generation, exact oracles, agents, and the benchmark campaign."""
 
 import math
+import pickle
 import re
 import signal
 import tracemalloc
@@ -41,6 +42,10 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
 # the first feasible G(40, 0.1) of master seed 0: the random agent needs
 # 447 271 expansions uncapped, the acp agent 40
 CAPPED_40 = gen_erdos_renyi(40, 0.1, 8697063857760222071)
+# the first and fourth feasible G(70, 0.04) of master seed 3: the random agent runs to
+# the cap on both, and at seed 0 and cap 1000 colors the second in 665 expansions
+DRAW_70 = gen_erdos_renyi(70, 0.04, 4993253684617869379)
+DEEP_70 = gen_erdos_renyi(70, 0.04, 5692466995588688965)
 
 
 @contextmanager
@@ -224,6 +229,20 @@ class TestGraph:
             for v in nbrs:
                 assert u in adj[v]
 
+    def test_search_tables_leave_the_value_unchanged(self):
+        # solve builds a graph's neighbor lists and degree order once and keeps them on the
+        # graph; pool workers receive pickled instances, and equal graphs must stay equal
+        used, fresh = (gen_erdos_renyi(70, 0.04, 4993253684617869379) for _ in range(2))
+        for a, agent in enumerate(AGENT_KINDS):
+            solve(_instance(used), agent, seed=a)
+        assert vars(used).keys() > vars(fresh).keys()
+        assert (used == fresh, hash(used), repr(used)) == (True, hash(fresh), repr(fresh))
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert pickle.dumps(_instance(used)) == pickle.dumps(_instance(fresh))
+        copy = pickle.loads(pickle.dumps(used))
+        assert vars(copy) == vars(fresh)
+        assert copy == used and copy.neighbors() == used.neighbors() == fresh.neighbors()
+
 
 class TestGenerator:
     def test_p_zero_no_edges(self):
@@ -278,6 +297,42 @@ class TestSeedWords:
         for seed, row in zip(seeds, words):
             assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
             assert generator(row).random(m).tolist() == np.random.default_rng(seed).random(m).tolist()
+
+
+_CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.integers(1, acp.coloring.MAX_VERTICES)),
+    st.tuples(st.just("shuffle"), st.integers(1, 5)),
+)
+
+
+class TestDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 2**64 - 1), st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2))),
+        st.lists(_CALLS, max_size=600),
+        st.sampled_from([(1, 1), (1, 4), (3, 16), acp.coloring._RAW_BLOCKS]),
+    )
+    @example(126406, [("integers", 412)], acp.coloring._RAW_BLOCKS).via("Lemire rejects the first word")
+    @example(8710, [("integers", 239)], acp.coloring._RAW_BLOCKS).via("low 32 bits in [2**32 % m, m): kept")
+    @example(0, [("integers", 1), ("shuffle", 1), ("integers", 1), ("integers", 3)], (1, 1)).via("no draw")
+    @example((7, 0), [("integers", 70), ("shuffle", 3), ("shuffle", 2)] * 200, acp.coloring._RAW_BLOCKS).via(
+        "several refills of the default blocks"
+    )
+    def test_matches_default_rng(self, seed, calls, blocks):
+        # the same value from every call, and the stream left where the Generator leaves it
+        rng = np.random.default_rng(seed)
+        with patch.object(acp.coloring, "_RAW_BLOCKS", blocks), _deadline(10):
+            draws = acp.coloring._Draws(seed)
+            for name, size in calls:
+                if name == "integers":
+                    assert draws.integers(size) == rng.integers(size)
+                else:
+                    ours, theirs = list(range(size)), list(range(size))
+                    draws.shuffle(ours)
+                    rng.shuffle(theirs)
+                    assert ours == theirs
+            # integers(2**32) is one whole 32-bit word, held-over high halves included
+            assert [draws.integers(2**32) for _ in range(50)] == [int(rng.integers(2**32)) for _ in range(50)]
 
 
 class TestFeasibilityOracle:
@@ -474,6 +529,10 @@ class TestSolve:
     @example(DRAW_22, 3, "greedy", 0, acp.coloring.SOLVE_CAP).via("57 vertices, ties in degree")
     @example(DRAW_22, 3, "acp", 0, acp.coloring.SOLVE_CAP).via("57 vertices, ties in live colors")
     @example(CAPPED_40, 3, "random", 2, 1000).via("backtracks until the cap")
+    @example(DRAW_70, 3, "random", 0, 1000).via("70 vertices, backtracks until the cap")
+    @example(DRAW_70, 3, "random", 2, 1000).via("70 vertices, backtracks, then colors")
+    @example(DEEP_70, 3, "random", 0, 1000).via("70 vertices, colors after 665 expansions")
+    @example(DRAW_70, 3, "acp", 0, 1000).via("70 vertices, ties in live colors")
     def test_matches_reference_agents(self, g, k, agent, seed, cap):
         # same vertex, same color order and same random draws at every node, so the
         # same expansions, outcome and coloring, also where the cap stops the search
@@ -582,8 +641,8 @@ class TestCampaign:
         assert np.array_equal(serial.records, parallel.records)
 
     def test_solve_at_vertex_cap(self):
-        # one recursion level per vertex, on top of pytest's own stack; a path
-        # never empties a domain of three colors, so no agent backtracks
+        # the deepest search a campaign allows; a path never empties a domain
+        # of three colors, so no agent backtracks
         n = acp.coloring.MAX_VERTICES
         graph = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
         assert is_k_colorable(graph, 3)
