@@ -76,8 +76,10 @@ _SHARED = (
     _Opt("--workers", int, 1, "worker processes (does not affect results)"),
 )
 
-_OPTIONS: dict[str, tuple[_Opt, ...]] = {
-    "bounds": _SHARED
+#: Each command's options, built when called: the bounds and slope options read their
+#: library module's FAMILIES or DEFAULT_NOISE_LEVELS, which loads it.
+_OPTIONS: dict[str, Callable[[], tuple[_Opt, ...]]] = {
+    "bounds": lambda: _SHARED
     + (
         _Opt("--trials", int, 10000, "Monte Carlo trials"),
         _Opt("--family", str, "exponential", "gain distribution family", choices=stopping.FAMILIES),
@@ -90,14 +92,14 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("--delta", float, 0.05, "failure probability for the high-probability step budget"),
         _Opt("--dump-trials", str, None, "optional CSV path for per-trial records"),
     ),
-    "slope": _SHARED
+    "slope": lambda: _SHARED
     + (
         _Opt("--trials", int, 50, "trials per noise level"),
         _Opt("--noise", _float_list, slope.DEFAULT_NOISE_LEVELS, "noise levels, comma-separated"),
         _Opt("--resolution", float, 0.1, "credible-interval width that counts as identified"),
         _Opt("--step-cap", int, 200, "maximum agent steps per trial"),
     ),
-    "coloring": _SHARED
+    "coloring": lambda: _SHARED
     + (
         _Opt("--configs", str, "default", "named configuration set", choices=("default",)),
         _Opt("--n", int, None, "vertex count (overrides --configs, requires --p/--k/--instances)"),
@@ -105,7 +107,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("--k", int, None, "number of colors"),
         _Opt("--instances", int, None, "feasible instances per configuration (>= 50)"),
     ),
-    "estimate": _SHARED
+    "estimate": lambda: _SHARED
     + (
         _Opt("--trials", int, 64, "simulated outcomes per candidate action"),
         _Opt("--noise", float, 0.5, "observation noise sigma"),
@@ -113,25 +115,43 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("--resolution", float, 0.1, "identification resolution"),
         _Opt("--budget", float, 100.0, "resource budget to test against"),
     ),
-    "approx": _SHARED
+    "approx": lambda: _SHARED
     + (
         _Opt("--items", int, 10, "knapsack item count (<= 20)"),
         _Opt("--eps", _float_list, (0.0, 0.05, 0.1, 0.2, 0.5), "relaxation levels, ascending"),
     ),
 }
 
+
+class _CommandParser(argparse.ArgumentParser):
+    """One subcommand's parser, which adds the command's options when it first parses.
+
+    Building the whole parser thus reads no library module, and a run, or
+    its --help, builds only its own command's options.
+    """
+
+    def __init__(self, *, options: Callable[[], tuple[_Opt, ...]], **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._options = options  # called at the first parse, then dropped
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._options is not None:
+            self.add_argument("--config", type=str, default=None, help="key=value option file; flags win")
+            for opt in self._options():
+                default_note = "none" if opt.default is None else _plain(opt.default)
+                kwargs = dict(type=opt.conv, default=None, help=f"{opt.help} (default: {default_note})")
+                if opt.choices:
+                    kwargs["choices"] = opt.choices
+                self.add_argument(opt.flag, **kwargs)
+            self._options = None
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _OPTIONS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--config", type=str, default=None, help="key=value option file; flags win")
-        for opt in opts:
-            default_note = "none" if opt.default is None else _plain(opt.default)
-            kwargs = dict(type=opt.conv, default=None, help=f"{opt.help} (default: {default_note})")
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            p.add_argument(opt.flag, **kwargs)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, options in _OPTIONS.items():
+        sub.add_parser(command, options=options)
     return parser
 
 
@@ -161,7 +181,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
     ``slope`` and ``coloring`` also get ``summary``, the path of their summary
     CSV: ``--out`` with ``_summary`` before its extension.
     """
-    table = {opt.dest: opt for opt in _OPTIONS[args.command]}
+    table = {opt.dest: opt for opt in _OPTIONS[args.command]()}
     merged = {dest: opt.default for dest, opt in table.items()}
     if args.config is not None:
         for key, raw in _read_config_file(args.config).items():

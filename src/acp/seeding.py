@@ -14,7 +14,6 @@ means with ``_mean_se``.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from typing import Callable, Iterator, TypeVar
 
@@ -45,12 +44,17 @@ def imap_indexed(fn: Callable[[int], T], n_items: int, workers: int = 1) -> Iter
     depend on scheduling or the pool's size. The pool starts at the first
     item and stops when the iterator ends, is closed or raises what ``fn``
     raised; items that workers finish ahead of the caller wait in this
-    process.
+    process. ``multiprocessing`` is imported only when a pool starts, so a
+    run at one worker never loads it. Pool children import ``acp`` afresh
+    under the spawn and forkserver start methods, and load only the module
+    that defines ``fn`` and what it imports, when ``fn`` is unpickled.
     """
     workers = min(workers, n_items, os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, range(n_items))
         return
+    import multiprocessing
+
     ctx = multiprocessing.get_context()
     chunk = max(1, n_items // (workers * 8))
     with ctx.Pool(processes=workers) as pool:

@@ -118,9 +118,13 @@ def _check_pinned(row: Pinned, tmp_path, capsys, monkeypatch) -> None:
         with _time_limit(60):
             assert main([*row.argv, "--workers", workers]) == 0
         assert row.stdout in capsys.readouterr().out
-        for name, pin in row.pins.items():
-            data = (folder / name).read_bytes()
-            assert (data if isinstance(pin, bytes) else hashlib.sha256(data).hexdigest()) == pin, (workers, name)
+        _check_files(row, folder, workers)
+
+
+def _check_files(row: Pinned, folder: Path, label: str) -> None:
+    for name, pin in row.pins.items():
+        data = (folder / name).read_bytes()
+        assert (data if isinstance(pin, bytes) else hashlib.sha256(data).hexdigest()) == pin, (label, name)
 
 
 def _table(table: dict, check) -> type:
@@ -613,6 +617,17 @@ def test_pins_hold_at_the_baseline_simd_level(tmp_path):
     for row, hashes in zip(SIMD_ROWS, result["hashes"], strict=True):
         for name, pin in row.pins.items():
             assert hashes[name] == (pin if isinstance(pin, str) else hashlib.sha256(pin).hexdigest()), (row.argv, name)
+
+
+def test_bounds_pins_hold_through_python_m_acp(tmp_path):
+    # the in-process rows run with every acp module loaded by the tests; this fresh
+    # interpreter loads only what bounds runs, through the package's lazy modules
+    row = PINNED["test_bounds_bytes_are_pinned"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "acp", *row.argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    _check_files(row, tmp_path, "python -m acp")
 
 
 def test_every_subcommand_has_refusal_and_pinned_rows():
