@@ -6,12 +6,16 @@ which drives the information needed to land in it down; the reports expose
 both readings of that requirement (the -log2(p) search information, which
 is monotone, and the indicator entropy, which peaks at p = 1/2).
 
-The bundled knapsack family is enumerated in full, from two half-subset
-tables (Horowitz & Sahni's meet-in-the-middle split), one block of at most
-``gp.BLOCK_CELLS`` int64 values at a time. ``information_vs_epsilon`` counts
-a spec's goal sets from those blocks, so it holds one block, not one value
-per subset; ``KnapsackSpec.to_instance`` still builds the whole table, one
-float64 per subset (8 MiB at n = 20).
+The bundled knapsack family splits its items into two halves, each with a
+table of its subsets' weights and profits (Horowitz & Sahni's
+meet-in-the-middle split, J. ACM 21(2), 1974). ``information_vs_epsilon``
+counts a spec's goal sets from those two tables alone, in O(2^(n/2)) lookups
+rather than one read of each of the 2^n subsets: it holds the half tables
+(2^(n/2) int64 weights and profits each, 16 KiB apiece at n = 20) and a
+table over the low half's distinct weights and profits, built at most
+``gp.BLOCK_CELLS`` cells at a time. ``KnapsackSpec.to_instance`` still
+builds the whole table, one float64 per subset (8 MiB at n = 20), a block
+of at most ``gp.BLOCK_CELLS`` int64 values at a time.
 """
 
 from __future__ import annotations
@@ -61,9 +65,6 @@ class FiniteOptInstance:
     def optimum(self) -> float:
         return float(self.values.min())
 
-    def _blocks(self) -> Iterator[np.ndarray]:
-        yield self.values
-
 
 @dataclass(frozen=True)
 class EpsilonGoalReport:
@@ -104,25 +105,22 @@ def information_vs_epsilon(
     """Goal-set geometry across an ascending schedule of relaxations.
 
     Each goal set is counted, not listed: the count is ``goal_set``'s size.
-    The values are read a block at a time, twice: once for the optimum, then
-    once for every count, each block cut to the values within the largest
-    bound before it is counted against each bound. A spec is never built
-    into its instance.
+    An instance's values are cut to those within the largest bound, which
+    are then counted against each bound. A spec's counts come from its two
+    half tables (``KnapsackSpec._goal_counts``), so it is never built into
+    its instance and no value is computed per subset.
     """
     eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly ascending")
     if not eps:
         return []
-    optimum, size = math.inf, 0
-    for values in source._blocks():
-        optimum, size = min(optimum, float(values.min())), size + values.size
-    bounds = [_goal_bound(optimum, e) for e in eps]
-    counts = [0] * len(eps)
-    for values in source._blocks():
-        kept = values[values <= bounds[-1]]
-        for i, bound in enumerate(bounds):
-            counts[i] += int(np.count_nonzero(kept <= bound))
+    if isinstance(source, KnapsackSpec):
+        counts, size = source._goal_counts(eps), 1 << len(source.weights)
+    else:
+        bounds = [_goal_bound(source.optimum, e) for e in eps]
+        kept = source.values[source.values <= bounds[-1]]
+        counts, size = [int(np.count_nonzero(kept <= bound)) for bound in bounds], source.size
     reports = []
     for e, count in zip(eps, counts):
         p = count / size
@@ -209,6 +207,57 @@ class KnapsackSpec:
             f -= q_lo
             yield f.ravel()
 
+    def _goal_counts(self, epsilons: Sequence[float]) -> list[int]:
+        """``goal_set(self.to_instance(), e).size`` for each e, from the two half tables.
+
+        With C' = min(capacity, total weight) and P = total profit + 1, the
+        optimum f* is total profit minus the best feasible profit: each high
+        half subset within C' adds the most profit of a low half subset
+        within the weight it leaves, read from the low half sorted by weight
+        with a running profit maximum. The values are integers, so a subset
+        is in the goal set iff f <= B = floor((1 + eps) f*). Writing
+        B = m P + r with 0 <= r < P, and f = (total - profit) + P excess with
+        0 <= total - profit < P, f <= B iff the excess weight over C' is
+        below m, or is m and the profit is at least total - r. Overweight
+        subsets thus qualify only once B >= P, and every subset once B
+        reaches the largest value. Each term is a count of (low, high) pairs
+        within a weight and a profit limit (``_pairs_within``), in exact
+        int64 sums below 2^54.
+        """
+        h = len(self.weights) // 2
+        w_lo, q_lo = _subset_sums(self.weights[:h], self.profits[:h])
+        w_hi, q_hi = _subset_sums(self.weights[h:], self.profits[h:])
+        total = int(sum(self.profits))
+        penalty = total + 1
+        weight = int(sum(self.weights))
+        # every subset fits a capacity above the total weight, which int64 may not hold
+        capacity = min(self.capacity, weight)
+        by_weight = np.argsort(w_lo, kind="stable")
+        lightest = w_lo[by_weight]
+        best = np.maximum.accumulate(q_lo[by_weight])
+        fits = w_hi <= capacity  # the empty high subset always does
+        room = np.searchsorted(lightest, capacity - w_hi[fits], side="right") - 1
+        optimum = total - int((q_hi[fits] + best[room]).max())
+        # the full set if it is overweight, else the empty set
+        largest = penalty * (weight - capacity) if weight > capacity else total
+        counts = [0] * len(epsilons)
+        terms = []  # (epsilon index, sign, weight limit, profit limit)
+        for i, e in enumerate(epsilons):
+            bound = _goal_bound(float(optimum), e)
+            if bound >= largest:
+                counts[i] = 1 << len(self.weights)
+                continue
+            m, r = divmod(math.floor(bound), penalty)
+            terms.append((i, 1, capacity + m, total - r))
+            if m:
+                # an excess below m qualifies whatever the profit; the first term counted
+                # those with enough profit already
+                terms += [(i, 1, capacity + m - 1, 0), (i, -1, capacity + m - 1, total - r)]
+        pairs = _pairs_within(w_lo, q_lo, w_hi, q_hi, [term[2:] for term in terms])
+        for (i, sign, *_), count in zip(terms, pairs):
+            counts[i] += sign * count
+        return counts
+
 
 def _subset_sums(weights: Sequence[int], profits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Weight and profit of every subset of the items, indexed by subset mask."""
@@ -221,6 +270,39 @@ def _subset_sums(weights: Sequence[int], profits: Sequence[int]) -> tuple[np.nda
         np.add(w[:half], weight, out=w[half : 2 * half])
         np.add(q[:half], profit, out=q[half : 2 * half])
     return w, q
+
+
+def _pairs_within(
+    w_lo: np.ndarray, q_lo: np.ndarray, w_hi: np.ndarray, q_hi: np.ndarray, limits: Sequence[tuple[int, int]]
+) -> list[int]:
+    """How many (low, high) subset pairs weigh at most K and profit at least T, for each (K, T) in limits.
+
+    A table over the low subsets' distinct weights (rows) and distinct
+    profits (columns) holds how many weigh at most the row's weight and
+    profit at least the column's; each high subset reads its entry at
+    (K - its weight, T - its profit). The table is built a run of rows at a
+    time, at most BLOCK_CELLS cells, each run on top of the counts of the
+    rows before it.
+    """
+    weights, w_rank = np.unique(w_lo, return_inverse=True)
+    profits, q_rank = np.unique(q_lo, return_inverse=True)
+    width = profits.size + 1  # the last column: profit above every low subset's
+    step = max(1, BLOCK_CELLS // width)
+    pairs = [0] * len(limits)
+    below = np.zeros(width, dtype=np.int64)
+    for start in range(0, weights.size, step):
+        stop = min(start + step, weights.size)
+        run = (w_rank >= start) & (w_rank < stop)
+        table = np.bincount((w_rank[run] - start) * width + q_rank[run], minlength=(stop - start) * width)
+        table = table.reshape(-1, width)[:, ::-1].cumsum(axis=1)[:, ::-1].cumsum(axis=0) + below
+        below = table[-1]
+        for j, (most, least) in enumerate(limits):
+            # rows: how many distinct low weights are at most most - w_hi
+            rows = np.searchsorted(weights, most - w_hi, side="right") - start
+            ask = (rows > 0) & (rows <= stop - start)
+            cols = np.searchsorted(profits, least - q_hi[ask])
+            pairs[j] += int(table[rows[ask] - 1, cols].sum())
+    return pairs
 
 
 def default_knapsack(n_items: int = 10, seed: int = 0) -> KnapsackSpec:

@@ -40,7 +40,9 @@ such words, low half first, the high half held for the next word. So
 little-endian 32-bit halves and applies the same two methods to them. The
 agents search on an explicit stack rather than by recursion, and each graph
 builds its neighbor lists and degree order once, however many solves read
-them.
+them. A campaign seeds its random-agent solves from one vectorised hash of
+every instance's (seed, 0), the filter's `SeedSequence` hash with the agent
+as a second entropy word, and starts each solve's PCG64 from its row.
 """
 
 from __future__ import annotations
@@ -185,19 +187,25 @@ def _hashmix(values: np.ndarray, round_: int) -> np.ndarray:
     return values ^ values >> 16
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """`np.random.SeedSequence(s).generate_state(4, np.uint64)` for every s in seeds.
+def _seed_words(seeds, agent: int = 0) -> np.ndarray:
+    """`np.random.SeedSequence((s, agent)).generate_state(4, np.uint64)` for every s in seeds.
 
     One vectorised uint32 pass over the block: row i of the (len(seeds), 4)
-    result is the PCG64 state `np.random.default_rng(seeds[i])` starts from.
-    A seed below 2**64 fills at most two of the pool's four words, and the
-    hash reads an absent entropy word as 0, so the pool starts from both
-    32-bit halves and two zeros.
+    result is the PCG64 state `np.random.PCG64((seeds[i], agent))` starts
+    from. SeedSequence reads a tuple as each entry's 32-bit words in turn,
+    as many as the entry needs and at least one, so a seed below 2**32
+    takes one word and the agent (below 2**32) lands in the second, and a
+    larger seed below 2**64 takes two and the agent the third. The hash
+    reads an absent entropy word as 0, so the pool starts from those words
+    and zeros, and agent 0 gives the words of the seed alone:
+    `np.random.default_rng(seeds[i])`'s state.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    high = seeds >> 32
     pool = np.zeros((4, len(seeds)), np.uint32)
     pool[0] = seeds & _MASK32
-    pool[1] = seeds >> 32
+    pool[1] = np.where(high > 0, high, agent)
+    pool[2] = np.where(high > 0, agent, 0)
     pool = _hashmix(pool, 0)
     for src in range(4):
         # each other word takes in a hashmix of pool[src], one round each, in word order
@@ -211,15 +219,15 @@ def _seed_words(seeds) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _generator_from_words():
-    """A function from a row of `_seed_words` to the `Generator` that
-    `np.random.default_rng` builds for that row's seed: PCG64 seeded with
-    the row's words.
+def _pcg64_from_words():
+    """A function from a row of `_seed_words` to a PCG64 started at that
+    row's state: `np.random.PCG64(seed)` for the seed (or seed tuple) the row
+    was hashed from.
 
     Built on first use, so that importing the package leaves numpy.random
     unloaded.
     """
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
@@ -232,7 +240,7 @@ def _generator_from_words():
             # PCG64 asks for its state as generate_state(4, np.uint64)
             return self.words
 
-    return lambda words: Generator(PCG64(SeedWords(words)))
+    return lambda words: PCG64(SeedWords(words))
 
 
 @lru_cache(maxsize=8)
@@ -274,12 +282,12 @@ def _gnp_draws(n: int, p: float, words: np.ndarray):
     rows, cols = _pair_index(n)
     width = -(-n // 64)
     step = max(1, FILTER_CELLS // (len(rows) + 8 * n * width))
-    generator = _generator_from_words()
+    pcg64 = _pcg64_from_words()
     for start in range(0, len(words), step):
         block = words[start:start + step]
         uniforms = np.empty((len(block), len(rows)))
         for row, seed_words in zip(uniforms, block):
-            generator(seed_words).random(out=row)
+            np.random.Generator(pcg64(seed_words)).random(out=row)
         masks = uniforms < p
         adjacency = np.zeros((len(block), n, 64 * width), dtype=bool)
         adjacency[:, rows, cols] = masks
@@ -468,8 +476,8 @@ def _words(bit_generator):
 
 
 class _Draws:
-    """`np.random.default_rng(seed)`'s `integers(m)` and `shuffle(list)`, for
-    m and list lengths at most 2**32, on the words of `_words`.
+    """`np.random.Generator(bit_generator)`'s `integers(m)` and `shuffle(list)`,
+    for m and list lengths at most 2**32, on the words of `_words`.
 
     `integers` multiplies a word by m and keeps the high 32 bits, unless
     the low 32 fall below 2**32 mod m, and takes no word at m = 1.
@@ -479,8 +487,8 @@ class _Draws:
     stream where the `Generator` would.
     """
 
-    def __init__(self, seed) -> None:
-        self._next = _words(np.random.PCG64(seed)).__next__
+    def __init__(self, bit_generator) -> None:
+        self._next = _words(bit_generator).__next__
 
     def integers(self, m: int) -> int:
         if m == 1:  # numpy returns 0 without a draw
@@ -517,7 +525,8 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     live colors, both from `_Draws`, which equals the `Generator` call for
     call (see the module docstring). Its uncolored vertices stay in one
     ascending list: a picked vertex leaves it and goes back in its place
-    when the search backtracks past it.
+    when the search backtracks past it. A seed that is already a bit
+    generator is drawn from as it stands, as `default_rng` does with one.
     """
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent {agent!r}; expected one of {AGENT_KINDS}")
@@ -525,6 +534,8 @@ def solve(instance: ColoringInstance, agent: str, seed) -> SearchStats:
     n = g.n
     neighbors = g.neighbors()
     is_random = agent == "random"
+    if is_random and not isinstance(seed, np.random.BitGenerator):
+        seed = np.random.PCG64(seed)
     draws = _Draws(seed) if is_random else None
     uncolored = list(range(n)) if is_random else None
     domains = [(1 << k) - 1] * n
@@ -664,12 +675,21 @@ def _feasible_instances(n: int, p: float, k: int, count: int, config_index: int,
     return feasible, discarded
 
 
-def _solve_job(flat_index: int, instances: tuple[ColoringInstance, ...]) -> tuple[int, bool]:
+#: The random agent's index in AGENT_KINDS; it is the only agent that draws,
+#: and a campaign seeds its solve of an instance with (the instance's seed, this).
+_RANDOM = AGENT_KINDS.index("random")
+
+
+def _solve_job(flat_index: int, instances: tuple[ColoringInstance, ...], words: np.ndarray) -> tuple[int, bool]:
     """(expansions, found) of run ``flat_index``: instance i under agent a for
-    (i, a) = divmod(flat_index, len(AGENT_KINDS)), seeded by (its seed, a)."""
+    (i, a) = divmod(flat_index, len(AGENT_KINDS)), seeded by (its seed, a).
+    words[i] is `_seed_words` of (its seed, the random agent's index), the
+    state `np.random.PCG64` would hash that seed to, so the random agent
+    starts its PCG64 from it without hashing."""
     i, a = divmod(flat_index, len(AGENT_KINDS))
     instance = instances[i]
-    stats = solve(instance, AGENT_KINDS[a], seed=(instance.seed, a))
+    seed = _pcg64_from_words()(words[i]) if a == _RANDOM else (instance.seed, a)
+    stats = solve(instance, AGENT_KINDS[a], seed)
     return stats.expansions, stats.found
 
 
@@ -706,7 +726,10 @@ def run_campaign(
     instances = tuple(inst for kept, _ in drawn for inst in kept)
     predictions = [predict_cost(kept[0]) for kept, _ in drawn]
     agents = len(AGENT_KINDS)
-    runs = map_indexed(partial(_solve_job, instances=instances), len(instances) * agents, workers=workers)
+    # one hash for every random-agent solve's seed; pool workers get the words with the instances
+    words = _seed_words([inst.seed for inst in instances], _RANDOM)
+    job = partial(_solve_job, instances=instances, words=words)
+    runs = map_indexed(job, len(instances) * agents, workers=workers)
     expansions, found = np.array(runs, dtype=np.int64).reshape(-1, 2).T
     records = np.rec.fromarrays(
         (

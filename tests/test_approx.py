@@ -165,6 +165,24 @@ class TestInformationCurve:
     # (1 + eps) f* lands exactly on a value: f* = 4, so 1.5 f* = 6 and 2 f* = 8
     @example((KnapsackSpec((3, 3, 3), (2, 2, 4), 3), [0.5, 1.0], 2))
     @example((KnapsackSpec((3, 3, 3), (2, 2, 4), 3), [0.0, 0.5, 1.0, 1e300], 6))
+    # f* = 2 and total = 8: floor(B) = 8 = total takes the empty set in, and
+    # floor(B) = 9 = total + 1 the first overweight subset (the full set, one over)
+    @example((KnapsackSpec((3, 3, 3), (2, 2, 4), 8), [3.0, 3.5], 2))
+    # f* = 3, total = 6, values 3-6 feasible, then 10, 16, 22 and 35 at excess 1, 2, 3
+    # and 5: floor(B) = 6, 10, 16 and 21 land on the ladder's bounds, 36 past the largest
+    @example((KnapsackSpec((2, 3, 4), (1, 2, 3), 4), [0.0, 1.0, 2.5, 4.4, 6.0, 11.0, 1e300], 2))
+    @example((KnapsackSpec((2, 3, 4), (1, 2, 3), 4), [0.0, 1.0, 2.5, 4.4, 6.0, 11.0, 1e300], 4))
+    # capacity at, one past and far beyond the total weight: every subset feasible, f* = 0
+    @example((KnapsackSpec((3, 5), (1, 2), 8), [0.0, 1.0, 1e300], 2))
+    @example((KnapsackSpec((3, 5), (1, 2), 9), [0.0, 1e300], 2))
+    @example((KnapsackSpec((3, 5), (1, 2), 10**30), [0.0, 1.0, 1e300], 2))
+    # f* = 2^52 - 1: at eps = 1e300 the bound overflows to inf
+    @example((KnapsackSpec((2,), (2**52 - 1,), 1), [0.0, 1e300], 1))
+    @example((default_knapsack(20, 3), list(EPS_LADDER), 1 << 16))
+    @example((default_knapsack(19, 5), list(EPS_LADDER), 1 << 16))
+    # the overweight regime at scale: f* = 48 and total = 127, so eps 5 and 50 admit
+    # overweight subsets below the largest value
+    @example((default_knapsack(12, 4), [0.0, 0.5, 5.0, 50.0, 1e300], 1 << 6))
     def test_streamed_counts_equal_dense(self, case):
         spec, ladder, cells = case
         with mock.patch.object(approx, "BLOCK_CELLS", cells):
@@ -218,6 +236,17 @@ class TestKnapsackFamily:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_twenty_item_spec_curve_holds_only_half_tables(self):
+        # reading every subset's value a block at a time peaked at about 1.2 MiB
+        spec = default_knapsack(20, 3)
+        tracemalloc.start()
+        try:
+            information_vs_epsilon(spec, EPS_LADDER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
 
     def test_rejects_sums_beyond_exact_integers(self):
         # in int64 this wrapped round: the full set scored about -3.9e18

@@ -476,6 +476,9 @@ PINNED = {
         for i, (flags, sha) in enumerate([
             (("--items", "20", "--seed", "3"), "8558084c9fcf77189c966a3f3d11812bc70ac2ac5d600eec07ab2f48d547fad6"),
             (("--seed", "11"), "9ea140eb2ee7d9f88091014e1048b15823fedfad4db4e92aebf9cf92dd2cc595"),
+            # f* = 48 and total profit 127: eps 5 and 50 admit overweight subsets, 1e300 all of them
+            (("--items", "12", "--seed", "4", "--eps", "0,0.5,5,50,1e300"),
+             "06fd5df20f64a64c929841ab07f70fe594bca5e9a58c81c220cceb6ec097116b"),
         ])
     },
     # two trial blocks, so the parallel run really starts a pool

@@ -293,10 +293,23 @@ class TestSeedWords:
     def test_block_generators_match_default_rng(self, seeds, m):
         words = acp.coloring._seed_words(np.array(seeds, dtype=np.uint64))
         assert words.shape == (len(seeds), 4)
-        generator = acp.coloring._generator_from_words()
+        pcg64 = acp.coloring._pcg64_from_words()
         for seed, row in zip(seeds, words):
             assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-            assert generator(row).random(m).tolist() == np.random.default_rng(seed).random(m).tolist()
+            assert np.random.Generator(pcg64(row)).random(m).tolist() == np.random.default_rng(seed).random(m).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20), st.integers(0, 2))
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 - 1], agent=0)
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 - 1], agent=1)
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 - 1], agent=2)
+    def test_agent_word_matches_seed_tuple(self, seeds, agent):
+        # where the agent's word lands depends on whether the seed takes one 32-bit word or two
+        words = acp.coloring._seed_words(seeds, agent)
+        assert words.shape == (len(seeds), 4)
+        pcg64 = acp.coloring._pcg64_from_words()
+        for seed, row in zip(seeds, words):
+            assert pcg64(row).state == np.random.PCG64((seed, agent)).state
 
 
 _CALLS = st.one_of(
@@ -322,7 +335,7 @@ class TestDraws:
         # the same value from every call, and the stream left where the Generator leaves it
         rng = np.random.default_rng(seed)
         with patch.object(acp.coloring, "_RAW_BLOCKS", blocks), _deadline(10):
-            draws = acp.coloring._Draws(seed)
+            draws = acp.coloring._Draws(np.random.PCG64(seed))
             for name, size in calls:
                 if name == "integers":
                     assert draws.integers(size) == rng.integers(size)
